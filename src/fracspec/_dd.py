@@ -1,10 +1,10 @@
-"""Double-double (compensated) arithmetic primitives.
+"""Double-double (compensated) polynomial evaluation.
 
 A double-double value is a pair (hi, lo) of floats with hi + lo representing
 the value and |lo| <= 0.5 ulp(hi), giving ~31 significant decimal digits.
-Only the handful of operations needed for compensated series summation are
-provided.  All functions accept plain floats or numpy arrays elementwise;
-no fma is assumed (Dekker splitting is used for the exact product).
+Only Horner's rule is provided, with the error-free product (Dekker
+splitting, no fma assumed) and sum inlined.  z may be a float or a numpy
+array; the arithmetic is elementwise either way.
 
 The splitting constant limits operands to |a| < 2^996; series terms here
 stay far below that.
@@ -13,45 +13,27 @@ stay far below that.
 _SPLIT = 134217729.0  # 2**27 + 1
 
 
-def two_sum(a, b):
-    """s, e with s = fl(a+b) and s + e == a + b exactly."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def dd_horner(coeffs, z):
+    """sum_n coeffs[n] * z**n in double-double by Horner's rule.
 
-
-def quick_two_sum(a, b):
-    """As two_sum but requires |a| >= |b|."""
-    s = a + b
-    return s, b - (s - a)
-
-
-def two_prod(a, b):
-    """p, e with p = fl(a*b) and p + e == a * b exactly."""
-    p = a * b
-    c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLIT * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def dd_add(ahi, alo, bhi, blo):
-    s, e = two_sum(ahi, bhi)
-    e = e + alo + blo
-    return quick_two_sum(s, e)
-
-
-def dd_mul(ahi, alo, bhi, blo):
-    p, e = two_prod(ahi, bhi)
-    e = e + ahi * blo + alo * bhi
-    return quick_two_sum(p, e)
-
-
-def dd_mul_d(ahi, alo, b):
-    """Double-double times plain double."""
-    p, e = two_prod(ahi, b)
-    e = e + alo * b
-    return quick_two_sum(p, e)
+    coeffs is a non-empty sequence of (hi, lo) pairs.  Each step computes
+    acc*z exactly as p + e (Dekker), adds the next coefficient with an
+    error-free two-sum and renormalises once, so the absolute error of a
+    step stays of order 2^-104 (|acc*z| + |coeff|).  Returns (hi, lo).
+    """
+    c = _SPLIT * z
+    zh = c - (c - z)
+    zl = z - zh
+    hi, lo = coeffs[-1]
+    for chi, clo in coeffs[-2::-1]:
+        p = hi * z
+        c = _SPLIT * hi
+        ah = c - (c - hi)
+        al = hi - ah
+        e = ((ah * zh - p) + ah * zl + al * zh) + al * zl + lo * z
+        s = p + chi
+        bb = s - p
+        e += ((p - (s - bb)) + (chi - bb)) + clo
+        hi = s + e
+        lo = e - (hi - s)
+    return hi, lo

@@ -584,7 +584,7 @@ def table3_report(param_rows=TABLE2_ROWS, dataset=None) -> list[dict]:
     The published table was evidently generated at more alpha digits than
     printed: at the printed 3-decimal alpha the c1/c2 and 0.681 columns
     drift by several MeV at high j.  Each row dict therefore also carries
-    `m_th_refined` computed at the best alpha within +-0.0005 of the
+    `m_th_refined` computed at the best alpha within +-0.003 of the
     printed one (pure diagnostic; the plain m_th is the faithful
     evaluation).
     """

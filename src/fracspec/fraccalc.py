@@ -25,12 +25,13 @@ computed after the exact substitution s = (a-u)^alpha which removes the
 endpoint singularity.
 
 Numerical strategy for the Mittag-Leffler sums: the series alternates and can
-cancel 15+ digits at the largest arguments needed for zero scanning, so terms
-are generated by a ratio recurrence whose Gamma ratios are precomputed once
-per (alpha, beta) in 50-digit arithmetic and stored as double-doubles; the
-summation itself runs in double-double with a running cancellation budget.
-An evaluation raises `PrecisionLoss` instead of returning an uncertifiable
-value.
+cancel 15+ digits at the largest arguments needed for zero scanning.  The
+coefficients 1/Gamma(alpha n + beta) are computed once per (alpha, beta) in
+50-digit arithmetic and stored as double-doubles.  An evaluation certifies
+first: the positive-argument series at max|z|, summed in plain double, gives
+the term count and the cancellation mass sum|t_n| that bound every element,
+and `PrecisionLoss` is raised when the budget cannot meet the tolerance.
+Only then does one double-double Horner pass sum the series.
 
 alpha is restricted to (0, 1.5] in the public fractional API.
 """
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dd import dd_add, dd_mul, dd_mul_d
+from ._dd import dd_horner
 
 __all__ = [
     "PoleError",
@@ -157,50 +158,41 @@ def rgamma(x: float) -> float:
 
 
 # ----------------------------------------------------------------------------
-# Gamma-ratio tables for series recurrences.
+# Gamma tables for the Mittag-Leffler series.
 #
-# For fixed (alpha, beta) the Mittag-Leffler terms t_n = z^n / Gamma(alpha n
-# + beta) obey t_{n+1} = t_n * z * Gamma(alpha n + beta)/Gamma(alpha(n+1)
-# + beta).  The inverse ratios (and the reciprocal gammas themselves) are
-# computed once in 50-digit arithmetic and cached as double-doubles so that
-# term generation stays far below the double-double summation noise.
+# For fixed (alpha, beta) the series E(z) = sum_n c_n z^n has coefficients
+# c_n = 1/Gamma(alpha n + beta).  They are computed once in 50-digit
+# arithmetic and cached as double-doubles (`recip`), so that coefficient
+# rounding stays far below the double-double summation noise.  The plain
+# double ratios Gamma(alpha(n+1)+beta)/Gamma(alpha n+beta) (`ratio`) drive
+# the float sizing pass of the positive series and the recurrences of the
+# derivative and the radial ground state.
 # ----------------------------------------------------------------------------
 
 
 class _RatioTable:
-    __slots__ = ("alpha", "beta", "inv_dd", "ratio", "recip", "_gammas")
+    __slots__ = ("alpha", "beta", "ratio", "recip")
 
     def __init__(self, alpha: float, beta: float):
         self.alpha = alpha
         self.beta = beta
-        self.inv_dd: list[tuple[float, float]] = []  # G(an+b)/G(a(n+1)+b) as dd
         self.ratio: list[float] = []                 # G(a(n+1)+b)/G(an+b) as double
         self.recip: list[tuple[float, float]] = []   # 1/G(an+b) as dd
-        self._gammas = None
 
     def extend(self, n: int) -> None:
-        if n < len(self.inv_dd):
+        if n < len(self.ratio):
             return
         import mpmath as mp
 
         with mp.workdps(50):
             a = mp.mpf(self.alpha)
             b = mp.mpf(self.beta)
-            hi = max(n + 32, 2 * len(self.inv_dd) + 32)
-            gs = [mp.gamma(a * k + b) for k in range(len(self.inv_dd), hi + 2)]
-            base = len(self.inv_dd)
-            for k in range(base, hi + 1):
-                g0 = gs[k - base]
-                g1 = gs[k - base + 1]
-                inv = g0 / g1
-                rec = 1 / g0
-                self.inv_dd.append(_dd_from_mp(inv))
+            base = len(self.ratio)
+            hi = max(n + 32, 2 * base + 32)
+            gs = [mp.gamma(a * k + b) for k in range(base, hi + 2)]
+            for g0, g1 in zip(gs, gs[1:]):
                 self.ratio.append(float(g1 / g0))
-                self.recip.append(_dd_from_mp(rec))
-
-    def recip0(self) -> tuple[float, float]:
-        self.extend(0)
-        return self.recip[0]
+                self.recip.append(_dd_from_mp(1 / g0))
 
 
 def _dd_from_mp(v) -> tuple[float, float]:
@@ -239,66 +231,73 @@ def recip_gamma_coeff(alpha: float, beta: float, n: int) -> float:
 # Mittag-Leffler summation.
 # ----------------------------------------------------------------------------
 
-# Rounding budget for the compensated recurrence, applied as err ~=
-# _ERR_UNIT * sum|t_n|.  Measured chain errors stay below 1.3e-33 * sum|t_n|
-# even at 30-digit cancellation; the constant keeps ~3 orders of headroom.
+# Rounding budget of the double-double Horner sum, applied as err ~=
+# _ERR_UNIT * sum|t_n|.  Measured against 90-digit mpmath sums (1,200 seeded
+# draws: alpha 0.55-1.5 doubled, beta 1 and 1+alpha, scaled x <= 31, up to
+# 21-digit cancellation) the error stays below 1.2e-32 * sum|t_n|, about one
+# double-double ulp; the constant keeps nearly two orders of headroom.
 _ERR_UNIT = 1e-30
+_ROUND_UNIT = 2.0**-53  # rounding of the double-double sum to one double
 _MAX_TERMS = 1600
 
 
-def _ml_sum(alpha: float, beta: float, z, tol: float):
-    """Core compensated sum of E_{alpha,beta}(z) for scalar or ndarray z.
+def _positive_series(tab: _RatioTable, zabs: float, floor: float,
+                     rel: float = 0.0) -> tuple[int, float, float]:
+    """Size the series at |z| = zabs from the positive-axis terms
+    t_n = zabs^n / Gamma(alpha n + beta), summed in plain double.
 
-    Returns (value, err_bound) with err_bound the certified absolute error.
-    Raises PrecisionLoss when the bound exceeds tol anywhere.
+    |t_n(z)| = t_n(|z|) grows with |z|, so the result bounds every argument
+    of modulus <= zabs.  Stops at the first n >= 3 with t_n <= t_{n-1}/2
+    (the tail beyond is then below t_n) and t_n <= max(floor, rel * sum).
+    Returns (N, sum_{n<=N} t_n, t_N); the sum is inf when it overflows, is
+    nan, or needs more than _MAX_TERMS terms.  The table holds recip[N]
+    on return.
     """
-    vec = isinstance(z, np.ndarray)
-    tab = _table(alpha, beta)
-    t0hi, t0lo = tab.recip0()
-    if vec:
-        thi = np.full(z.shape, t0hi)
-        tlo = np.full(z.shape, t0lo)
-    else:
-        z = float(z)
-        thi, tlo = t0hi, t0lo
-    shi, slo = thi, tlo
-    sabs = abs(thi) if not vec else np.abs(thi).copy()
-    prev = sabs
-    floor = tol * 1e-3
+    tab.extend(1)
+    ratio = tab.ratio
+    t = prev = s = sum(tab.recip[0])
     n = 0
     while True:
-        tab.extend(n)
-        ihi, ilo = tab.inv_dd[n]
-        thi, tlo = dd_mul_d(thi, tlo, z)
-        thi, tlo = dd_mul(thi, tlo, ihi, ilo)
-        shi, slo = dd_add(shi, slo, thi, tlo)
-        mag = np.abs(thi) if vec else abs(thi)
-        sabs = sabs + mag
+        if n + 1 == len(ratio):
+            tab.extend(n + 1)
+        t *= zabs / ratio[n]
+        s += t
         n += 1
-        if n >= 3:
-            if vec:
-                done = bool(np.all(mag <= floor) and np.all(mag <= 0.5 * prev))
-            else:
-                done = mag <= floor and mag <= 0.5 * prev
-            if done:
-                break
-        prev = mag
-        if n > _MAX_TERMS:
-            raise PrecisionLoss(
-                f"Mittag-Leffler series did not converge within {_MAX_TERMS} "
-                f"terms (alpha={alpha:g}, beta={beta:g})"
-            )
-    # geometric tail (ratio <= 1/2 once decreasing) plus rounding budget
-    err = _ERR_UNIT * sabs + 2.0 * mag
-    bad = np.any(~np.isfinite(shi)) if vec else not math.isfinite(shi)
-    if bad or (np.any(err > tol) if vec else err > tol):
-        worst = float(np.max(err)) if vec else float(err)
+        if not s < math.inf or n > _MAX_TERMS:
+            return n, math.inf, t
+        if n >= 3 and t <= 0.5 * prev and t <= max(floor, rel * s):
+            return n, s, t
+        prev = t
+
+
+def _ml_sum(alpha: float, beta: float, z, tol: float):
+    """Certified sum of E_{alpha,beta}(z) for a float or an ndarray z.
+
+    Certify first: the positive series at max|z| fixes the term count N and
+    the cancellation mass sum|t_n| for every element, and PrecisionLoss is
+    raised before any double-double work when the bound
+    _ERR_UNIT * sum|t_n| + 2 t_N exceeds tol.  Then one double-double Horner
+    pass sums the N+1 cached coefficients.
+
+    Returns (value, err_bound): err_bound is the certified series error,
+    the same for every element, plus each value's rounding to double.
+    """
+    tab = _table(alpha, beta)
+    if isinstance(z, np.ndarray):
+        zmax = float(np.max(np.abs(z), initial=0.0))
+    else:
+        z = float(z)
+        zmax = abs(z)
+    n, mass, last = _positive_series(tab, zmax, tol * 1e-3)
+    err = _ERR_UNIT * mass + 2.0 * last
+    if not err <= tol:
         raise PrecisionLoss(
-            f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}); "
-            f"bound reached {worst:g}"
+            f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}) "
+            f"at |z|={zmax:g}; bound reached {err:g}"
         )
-    val = shi + slo
-    return val, err
+    hi, lo = dd_horner(tab.recip[:n + 1], z)
+    val = hi + lo
+    return val, err + _ROUND_UNIT * abs(val)
 
 
 def mittag_leffler(alpha: float, beta: float, z, tol: float = 1e-9):
@@ -319,26 +318,12 @@ def mittag_leffler(alpha: float, beta: float, z, tol: float = 1e-9):
 def certified_floor(alpha: float, beta: float, z_abs: float) -> float:
     """Smallest absolute tolerance certifiable at argument magnitude z_abs.
 
-    Estimates the cancellation mass sum|t_n| by the positive-argument series
-    (summed in plain double, no cancellation) and applies the rounding
-    budget.  Used to choose evaluation tolerances in zero scans.
+    Applies the rounding budget to the cancellation mass sum|t_n| of the
+    positive-argument series (summed in plain double, no cancellation).
+    Used to choose evaluation tolerances in zero scans.
     """
-    tab = _table(alpha, beta)
-    t = sum(tab.recip0())
-    s = t
-    n = 0
-    while True:
-        tab.extend(n)
-        t *= z_abs * (sum(tab.inv_dd[n]))
-        s += t
-        n += 1
-        if not math.isfinite(s):
-            return math.inf
-        if n >= 3 and t < 1e-16 * s:
-            break
-        if n > _MAX_TERMS:
-            return math.inf
-    return _ERR_UNIT * s
+    _, mass, _ = _positive_series(_table(alpha, beta), z_abs, 0.0, rel=1e-16)
+    return _ERR_UNIT * mass
 
 
 def domain_of_validity(alpha: float, beta: float, tol: float) -> float:

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 SCAN_STEP = 0.01  # on the (pi/2)-scaled axis; root spacing there is >~ 0.5
+_EPS = 2.0**-52
 
 
 class NoZeros(ArithmeticError):
@@ -86,23 +87,47 @@ def _scan_tol(alpha: float, beta: float, x_hi: float, base_tol: float) -> float:
 
 
 def _refine(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
-    """Bisection with a secant polish on a sign-change bracket."""
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if b - a <= xtol:
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
+    """Zero of f in the sign-change bracket [a, b] (fa, fb = f(a), f(b)) by
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic or secant steps, with a
+    bisection fallback whenever they stall or would leave the bracket.
+
+    The result never leaves [a, b] and lies within xtol of a sign change
+    of f (within a few ulps when xtol is below float resolution).
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(0.5 * xtol, 2.0 * _EPS * abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            a, fa = m, fm
-    if fb != fa:
-        s = b - fb * (b - a) / (fb - fa)
-        if a <= s <= b:
-            return s
-    return 0.5 * (a + b)
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb * math.copysign(1.0, fc) > 0.0:
+            c, fc = a, fa
+            d = e = b - a
 
 
 def find_zeros(kind: str, alpha: float, count: int, x_max: float,
@@ -187,10 +212,7 @@ def _interleaved_roots(alpha: float, count: int, x_max: float,
     """Combined, sorted cos/sin roots with parity labels (cos first at
     alpha near 1).  Returns (list of (k0_unscaled, parity), complete)."""
     want = count // 2 + 2
-    try:
-        rc = find_zeros("cos", alpha, want, x_max, eval_tol=eval_tol)
-    except NoZeros:
-        raise
+    rc = find_zeros("cos", alpha, want, x_max, eval_tol=eval_tol)
     try:
         rs = find_zeros("sin", alpha, want, x_max, eval_tol=eval_tol)
         sin_roots = list(rs.roots)

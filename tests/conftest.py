@@ -46,6 +46,23 @@ def ml_partial_sum_oracle(alpha, beta, z, dps: int = 60) -> float:
         return float(s)
 
 
+def ml_series_mp(alpha, beta, z):
+    """E_{alpha,beta}(z) for mpf arguments at the current mpmath precision:
+    the series summed until its terms are decreasing and below 10^-(dps+5)
+    (gamma via mpmath; call inside an mp.workdps block)."""
+    tiny = mp.mpf(10) ** (-(mp.mp.dps + 5))
+    s = mp.mpf(0)
+    prev = mp.inf
+    n = 0
+    while True:
+        t = z ** n / mp.gamma(alpha * n + beta)
+        s += t
+        if abs(t) < tiny and abs(t) < prev:
+            return s
+        prev = abs(t)
+        n += 1
+
+
 @pytest.fixture(scope="session")
 def bundled_dataset():
     from fracspec.charmfit import default_dataset

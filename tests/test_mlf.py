@@ -3,11 +3,16 @@ partial-sum oracle, validity domains and precision-loss behaviour."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracspec.fraccalc import (
     PrecisionLoss,
+    _ml_sum,
+    certified_floor,
     domain_of_validity,
     frac_cos,
     frac_exp,
@@ -15,7 +20,7 @@ from fracspec.fraccalc import (
     mittag_leffler,
 )
 
-from conftest import ml_partial_sum_oracle
+from conftest import ml_partial_sum_oracle, ml_series_mp
 
 
 @pytest.mark.parametrize("z", [-2.0, 0.0, 1.0])
@@ -139,3 +144,45 @@ def test_alpha_range_enforced():
         frac_cos(1.6, 1.0)
     with pytest.raises(ValueError):
         frac_sin(0.0, 1.0)
+
+
+# certified sum: bound property and edge inputs ------------------------------
+
+
+@settings(deadline=None, max_examples=40)
+@given(alpha=st.floats(0.55, 1.5), odd=st.booleans(),
+       x=st.floats(1e-3, 31.0))
+def test_ml_sum_within_returned_bound(alpha, odd, x):
+    beta = 1.0 + alpha if odd else 1.0
+    z = -((math.pi / 2.0) * x) ** (2.0 * alpha)
+    tol = max(1e-9, 4.0 * certified_floor(2.0 * alpha, beta, -z))
+    got, err = _ml_sum(2.0 * alpha, beta, z, tol)
+    assert err <= tol + 2.0**-53 * abs(got)
+    with mp.workdps(90):
+        ref = ml_series_mp(2 * mp.mpf(alpha), mp.mpf(beta), mp.mpf(z))
+        assert abs(mp.mpf(got) - ref) <= err
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: frac_cos(0.8, x),
+    lambda x: frac_sin(0.8, x),
+    lambda x: frac_exp(0.8, x),
+    lambda x: mittag_leffler(1.6, 1.0, x),
+])
+def test_empty_array_gives_empty_array(fn):
+    out = fn(np.array([]))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [
+    lambda x: frac_cos(0.8, x),
+    lambda x: frac_sin(0.8, x),
+    lambda x: frac_exp(0.8, x),
+    lambda x: mittag_leffler(1.6, 1.0, x),
+])
+def test_non_finite_argument_fails_the_certificate(fn, bad):
+    with pytest.raises(PrecisionLoss):
+        fn(bad)
+    with pytest.raises(PrecisionLoss):
+        fn(np.array([0.5, bad]))

@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from fracspec.fraccalc import AlphaContext
+from fracspec.fraccalc import HALF_PI, AlphaContext, frac_cos, frac_sin
 from fracspec.spectra import (
+    SCAN_STEP,
     CutoffTooSmall,
     NoZeros,
+    _refine,
     equivalent_potential,
     eigenfunction_table,
     find_zeros,
@@ -18,6 +21,8 @@ from fracspec.spectra import (
     well_energy_nd,
     well_states_1d,
 )
+
+from conftest import ml_series_mp
 
 CTX = AlphaContext(alpha=1.0, hbar_c=197.327, mc2=1400.0)
 
@@ -264,3 +269,77 @@ def test_equivalent_potential_cutoff_guard():
     grid = np.linspace(-0.9, 0.9, 31)
     with pytest.raises(CutoffTooSmall):
         equivalent_potential(1.0, 100.0, 6, grid)
+
+
+# --- root refinement ----------------------------------------------------------
+
+
+def _bracket_case(kind, alpha):
+    """(double f, mpmath f, xtol) on the scaled axis for one root kind."""
+    if kind == "radial":
+        coeffs = radial_ground(3, alpha).coeffs
+        signed = np.array(coeffs) * (-1.0) ** np.arange(len(coeffs))
+
+        def f(x):
+            w = (HALF_PI * np.asarray(x, float)) ** (2.0 * alpha)
+            return np.polynomial.polynomial.polyval(w, signed)
+
+        def f_mp(x):
+            w = (mp.pi / 2 * x) ** (2 * mp.mpf(alpha))
+            return mp.fsum((-w) ** n * mp.mpf(c) for n, c in enumerate(coeffs))
+
+        return f, f_mp, 1e-12
+    trig = frac_cos if kind == "cos" else frac_sin
+    beta = 1.0 if kind == "cos" else 1.0 + alpha
+
+    def f_mp(x):
+        return ml_series_mp(2 * mp.mpf(alpha), mp.mpf(beta),
+                            -(mp.pi / 2 * x) ** (2 * mp.mpf(alpha)))
+
+    return (lambda x: trig(alpha, HALF_PI * np.asarray(x, float))), f_mp, 1e-10
+
+
+@pytest.mark.parametrize("kind,alpha", [
+    (kind, alpha)
+    for alpha in (0.6, 2.0 / 3.0, 0.9, 1.0, 1.3)
+    for kind in ("cos", "sin", "radial")
+    if kind != "sin" or alpha > 0.74  # frac_sin has no zero below ~0.736
+])
+def test_refine_brent_contract(kind, alpha):
+    f, f_mp, xtol = _bracket_case(kind, alpha)
+    xs = SCAN_STEP * np.arange(1, 600)
+    vs = f(xs)
+    i = int(np.nonzero(vs[:-1] * vs[1:] < 0.0)[0][0])
+    a, b = float(xs[i]), float(xs[i + 1])
+    seen = []
+
+    def counted(x):
+        assert a <= x <= b
+        seen.append(x)
+        return float(f(x))
+
+    root = _refine(counted, a, b, float(vs[i]), float(vs[i + 1]), xtol)
+    with mp.workdps(40):
+        ref = mp.findroot(f_mp, (mp.mpf(a), mp.mpf(b)), solver="anderson")
+    assert a <= root <= b
+    assert abs(root - float(ref)) <= xtol
+    assert len(seen) <= 8
+
+
+@pytest.mark.parametrize("f,root", [
+    (lambda x: -1.0 if x < 0.3141592653589793 else 1.0, 0.3141592653589793),
+    (lambda x: (x - 0.3) ** 3, 0.3),
+])
+def test_refine_hostile_bracket_falls_back_to_bisection(f, root):
+    a, b, xtol = -1.0, 2.0, 1e-10
+    seen = []
+
+    def counted(x):
+        assert a <= x <= b
+        seen.append(x)
+        return f(x)
+
+    got = _refine(counted, a, b, f(a), f(b), xtol)
+    assert a <= got <= b
+    assert abs(got - root) <= xtol
+    assert len(seen) < 200
