@@ -303,6 +303,10 @@ class FitResult:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+_OBJECTIVES = ("dm_m0_rms", "dm_m0_abs", "dm_all_rms", "dm_all_abs",
+               "dm_published_rms", "dm_published_abs")
+
+
 def _metrics(states, res) -> dict:
     absres = np.abs(res)
     m0_mask = np.array([s.m == 0 for s in states])
@@ -349,8 +353,12 @@ def fit(dataset, alpha, c_model: str = "c0",
     of the diagnostic keys; the published tables correspond to the
     mean-absolute deviation excluding <33>) is minimised on a grid over
     scan_range with step scan_step, then refined by golden section to 1e-4;
-    ties break toward smaller alpha.
+    ties break toward smaller alpha.  An objective that is not a diagnostic
+    key raises ValueError for either kind of alpha.
     """
+    if objective not in _OBJECTIVES:
+        raise ValueError(f"objective must be one of {', '.join(_OBJECTIVES)}, "
+                         f"got {objective!r}")
     states = sorted(dataset, key=lambda s: (s.j, s.m))
     if not states:
         raise ValueError("empty dataset")
@@ -433,6 +441,20 @@ def _radius_prefactor(alpha: float, mc2: float, hbar_c: float) -> float:
     return (hbar_c / mc2) ** (1.0 - alpha) / gamma(1.0 + alpha)
 
 
+def _zero_point(sigma_mass: float, quarks: QuarkMasses, alpha: float,
+                ctx: AlphaContext | None) -> tuple[float, float]:
+    """(E0, hbar_c) shared by the radius estimates: E0 = sigma - (2 m_d + m_c)
+    c^2, hbar_c from ctx or the standard value.  Raises NegativeZeroPoint
+    when E0 < 0."""
+    _check_alpha(alpha)
+    constituents = 2.0 * quarks.m_d_c2 + quarks.m_c_c2
+    e0 = sigma_mass - constituents
+    if e0 < 0:
+        raise NegativeZeroPoint(f"sigma mass {sigma_mass:g} below constituent "
+                                f"sum {constituents:g}")
+    return e0, (ctx.hbar_c if ctx is not None else HBARC_MEV_FM)
+
+
 def _octant_nodes(alpha: float, a: float, n: int, measure: str):
     if measure == "rl":
         return rl_nodes(alpha, a, n)
@@ -457,15 +479,8 @@ def radius_box(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     Equality with the constituent sum is flagged by (inf, inf); below it,
     NegativeZeroPoint is raised.
     """
-    _check_alpha(alpha)
-    hbar_c = ctx.hbar_c if ctx is not None else HBARC_MEV_FM
+    e0, hbar_c = _zero_point(sigma_mass, quarks, alpha, ctx)
     mc2 = quarks.m_c_c2
-    e0 = sigma_mass - (2.0 * quarks.m_d_c2 + quarks.m_c_c2)
-    if e0 < 0:
-        raise NegativeZeroPoint(
-            f"sigma mass {sigma_mass:g} below constituent sum "
-            f"{2 * quarks.m_d_c2 + quarks.m_c_c2:g}"
-        )
     k0 = find_zeros("cos", alpha, 1, 8.0, xtol=1e-12)[0] * HALF_PI
     if e0 == 0.0:
         return math.inf, math.inf
@@ -493,15 +508,8 @@ def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     coordinates only through rho = sum |x_i|^(2 alpha), so L_z g = J^2 g = 0
     holds by construction.
     """
-    _check_alpha(alpha)
-    hbar_c = ctx.hbar_c if ctx is not None else HBARC_MEV_FM
+    e0, hbar_c = _zero_point(sigma_mass, quarks, alpha, ctx)
     mc2 = quarks.m_c_c2
-    e0 = sigma_mass - (2.0 * quarks.m_d_c2 + quarks.m_c_c2)
-    if e0 < 0:
-        raise NegativeZeroPoint(
-            f"sigma mass {sigma_mass:g} below constituent sum "
-            f"{2 * quarks.m_d_c2 + quarks.m_c_c2:g}"
-        )
     ground = radial_ground(3, alpha)
     k_sph = ground.first_zero
     if e0 == 0.0:

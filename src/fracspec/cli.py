@@ -3,7 +3,8 @@ each emitting one CSV/JSON artifact with fixed 6-decimal float formatting.
 
 Exit codes: 0 artifact written and the command's consistency checks passed;
 1 artifact written but a check failed (details in the artifact / stderr
-JSON); 2 bad input.
+JSON); 2 bad input, including a range or tolerance that cannot be certified
+(no artifact, JSON error on stderr).
 
 FRACSPEC_DATA overrides the bundled dataset path.
 """
@@ -71,12 +72,9 @@ def _emit_table(path: str, header: list[str], rows: list[tuple],
         _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _fail(path: str, message: str, **extra) -> int:
+def _fail(message: str, **extra) -> int:
     payload = {"error": message, **extra}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path:
-        _write_atomic(path, text + "\n")
-    print(text, file=sys.stderr)
+    print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
     return EXIT_CHECK_FAILED
 
 
@@ -100,6 +98,8 @@ def _dataset(args) -> list:
 
 def cmd_special(args) -> int:
     fns = {"exp": frac_exp, "cos": frac_cos, "sin": frac_sin}
+    if not args.step > 0:
+        raise ValueError(f"--step must be positive: {args.step:g}")
     xs = np.arange(args.x_min, args.x_max + 0.5 * args.step, args.step)
     if args.name == "mlf":
         beta = args.beta if args.beta is not None else 1.0
@@ -130,6 +130,8 @@ def cmd_special(args) -> int:
 
 def cmd_zeros(args) -> int:
     rows = []
+    if not args.alpha_step > 0:
+        raise ValueError(f"--alpha-step must be positive: {args.alpha_step:g}")
     alphas = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.alpha_step,
                        args.alpha_step)
     for a in alphas:
@@ -157,7 +159,7 @@ def cmd_table1(args) -> int:
     clean = ["lz_23", "lz_068", "j2c0_1", "j2c0_23", "j2c0_068"]
     worst = max(abs(r[f"{c}_dev"]) for r in rows for c in clean)
     if worst > 1e-4:
-        return _fail(None, "reference eigenvalue columns deviate beyond 1e-4",
+        return _fail("reference eigenvalue columns deviate beyond 1e-4",
                      worst_deviation=worst)
     return EXIT_OK
 
@@ -186,7 +188,6 @@ def cmd_masses(args) -> int:
         worst_ref = max(abs(r[f"set{i}_dev_refined"])
                         for r in report for i in range(4))
         return _fail(
-            None,
             "published masses not reproduced at printed-parameter precision",
             worst_deviation_mev=worst,
             worst_deviation_alpha_refined_mev=worst_ref,
@@ -218,8 +219,7 @@ def cmd_predict(args) -> int:
                  and abs(m0c2 - 2455.0) <= 3.0
                  and abs(kappa - 262.4) <= 0.9)
     if not checks_ok:
-        return _fail(None, "prediction outside the published bands",
-                     **preds)
+        return _fail("prediction outside the published bands", **preds)
     return EXIT_OK
 
 
@@ -234,13 +234,8 @@ def cmd_radius(args) -> int:
                   else cfg.get("alpha", 2.0 / 3.0))
     hbar_c = float(cfg.get("hbar_c", charmfit.HBARC_MEV_FM))
     ctx = AlphaContext(alpha=alpha, hbar_c=hbar_c, mc2=quarks.m_c_c2)
-    try:
-        a_fm, r_box = charmfit.radius_box(args.sigma_mass, quarks, alpha, ctx)
-        r0_fm, r_sph = charmfit.radius_sphere(args.sigma_mass, quarks, alpha,
-                                              ctx)
-    except charmfit.NegativeZeroPoint as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return EXIT_BAD_INPUT
+    a_fm, r_box = charmfit.radius_box(args.sigma_mass, quarks, alpha, ctx)
+    r0_fm, r_sph = charmfit.radius_sphere(args.sigma_mass, quarks, alpha, ctx)
     payload = {"sigma_mass_mev": args.sigma_mass, "alpha": alpha,
                "a_fm": a_fm, "r_mean_box_fm": r_box,
                "r0_fm": r0_fm, "r_mean_sphere_fm": r_sph}
@@ -248,20 +243,15 @@ def cmd_radius(args) -> int:
     pub_ok = (abs(a_fm - 0.81) <= 0.01 and abs(r_box - 0.32) <= 0.01
               and abs(r0_fm - 1.08) <= 0.01 and abs(r_sph - 0.33) <= 0.01)
     if not pub_ok:
-        return _fail(None, "radius chain deviates from the published values",
-                     **payload)
+        return _fail("radius chain deviates from the published values", **payload)
     return EXIT_OK
 
 
 def cmd_potential(args) -> int:
     grid = np.linspace(-args.grid_half_width, args.grid_half_width,
                        args.grid_points)
-    try:
-        pairs = spectra.equivalent_potential(args.alpha, args.temperature,
-                                             args.n_states, grid)
-    except (spectra.CutoffTooSmall, spectra.NoZeros) as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return EXIT_BAD_INPUT
+    pairs = spectra.equivalent_potential(args.alpha, args.temperature,
+                                         args.n_states, grid)
     _emit_table(args.out, ["x", "v_over_t"],
                 [(x, v) for x, v in pairs], args.format)
     return EXIT_OK
@@ -280,7 +270,7 @@ def cmd_factorcheck(args) -> int:
     }
     _write_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if payload["all_pass"] else _fail(
-        None, "factorization checks failed")
+        "factorization checks failed")
 
 
 # ----------------------------------------------------------------------------
@@ -378,21 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # ValueError covers DomainExceeded, PoleError, CutoffTooSmall and every
+    # charmfit error; all of these raise before any artifact is written
     try:
         return args.func(args)
-    except DomainExceeded as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
+    except (ValueError, FileNotFoundError, spectra.NoZeros, PrecisionLoss,
+            DegenerateNorm) as e:
+        _fail(f"{type(e).__name__}: {e}")
         return EXIT_BAD_INPUT
-    except (charmfit.ParseError, charmfit.DuplicateState,
-            charmfit.OutOfRange, charmfit.RankDeficient,
-            FileNotFoundError, ValueError) as e:
-        print(json.dumps({"error": f"{type(e).__name__}: {e}"}),
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (PrecisionLoss, DegenerateNorm) as e:
-        print(json.dumps({"error": f"{type(e).__name__}: {e}"}),
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

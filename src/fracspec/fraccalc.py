@@ -89,64 +89,17 @@ class DegenerateNorm(ArithmeticError):
     """The normalisation integral <f|g> is too small to divide by."""
 
 
-# ----------------------------------------------------------------------------
-# Gamma: Lanczos approximation with reflection for the left half line.
-# Coefficient set g = 607/128, N = 15 (Godfrey); measured relative error on
-# [0.05, 60] stays below 2e-15, cross-checked in the tests against an
-# independent Spouge-formula oracle.
-# ----------------------------------------------------------------------------
-
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction (accurate near integers)."""
-    r = x - round(x)
-    s = math.sin(math.pi * r)
-    return -s if (round(x) % 2) else s
-
-
-def _lanczos_pos(x: float) -> float:
-    # valid for x >= 0.5
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 def gamma(x: float) -> float:
-    """Euler gamma for real x; relative error <= 1e-12 on [0.05, 60].
+    """Euler gamma for real x: math.gamma, which measured <= 7e-16 relative
+    error against a 60-digit Spouge-formula oracle on [0.05, 60] and on
+    [-9.9, 0.45] off the poles.
 
-    Raises PoleError at non-positive integers; negative non-integers go
-    through the reflection formula.
+    Raises PoleError at non-positive integers.
     """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma pole at x={x:g}")
-    if x >= 0.5:
-        return _lanczos_pos(x)
-    # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1-x))
-    return math.pi / (_sinpi(x) * _lanczos_pos(1.0 - x))
+    return math.gamma(x)
 
 
 def rgamma(x: float) -> float:
@@ -277,17 +230,14 @@ def _ml_sum(alpha: float, beta: float, z, tol: float):
     the cancellation mass sum|t_n| for every element, and PrecisionLoss is
     raised before any double-double work when the bound
     _ERR_UNIT * sum|t_n| + 2 t_N exceeds tol.  Then one double-double Horner
-    pass sums the N+1 cached coefficients.
+    pass sums the N+1 cached coefficients, and PrecisionLoss is raised when
+    rounding any value to double pushes its bound past tol.
 
     Returns (value, err_bound): err_bound is the certified series error,
     the same for every element, plus each value's rounding to double.
     """
     tab = _table(alpha, beta)
-    if isinstance(z, np.ndarray):
-        zmax = float(np.max(np.abs(z), initial=0.0))
-    else:
-        z = float(z)
-        zmax = abs(z)
+    zmax = _absmax(z)
     n, mass, last = _positive_series(tab, zmax, tol * 1e-3)
     err = _ERR_UNIT * mass + 2.0 * last
     if not err <= tol:
@@ -297,22 +247,41 @@ def _ml_sum(alpha: float, beta: float, z, tol: float):
         )
     hi, lo = dd_horner(tab.recip[:n + 1], z)
     val = hi + lo
+    if not err + _ROUND_UNIT * _absmax(val) <= tol:
+        raise PrecisionLoss(
+            f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}) "
+            f"at |z|={zmax:g}: rounding the value to double exceeds it"
+        )
     return val, err + _ROUND_UNIT * abs(val)
+
+
+def _absmax(v) -> float:
+    """max|v| of a float or an ndarray (0 for an empty array)."""
+    if isinstance(v, np.ndarray):
+        return float(np.max(np.abs(v), initial=0.0))
+    return abs(v)
+
+
+def _coerce(x):
+    """A list, tuple or ndarray becomes a float ndarray, anything else
+    (numpy scalars included) a Python float, so one function body serves
+    scalars and arrays and a scalar never reaches the Horner sum as a 0-d
+    array."""
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return np.asarray(x, float)
+    return float(x)
 
 
 def mittag_leffler(alpha: float, beta: float, z, tol: float = 1e-9):
     """Generalized Mittag-Leffler E_{alpha,beta}(z) = sum z^n/Gamma(alpha n+beta).
 
-    Accepts scalar or array z (real).  Absolute error <= tol is certified by
-    the compensated-summation budget; PrecisionLoss is raised otherwise.
+    Accepts scalar or array z (real); a scalar gives a float.  Absolute error
+    <= tol, including the rounding to double, is certified by the
+    compensated-summation budget; PrecisionLoss is raised otherwise.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("mittag_leffler requires alpha > 0 and beta > 0")
-    if isinstance(z, (list, tuple)) or isinstance(z, np.ndarray):
-        val, _ = _ml_sum(alpha, beta, np.asarray(z, float), tol)
-        return val
-    val, _ = _ml_sum(alpha, beta, z, tol)
-    return float(val)
+    return _ml_sum(alpha, beta, _coerce(z), tol)[0]
 
 
 def certified_floor(alpha: float, beta: float, z_abs: float) -> float:
@@ -370,49 +339,28 @@ def _check_alpha(alpha: float) -> float:
 def frac_cos(alpha: float, x, tol: float = 1e-9):
     """cos(alpha, x) = E_{2a,1}(-|x|^(2a)); even, reduces to cos at alpha=1."""
     alpha = _check_alpha(alpha)
-    if isinstance(x, (list, tuple)) or isinstance(x, np.ndarray):
-        xa = np.asarray(x, float)
-        z = -np.abs(xa) ** (2.0 * alpha)
-        val, _ = _ml_sum(2.0 * alpha, 1.0, z, tol)
-        return val
-    z = -abs(float(x)) ** (2.0 * alpha)
-    val, _ = _ml_sum(2.0 * alpha, 1.0, z, tol)
-    return float(val)
+    x = _coerce(x)
+    return _ml_sum(2.0 * alpha, 1.0, -abs(x) ** (2.0 * alpha), tol)[0]
 
 
 def frac_sin(alpha: float, x, tol: float = 1e-9):
     """sin(alpha, x) = sign(x)|x|^a E_{2a,1+a}(-|x|^(2a)); odd, sin at alpha=1."""
     alpha = _check_alpha(alpha)
-    if isinstance(x, (list, tuple)) or isinstance(x, np.ndarray):
-        xa = np.asarray(x, float)
-        ax = np.abs(xa)
-        z = -(ax ** (2.0 * alpha))
-        val, _ = _ml_sum(2.0 * alpha, 1.0 + alpha, z, tol)
-        return np.sign(xa) * ax**alpha * val
-    xf = float(x)
-    ax = abs(xf)
-    z = -(ax ** (2.0 * alpha))
-    val, _ = _ml_sum(2.0 * alpha, 1.0 + alpha, z, tol)
-    return float(math.copysign(1.0, xf) * ax**alpha * val) if xf != 0.0 else 0.0
+    x = _coerce(x)
+    ax = abs(x)
+    val, _ = _ml_sum(2.0 * alpha, 1.0 + alpha, -ax ** (2.0 * alpha), tol)
+    return _coerce(np.sign(x) * ax**alpha * val)
 
 
 def frac_exp(alpha: float, x, tol: float = 1e-9):
     """exp(alpha, chi(x)): even ML part plus sign(x) times the odd part."""
     alpha = _check_alpha(alpha)
-    if isinstance(x, (list, tuple)) or isinstance(x, np.ndarray):
-        xa = np.asarray(x, float)
-        ax = np.abs(xa)
-        z = ax ** (2.0 * alpha)
-        even, _ = _ml_sum(2.0 * alpha, 1.0, z, tol)
-        odd, _ = _ml_sum(2.0 * alpha, 1.0 + alpha, z, tol)
-        return even + np.sign(xa) * ax**alpha * odd
-    xf = float(x)
-    ax = abs(xf)
+    x = _coerce(x)
+    ax = abs(x)
     z = ax ** (2.0 * alpha)
     even, _ = _ml_sum(2.0 * alpha, 1.0, z, tol)
     odd, _ = _ml_sum(2.0 * alpha, 1.0 + alpha, z, tol)
-    s = math.copysign(1.0, xf) if xf != 0.0 else 0.0
-    return float(even + s * ax**alpha * odd)
+    return _coerce(even + np.sign(x) * ax**alpha * odd)
 
 
 # ----------------------------------------------------------------------------

@@ -170,12 +170,11 @@ def _factor(A: np.ndarray, Bs: list[np.ndarray], C: np.ndarray) -> MatrixPoly:
     return MatrixPoly(terms=terms, nfactors=1)
 
 
-def build_factors(ctx=None) -> tuple[MatrixPoly, MatrixPoly, MatrixPoly]:
+def build_factors() -> tuple[MatrixPoly, MatrixPoly, MatrixPoly]:
     """The three first-order factors R, R', R'' as matrix polynomials.
 
     A-family: (gamma^0 - x_k 1_9)/sqrt(3); B-family: gamma^i for every
-    factor; C-family: x_k 1_3 (x) E_kk.  ctx is accepted for interface
-    symmetry and ignored (units are fixed internally).
+    factor; C-family: x_k 1_3 (x) E_kk (units fixed internally).
     """
     x = PhaseTriple().as_tuple()
     g0, gi = build_gamma()
@@ -188,7 +187,7 @@ def build_factors(ctx=None) -> tuple[MatrixPoly, MatrixPoly, MatrixPoly]:
     return tuple(_factor(A_fam[k], gi, C_fam[k]) for k in range(3))
 
 
-def triple_product_check(ctx=None, tol: float = 1e-12) -> dict:
+def triple_product_check(tol: float = 1e-12) -> dict:
     """Expand R R' R'' and verify it collapses to the two claimed monomials.
 
     Expected: the d_t^(2 alpha_t) coefficient and each d_i^(3 alpha_i)
@@ -196,7 +195,7 @@ def triple_product_check(ctx=None, tol: float = 1e-12) -> dict:
     monomial's matrix coefficient vanishes.  The exponent identities
     2 alpha_t = 1 and 3 alpha_i = 2 are exact by rational arithmetic.
     """
-    R, Rp, Rpp = build_factors(ctx)
+    R, Rp, Rpp = build_factors()
     P = R @ Rp @ Rpp
     eye9 = np.eye(9)
     expected = {
@@ -244,7 +243,7 @@ def triple_product_check(ctx=None, tol: float = 1e-12) -> dict:
 S2_SPACE_PRINTED = -0.5 * 0.5 ** (1.0 / 3.0)
 
 
-def s2_structure(ctx=None, tol: float = 1e-12) -> dict:
+def s2_structure(tol: float = 1e-12) -> dict:
     """Coefficient structure of the twofold-iterated operator c R R'.
 
     Extracts the d_t coefficient (should be -i hbar A A' entrywise), the
@@ -253,7 +252,7 @@ def s2_structure(ctx=None, tol: float = 1e-12) -> dict:
     space prefactor is compared against the derived b^2 c and the deviation
     reported.
     """
-    R, Rp, _ = build_factors(ctx)
+    R, Rp, _ = build_factors()
     P2 = R @ Rp
     x = PhaseTriple().as_tuple()
     g0, gi = build_gamma()

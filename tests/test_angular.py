@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -26,7 +27,7 @@ def test_bracket_at_origin_alpha_one():
 
 
 def test_bracket_alpha_to_one_any_n():
-    for n in (0, 1, 2, 5, 9):
+    for n in (0, 1, 2, 5, 9, 200):
         assert commutator_c(n, 1.0 - 1e-6) == pytest.approx(-1.0, abs=1e-4)
 
 
@@ -83,6 +84,28 @@ def test_euler_zero_and_classical():
         assert euler_eigenvalue(a, 1) == pytest.approx(1.0, rel=1e-12)
     for n in range(7):
         assert euler_eigenvalue(1.0, n) == pytest.approx(float(n), abs=1e-12)
+
+
+def _euler_mp(alpha, n):
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        return mp.gamma(n * a + 1) / (mp.gamma((n - 1) * a + 1)
+                                      * mp.gamma(a + 1))
+
+
+def test_euler_against_mpmath():
+    for a in np.linspace(0.41, 1.5, 23):
+        for n in range(1, 31):
+            ref = _euler_mp(float(a), n)
+            assert euler_eigenvalue(float(a), n) == pytest.approx(
+                float(ref), rel=1e-12)
+
+
+def test_euler_no_overflow_at_large_n_alpha():
+    # Gamma(n alpha + 1) alone overflows a double beyond n alpha ~ 170
+    assert euler_eigenvalue(1.0, 200) == pytest.approx(200.0, rel=1e-12)
+    assert euler_eigenvalue(0.68, 300) == pytest.approx(
+        float(_euler_mp(0.68, 300)), rel=1e-12)
 
 
 def test_euler_printed_values():

@@ -181,6 +181,12 @@ def test_fit_scan_minimizer(bundled_dataset):
     assert res.params.alpha == pytest.approx(0.681, abs=0.005)
 
 
+def test_fit_unknown_objective_rejected(bundled_dataset):
+    for alpha in ("scan", 0.681):
+        with pytest.raises(ValueError, match="dm_published_abs"):
+            fit(bundled_dataset, alpha, "c0", objective="rms")
+
+
 def test_fit_scan_other_models_near_published(bundled_dataset):
     assert fit(bundled_dataset, "scan", "c1").params.alpha == pytest.approx(
         0.647, abs=0.005)

@@ -180,6 +180,26 @@ def test_radius_bad_input(tmp_path):
                 "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["radius", "--alpha", "0.3"],
+    ["special", "--name", "cos", "--alpha", "0.8", "--step", "0"],
+    ["special", "--name", "sin", "--alpha", "0.8", "--step", "-0.5"],
+    ["zeros", "--alpha-step", "0"],
+    # beyond the certified range: PrecisionLoss, raised before any artifact
+    ["special", "--name", "exp", "--alpha", "1.0", "--x-min", "0",
+     "--x-max", "25", "--step", "1"],
+    ["potential", "--alpha", "0.9", "--temperature", "12", "--n-states", "18",
+     "--grid-half-width", "3"],
+])
+def test_bad_input_is_a_json_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error" in json.loads(err)
+
+
 def test_potential_artifact(tmp_path):
     out = tmp_path / "pot.csv"
     assert run(["potential", "--alpha", "0.9", "--temperature", "12",

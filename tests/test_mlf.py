@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracspec.fraccalc import (
@@ -152,35 +152,63 @@ def test_alpha_range_enforced():
 @settings(deadline=None, max_examples=40)
 @given(alpha=st.floats(0.55, 1.5), odd=st.booleans(),
        x=st.floats(1e-3, 31.0))
+@example(alpha=1.5, odd=False, x=21.0)  # |E| ~ 1e7: rounding alone ~ 1e-9
 def test_ml_sum_within_returned_bound(alpha, odd, x):
     beta = 1.0 + alpha if odd else 1.0
     z = -((math.pi / 2.0) * x) ** (2.0 * alpha)
-    tol = max(1e-9, 4.0 * certified_floor(2.0 * alpha, beta, -z))
-    got, err = _ml_sum(2.0 * alpha, beta, z, tol)
-    assert err <= tol + 2.0**-53 * abs(got)
     with mp.workdps(90):
         ref = ml_series_mp(2 * mp.mpf(alpha), mp.mpf(beta), mp.mpf(z))
+    # a certifiable tolerance covers both the cancellation floor and the
+    # rounding of the value to double (|E| grows for alpha > 1)
+    tol = max(1e-9, 4.0 * certified_floor(2.0 * alpha, beta, -z),
+              4.0 * 2.0**-53 * float(abs(ref)))
+    got, err = _ml_sum(2.0 * alpha, beta, z, tol)
+    assert err <= tol
+    with mp.workdps(90):
         assert abs(mp.mpf(got) - ref) <= err
 
 
-@pytest.mark.parametrize("fn", [
+def test_rounding_to_double_is_certified():
+    # e^30 = 1.07e13 is only good to half an ulp (~1e-3) as a double
+    with pytest.raises(PrecisionLoss):
+        mittag_leffler(1.0, 1.0, 30.0, tol=1e-9)
+    with pytest.raises(PrecisionLoss):
+        frac_exp(1.0, 25.0, 1e-9)
+    with pytest.raises(PrecisionLoss):
+        frac_exp(1.0, np.array([1.0, 25.0]), 1e-9)
+    assert mittag_leffler(1.0, 1.0, 30.0, tol=1e-2) == pytest.approx(
+        math.exp(30.0), abs=1e-2)
+
+
+_SPECIAL = [
     lambda x: frac_cos(0.8, x),
     lambda x: frac_sin(0.8, x),
     lambda x: frac_exp(0.8, x),
     lambda x: mittag_leffler(1.6, 1.0, x),
-])
+]
+
+
+@pytest.mark.parametrize("fn", _SPECIAL)
 def test_empty_array_gives_empty_array(fn):
     out = fn(np.array([]))
     assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
+@pytest.mark.parametrize("fn", _SPECIAL)
+def test_scalar_gives_float_array_gives_ndarray(fn):
+    xs = [-2.5, -0.3, 0.0, 0.7, 3.1]
+    scalars = [fn(x) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    assert type(fn(np.float64(0.7))) is float
+    assert type(fn(2)) is float
+    for arg in (xs, tuple(xs), np.array(xs)):
+        out = fn(arg)
+        assert isinstance(out, np.ndarray) and out.shape == (len(xs),)
+        assert np.max(np.abs(out - scalars)) <= 1e-9
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("fn", [
-    lambda x: frac_cos(0.8, x),
-    lambda x: frac_sin(0.8, x),
-    lambda x: frac_exp(0.8, x),
-    lambda x: mittag_leffler(1.6, 1.0, x),
-])
+@pytest.mark.parametrize("fn", _SPECIAL)
 def test_non_finite_argument_fails_the_certificate(fn, bad):
     with pytest.raises(PrecisionLoss):
         fn(bad)
