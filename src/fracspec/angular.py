@@ -129,19 +129,15 @@ def lz_eigenvalue(alpha: float, m: int, allow_negative: bool = False) -> float:
 def j2_eigenvalue(alpha: float, j: int, model: CModel) -> float:
     """J^2 eigenvalue l(alpha,j) (l(alpha,j) + c) in units hbar^2.
 
-    For the c2 model the constant is evaluated at this j (the model's own
-    j field is overridden), which collapses to l_j * l_{j+1}.
+    The constant is evaluated at this alpha and j (the model's own fields
+    are overridden); for c2 that collapses to l_j * l_{j+1}.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
     lj = euler_eigenvalue(alpha, j)
     if lj == 0.0:
         return 0.0
-    if model.variant == "c2":
-        c = c_value(CModel("c2", alpha=alpha, j=j))
-    else:
-        c = c_value(CModel(model.variant, alpha=alpha, j=max(model.j, 1)))
-    return lj * (lj + c)
+    return lj * (lj + c_value(CModel(model.variant, alpha=alpha, j=j)))
 
 
 # Printed reference eigenvalue table (units hbar), rows n = 0..6:

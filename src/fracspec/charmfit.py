@@ -308,25 +308,17 @@ _OBJECTIVES = ("dm_m0_rms", "dm_m0_abs", "dm_all_rms", "dm_all_abs",
 
 
 def _metrics(states, res) -> dict:
-    absres = np.abs(res)
+    """The _OBJECTIVES, in order: rms and mean |residual| over the m = 0
+    states, over all states, and over the published rows."""
     m0_mask = np.array([s.m == 0 for s in states])
     # the published "all" figure excludes the <33> prediction row
     pub_mask = np.array([(s.j, s.m) != (3, 3) for s in states])
-
-    def rms(mask):
+    values = []
+    for mask in (m0_mask, np.ones(len(states), bool), pub_mask):
         sel = res[mask]
-        return float(np.sqrt(np.mean(sel**2))) if len(sel) else math.nan
-
-    def mabs(mask):
-        sel = absres[mask]
-        return float(np.mean(sel)) if len(sel) else math.nan
-
-    full = np.ones(len(states), bool)
-    return {
-        "dm_m0_rms": rms(m0_mask), "dm_m0_abs": mabs(m0_mask),
-        "dm_all_rms": rms(full), "dm_all_abs": mabs(full),
-        "dm_published_rms": rms(pub_mask), "dm_published_abs": mabs(pub_mask),
-    }
+        values += ([float(np.sqrt(np.mean(sel**2))), float(np.mean(np.abs(sel)))]
+                   if len(sel) else [math.nan, math.nan])
+    return dict(zip(_OBJECTIVES, values))
 
 
 def _solve(states, alpha: float, c_model: str):

@@ -3,8 +3,8 @@ each emitting one CSV/JSON artifact with fixed 6-decimal float formatting.
 
 Exit codes: 0 artifact written and the command's consistency checks passed;
 1 artifact written but a check failed (details in the artifact / stderr
-JSON); 2 bad input, including a range or tolerance that cannot be certified
-(no artifact, JSON error on stderr).
+JSON); 2 bad input.  An uncertifiable series sum or a degenerate norm
+also exits 1, with a JSON error on stderr.
 
 FRACSPEC_DATA overrides the bundled dataset path.
 """
@@ -97,32 +97,27 @@ def _dataset(args) -> list:
 
 
 def cmd_special(args) -> int:
-    fns = {"exp": frac_exp, "cos": frac_cos, "sin": frac_sin}
     if not args.step > 0:
         raise ValueError(f"--step must be positive: {args.step:g}")
     xs = np.arange(args.x_min, args.x_max + 0.5 * args.step, args.step)
+    # each function is one Mittag-Leffler sum E_(a_ml, beta) at z ~ |x|^power
     if args.name == "mlf":
         beta = args.beta if args.beta is not None else 1.0
-        bound = domain_of_validity(args.alpha, beta, args.tol)
-        zmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
-        if zmax > bound:
-            raise DomainExceeded(
-                f"|z| up to {zmax:g} exceeds the certified bound {bound:g} "
-                f"for E_({args.alpha:g},{beta:g}) at tol {args.tol:g}"
-            )
-        ys = mittag_leffler(args.alpha, beta, xs, tol=args.tol)
+        a_ml, power = args.alpha, 1.0
+        fn = lambda alpha, x, tol: mittag_leffler(alpha, beta, x, tol=tol)
     else:
         beta = 1.0 if args.name in ("exp", "cos") else 1.0 + args.alpha
-        bound = domain_of_validity(2.0 * args.alpha, beta, args.tol)
-        zmax = float(np.max(np.abs(xs)) ** (2.0 * args.alpha)) if len(xs) else 0.0
-        if zmax > bound:
-            x_bound = bound ** (1.0 / (2.0 * args.alpha))
-            raise DomainExceeded(
-                f"|x| up to {np.max(np.abs(xs)):g} exceeds the certified "
-                f"bound |x| <= {x_bound:g} for {args.name}(alpha={args.alpha:g}) "
-                f"at tol {args.tol:g}"
-            )
-        ys = fns[args.name](args.alpha, xs, tol=args.tol)
+        a_ml = power = 2.0 * args.alpha
+        fn = {"exp": frac_exp, "cos": frac_cos, "sin": frac_sin}[args.name]
+    bound = domain_of_validity(a_ml, beta, args.tol)
+    xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
+    if xmax**power > bound:
+        raise DomainExceeded(
+            f"|x| up to {xmax:g} exceeds the certified bound |x| <= "
+            f"{bound ** (1.0 / power):g} for {args.name}(alpha={args.alpha:g}) "
+            f"at tol {args.tol:g}"
+        )
+    ys = fn(args.alpha, xs, args.tol)
     rows = [(float(x), float(y)) for x, y in zip(xs, ys)]
     _emit_table(args.out, ["x", "value"], rows, args.format)
     return EXIT_OK
@@ -132,8 +127,10 @@ def cmd_zeros(args) -> int:
     rows = []
     if not args.alpha_step > 0:
         raise ValueError(f"--alpha-step must be positive: {args.alpha_step:g}")
-    alphas = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.alpha_step,
-                       args.alpha_step)
+    # clipped, so that rounding in the grid never steps past --alpha-max
+    alphas = np.minimum(np.arange(args.alpha_min,
+                                  args.alpha_max + 0.5 * args.alpha_step,
+                                  args.alpha_step), args.alpha_max)
     for a in alphas:
         for kind in ("cos", "sin"):
             try:
@@ -372,10 +369,11 @@ def main(argv=None) -> int:
     # charmfit error; all of these raise before any artifact is written
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, spectra.NoZeros, PrecisionLoss,
-            DegenerateNorm) as e:
+    except (ValueError, FileNotFoundError, spectra.NoZeros) as e:
         _fail(f"{type(e).__name__}: {e}")
         return EXIT_BAD_INPUT
+    except (PrecisionLoss, DegenerateNorm) as e:
+        return _fail(f"{type(e).__name__}: {e}")
 
 
 if __name__ == "__main__":

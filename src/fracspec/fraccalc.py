@@ -78,7 +78,12 @@ class PoleError(ValueError):
 
 class PrecisionLoss(ArithmeticError):
     """A compensated series sum could not be certified to the requested
-    tolerance (cancellation budget exceeded or overflow)."""
+    tolerance.  `bound` is the value's certified bound when only its
+    rounding to double exceeded the tolerance, and inf otherwise."""
+
+    def __init__(self, msg: str, bound: float = math.inf):
+        super().__init__(msg)
+        self.bound = bound
 
 
 class QuadratureFailure(ArithmeticError):
@@ -247,10 +252,12 @@ def _ml_sum(alpha: float, beta: float, z, tol: float):
         )
     hi, lo = dd_horner(tab.recip[:n + 1], z)
     val = hi + lo
-    if not err + _ROUND_UNIT * _absmax(val) <= tol:
+    bound = err + _ROUND_UNIT * _absmax(val)
+    if not bound <= tol:
         raise PrecisionLoss(
             f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}) "
-            f"at |z|={zmax:g}: rounding the value to double exceeds it"
+            f"at |z|={zmax:g}: rounding the value to double exceeds it",
+            bound,
         )
     return val, err + _ROUND_UNIT * abs(val)
 

@@ -19,6 +19,7 @@ import numpy as np
 from .fraccalc import (
     AlphaContext,
     HALF_PI,
+    PrecisionLoss,
     _check_alpha,
     _table,
     certified_floor,
@@ -160,7 +161,15 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
         if len(xs) == 0:
             break
         tol = _scan_tol(alpha, beta, float(xs[-1]), eval_tol)
-        vs = f(alpha, HALF_PI * xs, tol)
+        try:
+            vs = f(alpha, HALF_PI * xs, tol)
+        except PrecisionLoss as exc:
+            # alpha > 1: rounding values of amplitude ~1e8 to double exceeds
+            # tol but never moves a sign change; take twice the bound reached
+            if not math.isfinite(exc.bound):
+                raise
+            tol = 2.0 * exc.bound
+            vs = f(alpha, HALF_PI * xs, tol)
         if prev_x is not None:
             xs = np.concatenate(([prev_x], xs))
             vs = np.concatenate(([prev_v], vs))

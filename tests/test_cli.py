@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from fracspec import charmfit
 from fracspec.cli import main
+from fracspec.fraccalc import PrecisionLoss
 
 
 def run(args):
@@ -86,6 +88,16 @@ def test_zeros_classical_and_empty(tmp_path):
     cos1 = [float(r[3]) for r in rows if r[0] == "1.000000"
             and r[1] == "cos" and r[3] != "no_zeros"]
     assert cos1 == pytest.approx([1.0, 3.0, 5.0], abs=1e-5)
+
+
+def test_zeros_up_to_alpha_one_and_a_half(tmp_path):
+    # the amplitude reaches ~1e8 before the 12th root at alpha 1.4 and 1.5
+    out = tmp_path / "zeros.csv"
+    assert run(["zeros", "--alpha-min", "1.3", "--alpha-max", "1.5",
+                "--alpha-step", "0.1", "--count", "12", "--x-max", "30",
+                "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 3 * 2 * 12
 
 
 def test_zeros_deterministic(tmp_path):
@@ -185,11 +197,6 @@ def test_radius_bad_input(tmp_path):
     ["special", "--name", "cos", "--alpha", "0.8", "--step", "0"],
     ["special", "--name", "sin", "--alpha", "0.8", "--step", "-0.5"],
     ["zeros", "--alpha-step", "0"],
-    # beyond the certified range: PrecisionLoss, raised before any artifact
-    ["special", "--name", "exp", "--alpha", "1.0", "--x-min", "0",
-     "--x-max", "25", "--step", "1"],
-    ["potential", "--alpha", "0.9", "--temperature", "12", "--n-states", "18",
-     "--grid-half-width", "3"],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     out = tmp_path / "out"
@@ -198,6 +205,29 @@ def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("args", [
+    # beyond the certified range: PrecisionLoss, raised before any artifact
+    ["special", "--name", "exp", "--alpha", "1.0", "--x-min", "0",
+     "--x-max", "25", "--step", "1"],
+    ["potential", "--alpha", "0.9", "--temperature", "12", "--n-states", "18",
+     "--grid-half-width", "3"],
+    # bundled data, no user range: a certification failure is not bad input
+    ["masses"],
+])
+def test_certification_failure_exits_1_with_json_error(tmp_path, capsys,
+                                                       monkeypatch, args):
+    if args == ["masses"]:
+        def uncertified(**kwargs):
+            raise PrecisionLoss("cannot certify")
+        monkeypatch.setattr(charmfit, "table3_report", uncertified)
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"].startswith("PrecisionLoss")
 
 
 def test_potential_artifact(tmp_path):

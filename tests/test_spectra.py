@@ -82,6 +82,23 @@ def test_root_monotone_in_alpha():
     assert all(x > y for x, y in zip(sin_firsts, sin_firsts[1:]))
 
 
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+@pytest.mark.parametrize("alpha", [1.3, 1.4, 1.5])
+def test_roots_where_the_amplitude_is_large(kind, alpha):
+    # for alpha > 1 the amplitude grows like exp(cos(pi/2a) x): near scaled
+    # x = 24 it is ~1e8, and rounding such values to double exceeds the
+    # 1e-9 scan tolerance without moving any sign change
+    f = frac_cos if kind == "cos" else frac_sin
+    scan = find_zeros(kind, alpha, 12, 30.0)
+    assert scan.complete and len(scan) == 12
+    assert all(a < b for a, b in zip(scan, scan[1:]))
+    d = 1e-7
+    for r in scan:
+        assert f(alpha, HALF_PI * (r - d)) * f(alpha, HALF_PI * (r + d)) < 0.0
+    states = well_states_1d(alpha, 20, 1.0, AlphaContext(alpha))
+    assert len(states) == 20
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         find_zeros("tan", 0.9, 1, 5.0)
