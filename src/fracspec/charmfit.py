@@ -586,8 +586,12 @@ def table3_report(param_rows=TABLE2_ROWS, dataset=None) -> list[dict]:
     drift by several MeV at high j.  Each row dict therefore also carries
     `m_th_refined` computed at the best alpha within +-0.003 of the
     printed one (pure diagnostic; the plain m_th is the faithful
-    evaluation).
+    evaluation).  param_rows must match the printed columns one to one.
     """
+    n_printed = len(next(iter(TABLE3_PRINTED.values())))
+    if len(param_rows) != n_printed:
+        raise ValueError(f"table3_report compares {n_printed} parameter rows "
+                         f"with the printed columns, got {len(param_rows)}")
     if dataset is None:
         dataset = default_dataset()
     by_jm = _states_by_jm(dataset)

@@ -196,6 +196,11 @@ def cmd_masses(args) -> int:
 def cmd_predict(args) -> int:
     ds = _dataset(args)
     by = {(s.j, s.m): s for s in ds}
+    missing = [f"<{j}{m}>" for j, m in ((1, 0), (2, 0), (2, 1), (2, 2))
+               if (j, m) not in by]
+    if missing:
+        raise ValueError(f"predict needs {', '.join(missing)}, which the "
+                         f"dataset lacks")
     alpha_chi = charmfit.alpha_from_multiplet(
         by[(2, 0)].mass_exp, by[(2, 1)].mass_exp, by[(2, 2)].mass_exp)
     # the two-state solve and interpolation run at the published-precision

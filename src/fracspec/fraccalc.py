@@ -29,9 +29,14 @@ cancel 15+ digits at the largest arguments needed for zero scanning.  The
 coefficients 1/Gamma(alpha n + beta) are computed once per (alpha, beta) in
 50-digit arithmetic and stored as double-doubles.  An evaluation certifies
 first: the positive-argument series at max|z|, summed in plain double, gives
-the term count and the cancellation mass sum|t_n| that bound every element,
-and `PrecisionLoss` is raised when the budget cannot meet the tolerance.
-Only then does one double-double Horner pass sum the series.
+the term count N and the cancellation mass sum|t_n| that bound every
+element, and `PrecisionLoss` is raised when the double-double budget cannot
+meet the tolerance.  The same numbers bound a plain double Horner pass
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1):
+when that bound meets the tolerance the series is summed in float64, and
+only otherwise in double-double.  Zero scans need signs, not values: they
+sum a chunk in float64 and sum again in double-double only the points whose
+|value| does not exceed the float bound.
 
 alpha is restricted to (0, 1.5] in the public fractional API.
 """
@@ -39,6 +44,7 @@ alpha is restricted to (0, 1.5] in the public fractional API.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,22 +126,25 @@ def rgamma(x: float) -> float:
 #
 # For fixed (alpha, beta) the series E(z) = sum_n c_n z^n has coefficients
 # c_n = 1/Gamma(alpha n + beta).  They are computed once in 50-digit
-# arithmetic and cached as double-doubles (`recip`), so that coefficient
-# rounding stays far below the double-double summation noise.  The plain
-# double ratios Gamma(alpha(n+1)+beta)/Gamma(alpha n+beta) (`ratio`) drive
-# the float sizing pass of the positive series and the recurrences of the
-# derivative and the radial ground state.
+# arithmetic and cached as double-doubles (`hi` + `lo`), so that coefficient
+# rounding stays far below the double-double summation noise; the float64
+# Horner pass reads `hi` alone.  The plain double ratios
+# Gamma(alpha(n+1)+beta)/Gamma(alpha n+beta) (`ratio`) drive the float sizing
+# pass of the positive series and the recurrences of the derivative and the
+# radial ground state.  All three are flat array('d') columns (a sweep over
+# alpha caches some 25k coefficients).
 # ----------------------------------------------------------------------------
 
 
 class _RatioTable:
-    __slots__ = ("alpha", "beta", "ratio", "recip")
+    __slots__ = ("alpha", "beta", "ratio", "hi", "lo")
 
     def __init__(self, alpha: float, beta: float):
         self.alpha = alpha
         self.beta = beta
-        self.ratio: list[float] = []                 # G(a(n+1)+b)/G(an+b) as double
-        self.recip: list[tuple[float, float]] = []   # 1/G(an+b) as dd
+        self.ratio = array("d")  # G(a(n+1)+b)/G(an+b) as double
+        self.hi = array("d")     # 1/G(an+b) = hi + lo as double-double
+        self.lo = array("d")
 
     def extend(self, n: int) -> None:
         if n < len(self.ratio):
@@ -146,16 +155,14 @@ class _RatioTable:
             a = mp.mpf(self.alpha)
             b = mp.mpf(self.beta)
             base = len(self.ratio)
-            hi = max(n + 32, 2 * base + 32)
-            gs = [mp.gamma(a * k + b) for k in range(base, hi + 2)]
+            top = max(n + 32, 2 * base + 32)
+            gs = [mp.gamma(a * k + b) for k in range(base, top + 2)]
             for g0, g1 in zip(gs, gs[1:]):
                 self.ratio.append(float(g1 / g0))
-                self.recip.append(_dd_from_mp(1 / g0))
-
-
-def _dd_from_mp(v) -> tuple[float, float]:
-    hi = float(v)
-    return hi, float(v - hi)
+                r = 1 / g0
+                hi = float(r)
+                self.hi.append(hi)
+                self.lo.append(float(r - hi))
 
 
 _TABLES: dict[tuple[float, float], _RatioTable] = {}
@@ -181,8 +188,7 @@ def recip_gamma_coeff(alpha: float, beta: float, n: int) -> float:
     """1 / Gamma(alpha*n + beta) from the high-precision table."""
     tab = _table(alpha, beta)
     tab.extend(n)
-    hi, lo = tab.recip[n]
-    return hi + lo
+    return tab.hi[n] + tab.lo[n]
 
 
 # ----------------------------------------------------------------------------
@@ -195,7 +201,8 @@ def recip_gamma_coeff(alpha: float, beta: float, n: int) -> float:
 # 21-digit cancellation) the error stays below 1.2e-32 * sum|t_n|, about one
 # double-double ulp; the constant keeps nearly two orders of headroom.
 _ERR_UNIT = 1e-30
-_ROUND_UNIT = 2.0**-53  # rounding of the double-double sum to one double
+_ROUND_UNIT = 2.0**-53  # unit roundoff of a double
+_MIN_NORMAL = 2.0**-1022  # below this a coefficient is subnormal
 _MAX_TERMS = 1600
 
 
@@ -208,12 +215,12 @@ def _positive_series(tab: _RatioTable, zabs: float, floor: float,
     of modulus <= zabs.  Stops at the first n >= 3 with t_n <= t_{n-1}/2
     (the tail beyond is then below t_n) and t_n <= max(floor, rel * sum).
     Returns (N, sum_{n<=N} t_n, t_N); the sum is inf when it overflows, is
-    nan, or needs more than _MAX_TERMS terms.  The table holds recip[N]
-    on return.
+    nan, or needs more than _MAX_TERMS terms.  The table holds coefficient
+    N on return.
     """
     tab.extend(1)
     ratio = tab.ratio
-    t = prev = s = sum(tab.recip[0])
+    t = prev = s = tab.hi[0] + tab.lo[0]
     n = 0
     while True:
         if n + 1 == len(ratio):
@@ -223,23 +230,41 @@ def _positive_series(tab: _RatioTable, zabs: float, floor: float,
         n += 1
         if not s < math.inf or n > _MAX_TERMS:
             return n, math.inf, t
-        if n >= 3 and t <= 0.5 * prev and t <= max(floor, rel * s):
+        if n >= 3 and t <= 0.5 * prev and (t <= floor or t <= rel * s):
             return n, s, t
         prev = t
 
 
-def _ml_sum(alpha: float, beta: float, z, tol: float):
+def _horner(coeffs, z):
+    """sum_n coeffs[n] * z**n in plain double by Horner's rule."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     """Certified sum of E_{alpha,beta}(z) for a float or an ndarray z.
 
     Certify first: the positive series at max|z| fixes the term count N and
-    the cancellation mass sum|t_n| for every element, and PrecisionLoss is
-    raised before any double-double work when the bound
-    _ERR_UNIT * sum|t_n| + 2 t_N exceeds tol.  Then one double-double Horner
-    pass sums the N+1 cached coefficients, and PrecisionLoss is raised when
+    the mass S = sum|t_n| for every element, and PrecisionLoss is raised
+    before any summation when the double-double bound _ERR_UNIT * S + 2 t_N
+    exceeds tol.  Where the float64 bound (2N + 3) 2^-53 S + 2 t_N (Higham's
+    gamma_2N for Horner, one rounding per coefficient, two units of slack for
+    the float sizing pass) meets tol too, the `hi` coefficients are summed in
+    plain double, unless the last (smallest) one is subnormal; otherwise
+    double-double sums the full coefficients.  Elements with |value| <= the
+    float bound, whose sign it leaves open, are summed again in double-double
+    (near a root of small slope, float rounding within tol can still move the
+    sign change past a root tolerance).  PrecisionLoss is raised when
     rounding any value to double pushes its bound past tol.
 
-    Returns (value, err_bound): err_bound is the certified series error,
-    the same for every element, plus each value's rounding to double.
+    signs=True serves zero scans (z an ndarray): the float pass is taken
+    even where its bound exceeds tol, so every sign is certified while the
+    values above the float bound carry only that bound.
+
+    Returns (value, err_bound): the certified series error of the pass
+    taken, the same for every element, plus each value's rounding to double.
     """
     tab = _table(alpha, beta)
     zmax = _absmax(z)
@@ -250,8 +275,23 @@ def _ml_sum(alpha: float, beta: float, z, tol: float):
             f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}) "
             f"at |z|={zmax:g}; bound reached {err:g}"
         )
-    hi, lo = dd_horner(tab.recip[:n + 1], z)
-    val = hi + lo
+    hi, lo = tab.hi[:n + 1], tab.lo[:n + 1]
+    ferr = (2 * n + 3) * _ROUND_UNIT * mass + 2.0 * last
+    val = None
+    if hi[n] >= _MIN_NORMAL and (signs or ferr <= tol):
+        val = _horner(hi, z)
+        if ferr <= tol:
+            err = ferr
+        if isinstance(val, np.ndarray):
+            weak = np.abs(val) <= ferr
+            if weak.any():
+                whi, wlo = dd_horner(hi, lo, z[weak])
+                val[weak] = whi + wlo
+        elif abs(val) <= ferr:
+            val = None
+    if val is None:
+        dhi, dlo = dd_horner(hi, lo, z)
+        val = dhi + dlo
     bound = err + _ROUND_UNIT * _absmax(val)
     if not bound <= tol:
         raise PrecisionLoss(
@@ -345,18 +385,23 @@ def _check_alpha(alpha: float) -> float:
 
 def frac_cos(alpha: float, x, tol: float = 1e-9):
     """cos(alpha, x) = E_{2a,1}(-|x|^(2a)); even, reduces to cos at alpha=1."""
-    alpha = _check_alpha(alpha)
-    x = _coerce(x)
-    return _ml_sum(2.0 * alpha, 1.0, -abs(x) ** (2.0 * alpha), tol)[0]
+    return _trig(alpha, x, tol, odd=False)
 
 
 def frac_sin(alpha: float, x, tol: float = 1e-9):
     """sin(alpha, x) = sign(x)|x|^a E_{2a,1+a}(-|x|^(2a)); odd, sin at alpha=1."""
+    return _trig(alpha, x, tol, odd=True)
+
+
+def _trig(alpha: float, x, tol: float, odd: bool, signs: bool = False):
+    """frac_sin (odd) or frac_cos; signs=True gives the sign-certified
+    values of _ml_sum(signs=True) that zero scans need."""
     alpha = _check_alpha(alpha)
     x = _coerce(x)
     ax = abs(x)
-    val, _ = _ml_sum(2.0 * alpha, 1.0 + alpha, -ax ** (2.0 * alpha), tol)
-    return _coerce(np.sign(x) * ax**alpha * val)
+    beta = 1.0 + alpha if odd else 1.0
+    val, _ = _ml_sum(2.0 * alpha, beta, -ax ** (2.0 * alpha), tol, signs)
+    return _coerce(np.sign(x) * ax**alpha * val) if odd else val
 
 
 def frac_exp(alpha: float, x, tol: float = 1e-9):

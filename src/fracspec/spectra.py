@@ -22,6 +22,7 @@ from .fraccalc import (
     PrecisionLoss,
     _check_alpha,
     _table,
+    _trig,
     certified_floor,
     frac_cos,
     frac_sin,
@@ -87,6 +88,14 @@ def _scan_tol(alpha: float, beta: float, x_hi: float, base_tol: float) -> float:
     return max(base_tol, floor)
 
 
+def _brackets(vs):
+    """Indices i of the scan intervals [x_i, x_i+1] holding a root: a sign
+    change, or an exact 0 at x_i+1 after a nonzero value, so a root landing
+    on a scan point is reported once."""
+    a, b = vs[:-1], vs[1:]
+    return np.flatnonzero((a * b < 0.0) | ((b == 0.0) & (a != 0.0)))
+
+
 def _refine(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
     """Zero of f in the sign-change bracket [a, b] (fa, fb = f(a), f(b)) by
     Brent's method (R. P. Brent, Algorithms for Minimization without
@@ -137,8 +146,9 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
     """First `count` positive roots of frac_cos/frac_sin(alpha, (pi/2) x) on
     (0, x_max], on the scaled axis.
 
-    Scans with `step`, brackets sign changes, refines to xtol.  Scanning
-    proceeds in chunks and stops as soon as `count` roots are found.  Raises
+    Scans with `step` in chunks of certified signs (a float64 pass, summed
+    again in double-double only near zero), brackets sign changes and exact
+    zeros, refines to xtol, and stops once `count` roots are found.  Raises
     NoZeros when no sign change exists in the whole scanned domain (the
     alpha <= 1/2 regime); returns fewer roots with complete=False when the
     function stops crossing zero later on.
@@ -148,8 +158,9 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
         raise ValueError("count must be >= 1")
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
-    f = frac_cos if kind == "cos" else frac_sin
-    beta = 1.0 if kind == "cos" else 1.0 + alpha
+    odd = kind == "sin"
+    f = frac_sin if odd else frac_cos
+    beta = 1.0 + alpha if odd else 1.0
     roots: list[float] = []
     chunk = 400  # scan points per vector evaluation
     x0 = step
@@ -162,19 +173,18 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
             break
         tol = _scan_tol(alpha, beta, float(xs[-1]), eval_tol)
         try:
-            vs = f(alpha, HALF_PI * xs, tol)
+            vs = _trig(alpha, HALF_PI * xs, tol, odd, signs=True)
         except PrecisionLoss as exc:
             # alpha > 1: rounding values of amplitude ~1e8 to double exceeds
             # tol but never moves a sign change; take twice the bound reached
             if not math.isfinite(exc.bound):
                 raise
             tol = 2.0 * exc.bound
-            vs = f(alpha, HALF_PI * xs, tol)
+            vs = _trig(alpha, HALF_PI * xs, tol, odd, signs=True)
         if prev_x is not None:
             xs = np.concatenate(([prev_x], xs))
             vs = np.concatenate(([prev_v], vs))
-        idx = np.where(vs[:-1] * vs[1:] < 0.0)[0]
-        for i in idx:
+        for i in _brackets(vs):
             if len(roots) >= count:
                 break
             g = lambda x: float(f(alpha, HALF_PI * x, tol))
@@ -341,7 +351,7 @@ def radial_ground(N: int, alpha: float, terms: int = 64,
 
     xs = np.arange(SCAN_STEP, scan_max_scaled + SCAN_STEP, SCAN_STEP) * HALF_PI
     vs = g(xs)
-    idx = np.where(vs[:-1] * vs[1:] < 0.0)[0]
+    idx = _brackets(vs)
     if len(idx) == 0:
         raise NoZeros(
             f"radial ground state g(N={N}, alpha={alpha:g}) has no zero on "

@@ -329,6 +329,13 @@ def test_table3_report_shape(bundled_dataset):
     assert r50["m_exp"] is None
 
 
+@pytest.mark.parametrize("n_rows", [3, 5])
+def test_table3_report_row_count_rejected(bundled_dataset, n_rows):
+    rows = (list(TABLE2_ROWS) * 2)[:n_rows]
+    with pytest.raises(ValueError, match="4 parameter rows"):
+        table3_report(rows, dataset=bundled_dataset)
+
+
 def test_table3_exact_alpha_row_reproduced(bundled_dataset):
     # the alpha = 2/3 row carries no alpha-rounding error: every published
     # mass reproduces within the printed-parameter slack

@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -197,8 +198,16 @@ def test_radius_bad_input(tmp_path):
     ["special", "--name", "cos", "--alpha", "0.8", "--step", "0"],
     ["special", "--name", "sin", "--alpha", "0.8", "--step", "-0.5"],
     ["zeros", "--alpha-step", "0"],
+    ["predict", "--dataset", "WITHOUT_21_22"],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
+    if "WITHOUT_21_22" in args:
+        bundled = json.loads(resources.files("fracspec.data")
+                             .joinpath("charmonium.json").read_text())
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(
+            [r for r in bundled if (r["j"], r["m"]) not in ((2, 1), (2, 2))]))
+        args = [str(partial) if a == "WITHOUT_21_22" else a for a in args]
     out = tmp_path / "out"
     assert run(args + ["--out", str(out)]) == 2
     assert not out.exists()

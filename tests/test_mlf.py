@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracspec import fraccalc
 from fracspec.fraccalc import (
+    HALF_PI,
     PrecisionLoss,
     _ml_sum,
     certified_floor,
@@ -19,6 +21,7 @@ from fracspec.fraccalc import (
     frac_sin,
     mittag_leffler,
 )
+from fracspec.spectra import NoZeros, ZeroScan, _scan_tol, find_zeros
 
 from conftest import ml_partial_sum_oracle, ml_series_mp
 
@@ -149,26 +152,83 @@ def test_alpha_range_enforced():
 # certified sum: bound property and edge inputs ------------------------------
 
 
-@settings(deadline=None, max_examples=40)
+def test_ml_sum_within_returned_bound(monkeypatch):
+    # the certificate picks float64 Horner where its bound meets tol and
+    # double-double elsewhere; both must stay within the returned bound
+    taken = []
+    for name in ("_horner", "dd_horner"):
+        def spy(*args, _real=getattr(fraccalc, name), _name=name):
+            taken.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(fraccalc, name, spy)
+    branches = set()
+
+    @settings(deadline=None, max_examples=60)
+    @given(alpha=st.floats(0.55, 1.5), odd=st.booleans(),
+           x=st.floats(1e-3, 31.0), tol_exp=st.floats(-9.0, -3.0))
+    @example(alpha=0.8, odd=False, x=0.5, tol_exp=-9.0)   # float64
+    @example(alpha=0.8, odd=True, x=12.0, tol_exp=-9.0)   # double-double
+    @example(alpha=1.5, odd=True, x=12.0, tol_exp=-9.0)   # near the switch
+    # |E| ~ 1e7: rounding alone ~ 1e-9, so the first call raises
+    @example(alpha=1.5, odd=False, x=21.0, tol_exp=-9.0)
+    def check(alpha, odd, x, tol_exp):
+        beta = 1.0 + alpha if odd else 1.0
+        z = -((math.pi / 2.0) * x) ** (2.0 * alpha)
+        tol = max(10.0 ** tol_exp, 4.0 * certified_floor(2.0 * alpha, beta, -z))
+        taken.clear()
+        try:
+            got, err = _ml_sum(2.0 * alpha, beta, z, tol)
+        except PrecisionLoss as exc:
+            # only the rounding of a large |E| (alpha > 1) can fail here; the
+            # error names the bound, and twice it certifies (as in find_zeros)
+            assert tol < exc.bound < math.inf
+            tol = 2.0 * exc.bound
+            taken.clear()
+            got, err = _ml_sum(2.0 * alpha, beta, z, tol)
+        branches.add(taken[-1])  # the pass that gave the value
+        assert err <= tol
+        with mp.workdps(90):
+            ref = ml_series_mp(2 * mp.mpf(alpha), mp.mpf(beta), mp.mpf(z))
+            assert abs(mp.mpf(got) - ref) <= err
+
+    check()
+    assert branches == {"_horner", "dd_horner"}
+
+
+@settings(deadline=None, max_examples=25)
 @given(alpha=st.floats(0.55, 1.5), odd=st.booleans(),
-       x=st.floats(1e-3, 31.0))
-@example(alpha=1.5, odd=False, x=21.0)  # |E| ~ 1e7: rounding alone ~ 1e-9
-def test_ml_sum_within_returned_bound(alpha, odd, x):
-    beta = 1.0 + alpha if odd else 1.0
-    z = -((math.pi / 2.0) * x) ** (2.0 * alpha)
-    tol = max(1e-9, 4.0 * certified_floor(2.0 * alpha, beta, -z))
+       root=st.integers(0, 7),
+       offsets=st.lists(st.floats(-11.0, -3.0), min_size=1, max_size=6),
+       far=st.lists(st.floats(0.01, 31.0), max_size=4))
+@example(alpha=1.0, odd=False, root=7, offsets=[-8.0, -8.0], far=[])
+def test_sign_certified_scan_matches_mpmath(alpha, odd, root, offsets, far):
+    # points 10^offset either side of a root have |E| between tol and the
+    # float bound, where the float sign may be wrong and the scan must sum
+    # again; every sign with |E| > tol must be mpmath's
+    kind = "sin" if odd else "cos"
     try:
-        got, err = _ml_sum(2.0 * alpha, beta, z, tol)
+        scan = find_zeros(kind, alpha, root + 1, 16.0)
+    except NoZeros:
+        scan = ZeroScan((), False)
+    near = [scan.roots[root] + (-1) ** i * 10.0**e
+            for i, e in enumerate(offsets)] if scan.complete else []
+    xs = np.array(sorted(x for x in near + far if x > 0.0) or [1.0])
+    beta = 1.0 + alpha if odd else 1.0
+    z = -(HALF_PI * xs) ** (2.0 * alpha)
+    tol = _scan_tol(alpha, beta, float(xs[-1]), 1e-9)
+    try:
+        vs, _ = _ml_sum(2.0 * alpha, beta, z, tol, signs=True)
     except PrecisionLoss as exc:
-        # only the rounding of a large |E| (alpha > 1) can fail here; the
-        # error names the bound, and twice it certifies (as in find_zeros)
-        assert tol < exc.bound < math.inf
+        assert math.isfinite(exc.bound)
         tol = 2.0 * exc.bound
-        got, err = _ml_sum(2.0 * alpha, beta, z, tol)
-    assert err <= tol
+        vs, _ = _ml_sum(2.0 * alpha, beta, z, tol, signs=True)
     with mp.workdps(90):
-        ref = ml_series_mp(2 * mp.mpf(alpha), mp.mpf(beta), mp.mpf(z))
-        assert abs(mp.mpf(got) - ref) <= err
+        for zi, v in zip(z, vs):
+            ref = ml_series_mp(2 * mp.mpf(alpha), mp.mpf(beta), mp.mpf(zi))
+            if abs(ref) > tol:
+                # the chunk, and a plain call as in root refinement
+                one, _ = _ml_sum(2.0 * alpha, beta, float(zi), tol)
+                assert np.sign(v) == np.sign(one) == mp.sign(ref), (zi, v, ref)
 
 
 def test_rounding_to_double_is_certified():

@@ -6,11 +6,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fracspec import spectra
 from fracspec.fraccalc import HALF_PI, AlphaContext, frac_cos, frac_sin
 from fracspec.spectra import (
     SCAN_STEP,
     CutoffTooSmall,
     NoZeros,
+    _brackets,
     _refine,
     equivalent_potential,
     eigenfunction_table,
@@ -341,6 +343,44 @@ def test_refine_brent_contract(kind, alpha):
     assert a <= root <= b
     assert abs(root - float(ref)) <= xtol
     assert len(seen) <= 8
+
+
+@pytest.mark.parametrize("kind,alpha", [("cos", 0.805),
+                                        ("sin", 0.8207599226733026)])
+def test_roots_of_small_slope_within_xtol(kind, alpha):
+    # the last roots of a finite zero set have slopes ~0.02, where float64
+    # rounding certified to 1e-9 alone can move a sign change by > 2e-10;
+    # values whose sign the float bound leaves open are summed again
+    f = frac_cos if kind == "cos" else frac_sin
+    beta = 1.0 if kind == "cos" else 1.0 + alpha
+    for r in find_zeros(kind, alpha, 6, 16.0).roots:
+        with mp.workdps(40):
+            ref = mp.findroot(lambda x: ml_series_mp(
+                2 * mp.mpf(alpha), mp.mpf(beta),
+                -(mp.pi / 2 * x) ** (2 * mp.mpf(alpha))), mp.mpf(r))
+        assert abs(r - float(ref)) <= 1e-10
+        d = 2e-10
+        assert f(alpha, HALF_PI * (r - d)) * f(alpha, HALF_PI * (r + d)) < 0.0
+
+
+@pytest.mark.parametrize("vs,want", [
+    ([1.0, -1.0, -2.0], [0]),
+    ([1.0, 0.0, -1.0], [0]),
+    ([1.0, -0.0, 1.0], [0]),
+    ([-1.0, 0.0, 0.0, 2.0], [0]),
+    ([1.0, -1.0, 0.0, 2.0], [0, 1]),
+])
+def test_root_on_a_scan_point_is_bracketed_once(vs, want):
+    assert _brackets(np.array(vs)).tolist() == want
+
+
+def test_find_zeros_keeps_a_root_on_a_scan_point(monkeypatch):
+    # values of exactly 0.0 at the scan points 1, 3 and 5, which a
+    # sign-product test alone drops
+    monkeypatch.setattr(spectra, "_trig", lambda alpha, x, tol, odd, signs:
+                        np.round(np.cos(x), 12))
+    scan = find_zeros("cos", 1.0, 3, 6.0)
+    assert scan.roots == pytest.approx((1.0, 3.0, 5.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("f,root", [
