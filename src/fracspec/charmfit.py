@@ -28,12 +28,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .angular import CModel, euler_eigenvalue, j2_eigenvalue, lz_eigenvalue
+from .angular import (CModel, c_value, euler_eigenvalue, j2_eigenvalue,
+                      lz_eigenvalue)
 from .fraccalc import AlphaContext, HBARC_MEV_FM, _check_alpha, gamma, rl_nodes
 from .fraccalc import frac_cos
 from .spectra import find_zeros, radial_ground, HALF_PI
@@ -268,19 +269,31 @@ def two_state_solve(eta_c: float, chi0: float, alpha: float) -> tuple[float, flo
 _PARAM_NAMES = ("m0c2", "kappa", "B1", "B2", "B3", "delta_tau")
 
 
-def _design_matrix(states, alpha: float, c_model: str) -> np.ndarray:
-    rows = []
-    for s in states:
-        model = CModel(c_model, alpha=alpha, j=max(s.j, 1))
-        rows.append([
-            1.0,
-            j2_eigenvalue(alpha, s.j, model),
-            lz_eigenvalue(alpha, s.m) if (s.j == 1 and s.m > 0) else 0.0,
-            lz_eigenvalue(alpha, s.m) if (s.j == 2 and s.m > 0) else 0.0,
-            lz_eigenvalue(alpha, s.m) if (s.j == 3 and s.m > 0) else 0.0,
-            1.0 if s.j == 3 else 0.0,
-        ])
-    return np.asarray(rows)
+def _design_matrix(jm, alphas, c_model: str) -> np.ndarray:
+    """Design tensor (len(alphas), len(jm), 6) over the <jm> pairs, columns
+    _PARAM_NAMES, each entry bitwise the scalar j2_eigenvalue/lz_eigenvalue:
+    one l(alpha, n) table per alpha from the lgamma difference of
+    euler_eigenvalue, lgamma(k alpha + 1) shared by n = k and n = k + 1."""
+    alphas = np.array([_check_alpha(a) for a in alphas])
+    j, m = np.array(jm, int).T
+    lg = np.vectorize(math.lgamma, otypes=[float])(
+        np.arange(np.max(jm) + 2) * alphas[:, None] + 1.0)
+    l = np.zeros(lg.shape)  # l(alpha, 0) = 0
+    l[:, 1:] = np.vectorize(math.exp, otypes=[float])(
+        (lg[:, 1:] - lg[:, :-1]) - lg[:, 1:2])
+    lj, lz = l[:, j], l[:, m]
+    if c_model == "c1":
+        c = np.array([[c_value(CModel("c1", alpha=a))] for a in alphas])
+    else:
+        c = 1.0 if c_model == "c0" else l[:, j + 1] - lj
+    one = np.ones_like(lj)
+    return np.stack([one, lj * (lj + c), lz * (j == 1),
+                     lz * (j == 2), lz * (j == 3), one * (j == 3)], axis=-1)
+
+
+def _masses(A: np.ndarray, params) -> np.ndarray:
+    """A . params added in mass_model's order, so bitwise mass_model's."""
+    return sum(A[..., k] * params[..., None, k] for k in range(6))
 
 
 @dataclass(frozen=True)
@@ -308,31 +321,29 @@ _OBJECTIVES = ("dm_m0_rms", "dm_m0_abs", "dm_all_rms", "dm_all_abs",
 
 
 def _metrics(states, res) -> dict:
-    """The _OBJECTIVES, in order: rms and mean |residual| over the m = 0
-    states, over all states, and over the published rows."""
+    """The _OBJECTIVES along the alpha axis of res (n_alpha, n_states): rms
+    and mean |residual| over the m = 0 states, all states, published rows."""
     m0_mask = np.array([s.m == 0 for s in states])
     # the published "all" figure excludes the <33> prediction row
     pub_mask = np.array([(s.j, s.m) != (3, 3) for s in states])
     values = []
     for mask in (m0_mask, np.ones(len(states), bool), pub_mask):
-        sel = res[mask]
-        values += ([float(np.sqrt(np.mean(sel**2))), float(np.mean(np.abs(sel)))]
-                   if len(sel) else [math.nan, math.nan])
+        sel = res[:, mask]
+        values += ([np.sqrt(np.mean(sel**2, axis=1)), np.mean(np.abs(sel), axis=1)]
+                   if mask.any() else [np.full(len(res), math.nan)] * 2)
     return dict(zip(_OBJECTIVES, values))
 
 
-def _solve(states, alpha: float, c_model: str):
-    A = _design_matrix(states, alpha, c_model)
+def _solve(states, alphas, c_model: str):
+    """Least-squares parameters (n_alpha, 6) and residuals model - experiment
+    (n_alpha, n_states), all alphas in one stacked pseudo-inverse."""
+    A = _design_matrix([(s.j, s.m) for s in states], alphas, c_model)
     y = np.array([s.mass_exp for s in states])
-    support = np.abs(A).sum(axis=0)
-    dead = [name for name, s in zip(_PARAM_NAMES, support) if s == 0.0]
+    dead = [n for n, d in zip(_PARAM_NAMES, (A == 0.0).all(axis=1).any(axis=0)) if d]
     if dead:
-        raise RankDeficient(
-            f"no supporting state for parameter(s): {', '.join(dead)}"
-        )
-    p, *_ = np.linalg.lstsq(A, y, rcond=None)
-    res = A @ p - y
-    return p, res
+        raise RankDeficient(f"no supporting state for parameter(s): {', '.join(dead)}")
+    p = np.linalg.pinv(A, rtol=None) @ y  # cutoff max(M, N) eps, as lstsq
+    return p, _masses(A, p) - y
 
 
 def fit(dataset, alpha, c_model: str = "c0",
@@ -341,12 +352,14 @@ def fit(dataset, alpha, c_model: str = "c0",
     """Least-squares fit of the mass formula.
 
     With a numeric `alpha` the model is linear in the six parameters and one
-    normal-equations solve suffices.  With alpha="scan" the objective (one
-    of the diagnostic keys; the published tables correspond to the
+    least-squares solve suffices.  With alpha="scan" the objective (one of
+    the diagnostic keys; the published tables correspond to the
     mean-absolute deviation excluding <33>) is minimised on a grid over
     scan_range with step scan_step, then refined by golden section to 1e-4;
-    ties break toward smaller alpha.  An objective that is not a diagnostic
-    key raises ValueError for either kind of alpha.
+    ties break toward smaller alpha.  The grid is one batch (one design
+    tensor over alpha, one stacked solve); each golden-section probe is a
+    batch of one.  An objective that is not a diagnostic key raises
+    ValueError for either kind of alpha.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {', '.join(_OBJECTIVES)}, "
@@ -356,41 +369,37 @@ def fit(dataset, alpha, c_model: str = "c0",
         raise ValueError("empty dataset")
 
     def result_at(a: float) -> FitResult:
-        p, res = _solve(states, a, c_model)
-        params = FitParams(*[float(v) for v in p], alpha=a, c_model=c_model)
-        residuals = {(s.j, s.m): float(r) for s, r in zip(states, res)}
-        diag = _metrics(states, res)
-        diag["alpha"] = a
-        diag["c_model"] = c_model
-        diag["objective"] = objective
+        p, res = _solve(states, [a], c_model)
+        params = FitParams(*[float(v) for v in p[0]], alpha=a, c_model=c_model)
+        residuals = {(s.j, s.m): float(r) for s, r in zip(states, res[0])}
+        diag = {**{k: float(v[0]) for k, v in _metrics(states, res).items()},
+                "alpha": a, "c_model": c_model, "objective": objective}
         return FitResult(params=params, residuals=residuals, diagnostics=diag)
 
     if alpha != "scan":
         return result_at(float(alpha))
 
-    def obj(a: float) -> float:
-        _, res = _solve(states, a, c_model)
-        return _metrics(states, res)[objective]
+    def obj(alphas) -> np.ndarray:
+        return _metrics(states, _solve(states, alphas, c_model)[1])[objective]
 
     grid = np.arange(scan_range[0], scan_range[1] + 0.5 * scan_step, scan_step)
-    vals = [obj(float(a)) for a in grid]
-    i = int(np.argmin(vals))  # argmin takes the first (smallest alpha) on ties
+    i = int(np.argmin(obj(grid)))  # the first (smallest alpha) on ties
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = obj(c), obj(d)
+    fc, fd = obj([c])[0], obj([d])[0]
     while b - a > 1e-4:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = obj(c)
+            fc = obj([c])[0]
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = obj(d)
+            fd = obj([d])[0]
     return result_at(round(0.5 * (a + b), 6))
 
 
@@ -499,6 +508,10 @@ def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     radial ground state g over [0, r0]^3 like radius_box.  g depends on the
     coordinates only through rho = sum |x_i|^(2 alpha), so L_z g = J^2 g = 0
     holds by construction.
+
+    Weights, rho and g are symmetric in the node indices, so g is evaluated
+    only at the sorted triples i <= j <= k (about n_nodes^3/6 points), each
+    weighted by its number of distinct permutations.
     """
     e0, hbar_c = _zero_point(sigma_mass, quarks, alpha, ctx)
     mc2 = quarks.m_c_c2
@@ -510,12 +523,17 @@ def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     r0 = hbar_c * k_sph / (mc2 * X)
     u, w = _octant_nodes(alpha, r0, n_nodes, measure)
     R = np.abs(u) ** (2.0 * alpha)
-    G = R[:, None, None] + R[None, :, None] + R[None, None, :]
+    # sorted triples i <= j <= k: for each pair j <= k, i runs over 0..j
+    j, k = np.triu_indices(n_nodes)
+    i = np.arange((j + 1).sum()) - np.repeat(np.cumsum(j + 1) - j - 1, j + 1)
+    j, k = np.repeat(j, j + 1), np.repeat(k, j + 1)
+    G = R[i] + R[j] + R[k]
     scale = (k_sph / r0) ** (2.0 * alpha)
     P = ground.g_of_rho(scale * G)
-    W3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
-    num = float((W3 * P * P * np.sqrt(G)).sum())
-    den = float((W3 * P * P).sum())
+    # each sorted triple stands for its 6, 3 or 1 distinct permutations
+    W = w[i] * w[j] * w[k] * np.array([6.0, 3.0, 1.0])[(i == j) * 1 + (j == k)]
+    num = float((W * P * P) @ np.sqrt(G))
+    den = float((W * P * P).sum())
     r_mean = _radius_prefactor(alpha, mc2, hbar_c) * num / den
     return r0, r_mean
 
@@ -559,23 +577,6 @@ _TABLE3_SYMBOLS = {
 }
 
 
-def _best_alpha_within_print(p: FitParams, printed: list[float],
-                             jm_list) -> float:
-    """Alpha near the printed value that best matches the printed mass
-    column.  The +-0.003 window covers the observed mis-rounding of the
-    published alpha figures (the 0.681 column was evidently computed at
-    ~0.680, the 0.649 one at ~0.6496); within it every published column is
-    matched to ~0.1 MeV."""
-    best = (math.inf, p.alpha)
-    for a in np.linspace(p.alpha - 0.003, p.alpha + 0.003, 241):
-        q = replace(p, alpha=float(a))
-        dev = max(abs(mass_model(q, j, m) - ref)
-                  for (j, m), ref in zip(jm_list, printed))
-        if dev < best[0]:
-            best = (dev, float(a))
-    return best[1]
-
-
 def table3_report(param_rows=TABLE2_ROWS, dataset=None) -> list[dict]:
     """Mass table: for every <jm> (including the unobserved <50>) and every
     parameter row, the model mass, the deviation from experiment, and the
@@ -596,13 +597,17 @@ def table3_report(param_rows=TABLE2_ROWS, dataset=None) -> list[dict]:
         dataset = default_dataset()
     by_jm = _states_by_jm(dataset)
     jm_list = sorted(TABLE3_PRINTED.keys())
-    refined_alphas = [
-        _best_alpha_within_print(p, [TABLE3_PRINTED[jm][i] for jm in jm_list],
-                                 jm_list)
-        for i, p in enumerate(param_rows)
-    ]
+    # the window covers the observed mis-rounding of the printed alphas (0.681
+    # evidently computed at ~0.680, 0.649 at ~0.6496); first best on ties
+    refined = []
+    for i, p in enumerate(param_rows):
+        masses = _masses(_design_matrix(jm_list, np.linspace(
+            p.alpha - 0.003, p.alpha + 0.003, 241), p.c_model),
+            np.array([getattr(p, k) for k in _PARAM_NAMES]))
+        dev = np.abs(masses - [TABLE3_PRINTED[jm][i] for jm in jm_list])
+        refined.append(masses[int(np.argmin(dev.max(axis=1)))])
     rows = []
-    for (j, m) in jm_list:
+    for r, (j, m) in enumerate(jm_list):
         row = {"j": j, "m": m, "symbol": _TABLE3_SYMBOLS.get((j, m), ""),
                "m_exp": by_jm[(j, m)].mass_exp if (j, m) in by_jm else None}
         for i, p in enumerate(param_rows):
@@ -614,8 +619,7 @@ def table3_report(param_rows=TABLE2_ROWS, dataset=None) -> list[dict]:
             printed = TABLE3_PRINTED[(j, m)][i]
             row[f"{label}_printed"] = printed
             row[f"{label}_dev_printed"] = mth - printed
-            refined = mass_model(replace(p, alpha=refined_alphas[i]), j, m)
-            row[f"{label}_m_th_refined"] = refined
-            row[f"{label}_dev_refined"] = refined - printed
+            row[f"{label}_m_th_refined"] = float(refined[i][r])
+            row[f"{label}_dev_refined"] = float(refined[i][r]) - printed
         rows.append(row)
     return rows

@@ -117,6 +117,14 @@ def cmd_special(args) -> int:
             f"{bound ** (1.0 / power):g} for {args.name}(alpha={args.alpha:g}) "
             f"at tol {args.tol:g}"
         )
+    # exp (at |x|) and mlf (x > 0) grow on the positive axis: the largest x decides
+    grows = {"exp": np.abs(xs), "mlf": xs}.get(args.name, xs[:0])
+    xpos = float(np.max(grows, initial=0.0))
+    try:
+        fn(args.alpha, xpos, args.tol)
+    except PrecisionLoss as e:
+        raise DomainExceeded(f"x = {xpos:g} is beyond the certified range of "
+                             f"{args.name}(alpha={args.alpha:g}): {e}") from e
     ys = fn(args.alpha, xs, args.tol)
     rows = [(float(x), float(y)) for x, y in zip(xs, ys)]
     _emit_table(args.out, ["x", "value"], rows, args.format)
@@ -280,11 +288,14 @@ def cmd_factorcheck(args) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _add_common(sp, default_out):
+def _command(sub, name: str, func, help_text: str, default_out: str):
+    """Subcommand running func with --out, and --format for CSV tables."""
+    sp = sub.add_parser(name, help=help_text)
+    sp.set_defaults(func=func)
     sp.add_argument("--out", default=default_out, help="output artifact path")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--tol", type=float, default=1e-9,
-                    help="evaluation tolerance where applicable")
+    if default_out.endswith(".csv"):
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("special", help="sample a fractional special function")
+    sp = _command(sub, "special", cmd_special,
+                  "sample a fractional special function", "special.csv")
     sp.add_argument("--name", choices=("exp", "cos", "sin", "mlf"),
                     required=True)
     sp.add_argument("--alpha", type=float, required=True)
@@ -304,66 +316,55 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-min", type=float, default=-10.0)
     sp.add_argument("--x-max", type=float, default=10.0)
     sp.add_argument("--step", type=float, default=0.05)
-    _add_common(sp, "special.csv")
-    sp.set_defaults(func=cmd_special)
+    sp.add_argument("--tol", type=float, default=1e-9,
+                    help="absolute evaluation tolerance")
 
-    sp = sub.add_parser("zeros", help="zero locations of cos/sin eigenfunctions")
+    sp = _command(sub, "zeros", cmd_zeros,
+                  "zero locations of cos/sin eigenfunctions", "zeros.csv")
     sp.add_argument("--alpha-min", type=float, default=0.55)
     sp.add_argument("--alpha-max", type=float, default=1.2)
     sp.add_argument("--alpha-step", type=float, default=0.05)
     sp.add_argument("--count", type=int, default=6)
     sp.add_argument("--x-max", type=float, default=16.0)
-    _add_common(sp, "zeros.csv")
-    sp.set_defaults(func=cmd_zeros)
 
-    sp = sub.add_parser("table1", help="angular-momentum eigenvalue table")
-    _add_common(sp, "table1.csv")
-    sp.set_defaults(func=cmd_table1)
+    _command(sub, "table1", cmd_table1, "angular-momentum eigenvalue table",
+             "table1.csv")
 
-    sp = sub.add_parser("fit", help="least-squares mass-formula fit")
+    sp = _command(sub, "fit", cmd_fit, "least-squares mass-formula fit",
+                  "fit.json")
     sp.add_argument("--alpha", default=None,
                     help="fixed alpha value or 'scan'")
     sp.add_argument("--c-model", choices=("c0", "c1", "c2"), default=None)
     sp.add_argument("--dataset", default=None)
     sp.add_argument("--config", default=None)
-    _add_common(sp, "fit.json")
-    sp.set_defaults(func=cmd_fit)
 
-    sp = sub.add_parser("masses", help="mass table for the published "
-                                       "parameter sets")
+    sp = _command(sub, "masses", cmd_masses,
+                  "mass table for the published parameter sets", "masses.csv")
     sp.add_argument("--dataset", default=None)
-    _add_common(sp, "masses.csv")
-    sp.set_defaults(func=cmd_masses)
 
-    sp = sub.add_parser("predict", help="alpha extraction, two-state solve, "
-                                        "<33>/<50> predictions")
+    sp = _command(sub, "predict", cmd_predict, "alpha extraction, two-state "
+                  "solve, <33>/<50> predictions", "predict.json")
     sp.add_argument("--dataset", default=None)
     sp.add_argument("--alpha", type=float, default=None,
                     help="order used for the solve (default: published "
                          "extraction 0.680)")
-    _add_common(sp, "predict.json")
-    sp.set_defaults(func=cmd_predict)
 
-    sp = sub.add_parser("radius", help="box and sphere size estimates")
+    sp = _command(sub, "radius", cmd_radius, "box and sphere size estimates",
+                  "radius.json")
     sp.add_argument("--sigma-mass", type=float, default=2452.2)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--config", default=None)
-    _add_common(sp, "radius.json")
-    sp.set_defaults(func=cmd_radius)
 
-    sp = sub.add_parser("potential", help="equivalent-potential dataset")
+    sp = _command(sub, "potential", cmd_potential,
+                  "equivalent-potential dataset", "potential.csv")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--temperature", type=float, required=True)
     sp.add_argument("--n-states", type=int, required=True)
     sp.add_argument("--grid-points", type=int, default=161)
     sp.add_argument("--grid-half-width", type=float, default=0.95)
-    _add_common(sp, "potential.csv")
-    sp.set_defaults(func=cmd_potential)
 
-    sp = sub.add_parser("factorcheck", help="Clifford and factorization checks")
-    _add_common(sp, "factorcheck.json")
-    sp.set_defaults(func=cmd_factorcheck)
-
+    _command(sub, "factorcheck", cmd_factorcheck,
+             "Clifford and factorization checks", "factorcheck.json")
     return ap
 
 

@@ -12,7 +12,7 @@ unscaled values k0 = (pi/2) x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .fraccalc import (
     HALF_PI,
     PrecisionLoss,
     _check_alpha,
+    _horner,
     _table,
     _trig,
     certified_floor,
@@ -312,17 +313,15 @@ class RadialGround:
     coeffs: tuple
     eta: tuple
     first_zero: float
+    signed: tuple  # (-1)^n a_n, the polynomial in rho that g evaluates
 
     def g(self, z):
         """Evaluate g at (array of) unscaled argument z = |k| r."""
-        w = np.asarray(z, float) ** (2.0 * self.alpha)
-        signed = np.array(self.coeffs) * (-1.0) ** np.arange(len(self.coeffs))
-        return np.polynomial.polynomial.polyval(w, signed)
+        return self.g_of_rho(np.asarray(z, float) ** (2.0 * self.alpha))
 
     def g_of_rho(self, rho):
         """g as a function of rho = sum_i |k x_i|^(2 alpha) (Cartesian form)."""
-        signed = np.array(self.coeffs) * (-1.0) ** np.arange(len(self.coeffs))
-        return np.polynomial.polynomial.polyval(np.asarray(rho, float), signed)
+        return _horner(self.signed, np.asarray(rho, float))
 
     @property
     def first_zero_scaled(self) -> float:
@@ -343,14 +342,10 @@ def radial_ground(N: int, alpha: float, terms: int = 64,
     coeffs = [1.0]
     for j in range(1, terms + 1):
         coeffs.append(coeffs[-1] / ((N - 1) * j * eta[0] + eta[j - 1]))
-    signed = np.array(coeffs) * (-1.0) ** np.arange(len(coeffs))
-
-    def g(z):
-        return np.polynomial.polynomial.polyval(
-            np.asarray(z, float) ** (2.0 * alpha), signed)
-
+    ground = RadialGround(N, alpha, tuple(coeffs), eta, math.nan, tuple(
+        -c if n % 2 else c for n, c in enumerate(coeffs)))
     xs = np.arange(SCAN_STEP, scan_max_scaled + SCAN_STEP, SCAN_STEP) * HALF_PI
-    vs = g(xs)
+    vs = ground.g(xs)
     idx = _brackets(vs)
     if len(idx) == 0:
         raise NoZeros(
@@ -358,10 +353,9 @@ def radial_ground(N: int, alpha: float, terms: int = 64,
             f"(0, {scan_max_scaled:g}] (scaled axis)"
         )
     i = idx[0]
-    root = _refine(lambda z: float(g(z)), float(xs[i]), float(xs[i + 1]),
-                   float(vs[i]), float(vs[i + 1]), 1e-12)
-    return RadialGround(N=N, alpha=alpha, coeffs=tuple(coeffs), eta=eta,
-                        first_zero=root)
+    root = _refine(lambda z: float(ground.g(z)), float(xs[i]),
+                   float(xs[i + 1]), float(vs[i]), float(vs[i + 1]), 1e-12)
+    return replace(ground, first_zero=root)
 
 
 def spherical_ground_energy(N: int, alpha: float, r0: float,

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from fracspec import charmfit
+from fracspec.angular import CModel, j2_eigenvalue, lz_eigenvalue
 from fracspec.charmfit import (
     CharmState,
     DuplicateState,
@@ -28,6 +30,7 @@ from fracspec.charmfit import (
     table3_report,
     two_state_solve,
 )
+from fracspec.spectra import radial_ground
 
 QUARKS = QuarkMasses()
 
@@ -228,6 +231,82 @@ def test_fit_rank_deficient():
         fit(tiny, 0.68, "c0")
 
 
+_ALL_JM = [(j, m) for j in range(6) for m in range(j + 1)]
+
+
+@pytest.mark.parametrize("c_model", ["c0", "c1", "c2"])
+def test_design_rows_equal_scalar_eigenvalues(c_model):
+    alphas = [0.41, 0.6, 0.647, 2.0 / 3.0, 0.681, 0.7213, 1.0, 1.37]
+    A = charmfit._design_matrix(_ALL_JM, alphas, c_model)
+    assert A.shape == (len(alphas), len(_ALL_JM), 6)
+    for a, rows in zip(alphas, A):
+        for (j, m), row in zip(_ALL_JM, rows):
+            lz = lz_eigenvalue(a, m) if m > 0 else 0.0
+            ref = [1.0, j2_eigenvalue(a, j, CModel(c_model, alpha=a, j=max(j, 1))),
+                   lz if j == 1 else 0.0, lz if j == 2 else 0.0,
+                   lz if j == 3 else 0.0, 1.0 if j == 3 else 0.0]
+            assert row.tolist() == ref, (a, j, m)
+
+
+def test_batched_masses_equal_mass_model():
+    jm = sorted(charmfit.TABLE3_PRINTED)
+    for p in TABLE2_ROWS:
+        params = np.array([p.m0c2, p.kappa, p.B1, p.B2, p.B3, p.delta_tau])
+        got = charmfit._masses(charmfit._design_matrix(jm, [p.alpha], p.c_model),
+                               params)[0]
+        assert got.tolist() == [mass_model(p, j, m) for j, m in jm]
+
+
+def _lstsq_scan(states, c_model, step, lo=0.60, hi=0.72):
+    """Reference scan: one scalar design matrix and one np.linalg.lstsq per
+    alpha, the published mean-absolute objective, the same grid and golden
+    section as fit()."""
+    y = np.array([s.mass_exp for s in states])
+    published = np.array([(s.j, s.m) != (3, 3) for s in states])
+
+    def solve(a):
+        A = np.array([[1.0, j2_eigenvalue(a, s.j, CModel(c_model, alpha=a,
+                                                          j=max(s.j, 1))),
+                       *[lz_eigenvalue(a, s.m) if (s.j == jb and s.m > 0)
+                         else 0.0 for jb in (1, 2, 3)],
+                       1.0 if s.j == 3 else 0.0] for s in states])
+        p = np.linalg.lstsq(A, y, rcond=None)[0]
+        return p, A @ p - y
+
+    def obj(a):
+        return float(np.mean(np.abs(solve(a)[1][published])))
+
+    grid = np.arange(lo, hi + 0.5 * step, step)
+    i = int(np.argmin([obj(float(a)) for a in grid]))
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = obj(c), obj(d)
+    while b - a > 1e-4:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = obj(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = obj(d)
+    best = round(0.5 * (a + b), 6)
+    return best, solve(best)[0]
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-4])
+@pytest.mark.parametrize("c_model", ["c0", "c1", "c2"])
+def test_scan_optimum_matches_lstsq_loop(bundled_dataset, c_model, step):
+    states = sorted(bundled_dataset, key=lambda s: (s.j, s.m))
+    alpha, p_ref = _lstsq_scan(states, c_model, step)
+    res = fit(bundled_dataset, "scan", c_model, scan_step=step)
+    assert res.params.alpha == alpha
+    got = [res.params.m0c2, res.params.kappa, res.params.B1, res.params.B2,
+           res.params.B3, res.params.delta_tau]
+    np.testing.assert_allclose(got, p_ref, rtol=1e-12)
+
+
 # --- predictions ---------------------------------------------------------------------
 
 
@@ -309,6 +388,29 @@ def test_radius_sphere_alpha_one_classical():
     expected_r0 = 197.327 * math.pi / math.sqrt(2.0 * e0 * QUARKS.m_c_c2)
     r0, _ = radius_sphere(sigma, QUARKS, 1.0)
     assert r0 == pytest.approx(expected_r0, rel=1e-9)
+
+
+def _sphere_brute_force(r0, alpha, n_nodes, measure):
+    """<r> of radius_sphere summed over all n_nodes^3 octant nodes."""
+    ground = radial_ground(3, alpha)
+    u, w = charmfit._octant_nodes(alpha, r0, n_nodes, measure)
+    R = np.abs(u) ** (2.0 * alpha)
+    G = R[:, None, None] + R[None, :, None] + R[None, None, :]
+    P = ground.g_of_rho((ground.first_zero / r0) ** (2.0 * alpha) * G)
+    W3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
+    ratio = float((W3 * P * P * np.sqrt(G)).sum() / (W3 * P * P).sum())
+    return ((charmfit.HBARC_MEV_FM / QUARKS.m_c_c2) ** (1.0 - alpha)
+            / math.gamma(1.0 + alpha) * ratio)
+
+
+@pytest.mark.parametrize("measure", ["plain", "rl"])
+@pytest.mark.parametrize("n_nodes", [7, 16])
+@pytest.mark.parametrize("alpha", [2.0 / 3.0, 1.0])
+def test_sphere_cubature_matches_brute_force(alpha, n_nodes, measure):
+    r0, r = radius_sphere(2452.2, QUARKS, alpha, n_nodes=n_nodes,
+                          measure=measure)
+    assert r == pytest.approx(_sphere_brute_force(r0, alpha, n_nodes, measure),
+                              rel=1e-13)
 
 
 def test_radius_quadrature_stability():

@@ -199,6 +199,11 @@ def test_radius_bad_input(tmp_path):
     ["special", "--name", "sin", "--alpha", "0.8", "--step", "-0.5"],
     ["zeros", "--alpha-step", "0"],
     ["predict", "--dataset", "WITHOUT_21_22"],
+    # beyond the certified positive axis, where the value grows
+    ["special", "--name", "exp", "--alpha", "1.0", "--x-min", "0",
+     "--x-max", "25", "--step", "1"],
+    ["special", "--name", "mlf", "--alpha", "1.0", "--x-min", "-2",
+     "--x-max", "30", "--step", "1"],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     if "WITHOUT_21_22" in args:
@@ -218,8 +223,6 @@ def test_bad_input_is_a_json_error(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("args", [
     # beyond the certified range: PrecisionLoss, raised before any artifact
-    ["special", "--name", "exp", "--alpha", "1.0", "--x-min", "0",
-     "--x-max", "25", "--step", "1"],
     ["potential", "--alpha", "0.9", "--temperature", "12", "--n-states", "18",
      "--grid-half-width", "3"],
     # bundled data, no user range: a certification failure is not bad input
@@ -237,6 +240,32 @@ def test_certification_failure_exits_1_with_json_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err)["error"].startswith("PrecisionLoss")
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--tol", "1e-3"],
+    ["zeros", "--tol", "1e-3"],
+    ["radius", "--format", "json"],
+    ["predict", "--format", "csv"],
+])
+def test_ignored_flags_are_rejected(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_special_exp_within_the_positive_range(tmp_path):
+    out = tmp_path / "exp.csv"
+    assert run(["special", "--name", "exp", "--alpha", "1.0", "--x-min", "-10",
+                "--x-max", "10", "--step", "0.5", "--out", str(out)]) == 0
+    rows = [tuple(map(float, ln.split(",")))
+            for ln in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 41
+    for x, v in rows:
+        assert v == pytest.approx(math.exp(x), abs=1e-6)
 
 
 def test_potential_artifact(tmp_path):
