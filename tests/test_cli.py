@@ -223,6 +223,8 @@ def test_bad_input_is_a_json_error(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("args", [
     # beyond the certified range: PrecisionLoss, raised before any artifact
+    ["potential", "--alpha", "0.8", "--temperature", "12", "--n-states", "18",
+     "--grid-half-width", "3"],
     ["potential", "--alpha", "0.9", "--temperature", "12", "--n-states", "18",
      "--grid-half-width", "3"],
     # bundled data, no user range: a certification failure is not bad input
