@@ -342,7 +342,8 @@ def _solve(states, alphas, c_model: str):
     dead = [n for n, d in zip(_PARAM_NAMES, (A == 0.0).all(axis=1).any(axis=0)) if d]
     if dead:
         raise RankDeficient(f"no supporting state for parameter(s): {', '.join(dead)}")
-    p = np.linalg.pinv(A, rtol=None) @ y  # cutoff max(M, N) eps, as lstsq
+    cutoff = max(A.shape[-2:]) * np.finfo(float).eps  # lstsq's rcond=None
+    p = np.linalg.pinv(A, cutoff) @ y
     return p, _masses(A, p) - y
 
 

@@ -117,15 +117,15 @@ def cmd_special(args) -> int:
             f"{bound ** (1.0 / power):g} for {args.name}(alpha={args.alpha:g}) "
             f"at tol {args.tol:g}"
         )
-    # exp (at |x|) and mlf (x > 0) grow on the positive axis: the largest x decides
-    grows = {"exp": np.abs(xs), "mlf": xs}.get(args.name, xs[:0])
-    xpos = float(np.max(grows, initial=0.0))
+    # the bound covers the cancelling axis only; a value too large to round
+    # within tol (exp, mlf at x > 0, cos/sin at alpha > 1) is still the
+    # user's range, and the sum raises before any artifact is written
     try:
-        fn(args.alpha, xpos, args.tol)
+        ys = fn(args.alpha, xs, args.tol)
     except PrecisionLoss as e:
-        raise DomainExceeded(f"x = {xpos:g} is beyond the certified range of "
-                             f"{args.name}(alpha={args.alpha:g}): {e}") from e
-    ys = fn(args.alpha, xs, args.tol)
+        raise DomainExceeded(f"x in [{args.x_min:g}, {args.x_max:g}] is beyond "
+                             f"the certified range of {args.name}"
+                             f"(alpha={args.alpha:g}): {e}") from e
     rows = [(float(x), float(y)) for x, y in zip(xs, ys)]
     _emit_table(args.out, ["x", "value"], rows, args.format)
     return EXIT_OK

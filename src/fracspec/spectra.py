@@ -313,7 +313,6 @@ class RadialGround:
     coeffs: tuple
     eta: tuple
     first_zero: float
-    signed: tuple  # (-1)^n a_n, the polynomial in rho that g evaluates
 
     def g(self, z):
         """Evaluate g at (array of) unscaled argument z = |k| r."""
@@ -321,7 +320,8 @@ class RadialGround:
 
     def g_of_rho(self, rho):
         """g as a function of rho = sum_i |k x_i|^(2 alpha) (Cartesian form)."""
-        return _horner(self.signed, np.asarray(rho, float))
+        signed = [-c if n % 2 else c for n, c in enumerate(self.coeffs)]
+        return _horner(signed, np.asarray(rho, float))
 
     @property
     def first_zero_scaled(self) -> float:
@@ -342,8 +342,7 @@ def radial_ground(N: int, alpha: float, terms: int = 64,
     coeffs = [1.0]
     for j in range(1, terms + 1):
         coeffs.append(coeffs[-1] / ((N - 1) * j * eta[0] + eta[j - 1]))
-    ground = RadialGround(N, alpha, tuple(coeffs), eta, math.nan, tuple(
-        -c if n % 2 else c for n, c in enumerate(coeffs)))
+    ground = RadialGround(N, alpha, tuple(coeffs), eta, first_zero=math.nan)
     xs = np.arange(SCAN_STEP, scan_max_scaled + SCAN_STEP, SCAN_STEP) * HALF_PI
     vs = ground.g(xs)
     idx = _brackets(vs)

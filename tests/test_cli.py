@@ -204,6 +204,9 @@ def test_radius_bad_input(tmp_path):
      "--x-max", "25", "--step", "1"],
     ["special", "--name", "mlf", "--alpha", "1.0", "--x-min", "-2",
      "--x-max", "30", "--step", "1"],
+    # alpha > 1: cos grows on the negative axis, inside domain_of_validity
+    ["special", "--name", "cos", "--alpha", "1.5", "--x-min", "0",
+     "--x-max", "34", "--step", "0.5"],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     if "WITHOUT_21_22" in args:
