@@ -447,11 +447,11 @@ def _zero_point(sigma_mass: float, quarks: QuarkMasses, alpha: float,
                 ctx: AlphaContext | None) -> tuple[float, float]:
     """(E0, hbar_c) shared by the radius estimates: E0 = sigma - (2 m_d + m_c)
     c^2, hbar_c from ctx or the standard value.  Raises NegativeZeroPoint
-    when E0 < 0."""
+    when E0 < 0 or is nan."""
     _check_alpha(alpha)
     constituents = 2.0 * quarks.m_d_c2 + quarks.m_c_c2
     e0 = sigma_mass - constituents
-    if e0 < 0:
+    if not e0 >= 0:  # nan included
         raise NegativeZeroPoint(f"sigma mass {sigma_mass:g} below constituent "
                                 f"sum {constituents:g}")
     return e0, (ctx.hbar_c if ctx is not None else HBARC_MEV_FM)

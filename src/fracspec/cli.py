@@ -3,8 +3,8 @@ each emitting one CSV/JSON artifact with fixed 6-decimal float formatting.
 
 Exit codes: 0 artifact written and the command's consistency checks passed;
 1 artifact written but a check failed (details in the artifact / stderr
-JSON); 2 bad input.  An uncertifiable series sum or a degenerate norm
-also exits 1, with a JSON error on stderr.
+JSON); 2 bad input or an unreadable file.  Any other error (an uncertifiable
+sum, a degenerate norm) exits 1 with a JSON error naming its class on stderr.
 
 FRACSPEC_DATA overrides the bundled dataset path.
 """
@@ -22,7 +22,6 @@ import numpy as np
 from . import angular, charmfit, spectra, su3fact
 from .fraccalc import (
     AlphaContext,
-    DegenerateNorm,
     PrecisionLoss,
     domain_of_validity,
     frac_cos,
@@ -372,13 +371,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     # ValueError covers DomainExceeded, PoleError, CutoffTooSmall and every
-    # charmfit error; all of these raise before any artifact is written
+    # charmfit error, OSError an unreadable file; each raises before output
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, spectra.NoZeros) as e:
+    except (ValueError, OSError, spectra.NoZeros) as e:
         _fail(f"{type(e).__name__}: {e}")
         return EXIT_BAD_INPUT
-    except (PrecisionLoss, DegenerateNorm) as e:
+    except Exception as e:
         return _fail(f"{type(e).__name__}: {e}")
 
 

@@ -131,8 +131,8 @@ def rgamma(x: float) -> float:
 # Horner pass reads `hi` alone.  The plain double ratios
 # Gamma(alpha(n+1)+beta)/Gamma(alpha n+beta) (`ratio`) drive the float sizing
 # pass of the positive series and the recurrences of the derivative and the
-# radial ground state.  All three are flat array('d') columns (a sweep over
-# alpha caches some 25k coefficients).
+# radial ground state.  All three are flat array('d') columns, built once per
+# growth to the size read (`math.lgamma` sizes the positive series' builds).
 # ----------------------------------------------------------------------------
 
 
@@ -147,6 +147,7 @@ class _RatioTable:
         self.lo = array("d")
 
     def extend(self, n: int) -> None:
+        """Build the entries up to index n exactly (none when present)."""
         if n < len(self.ratio):
             return
         import mpmath as mp
@@ -154,9 +155,7 @@ class _RatioTable:
         with mp.workdps(50):
             a = mp.mpf(self.alpha)
             b = mp.mpf(self.beta)
-            base = len(self.ratio)
-            top = max(n + 32, 2 * base + 32)
-            gs = [mp.gamma(a * k + b) for k in range(base, top + 2)]
+            gs = [mp.gamma(a * k + b) for k in range(len(self.ratio), n + 2)]
             for g0, g1 in zip(gs, gs[1:]):
                 self.ratio.append(float(g1 / g0))
                 r = 1 / g0
@@ -177,18 +176,11 @@ def _table(alpha: float, beta: float) -> _RatioTable:
     return tab
 
 
-def gamma_ratio(alpha: float, beta: float, n: int) -> float:
-    """Gamma(alpha*(n+1)+beta) / Gamma(alpha*n+beta), high-precision source."""
-    tab = _table(alpha, beta)
-    tab.extend(n)
-    return tab.ratio[n]
-
-
-def recip_gamma_coeff(alpha: float, beta: float, n: int) -> float:
-    """1 / Gamma(alpha*n + beta) from the high-precision table."""
-    tab = _table(alpha, beta)
-    tab.extend(n)
-    return tab.hi[n] + tab.lo[n]
+def _recip_gammas(alpha: float, n: int) -> list:
+    """1/Gamma(alpha k + 1) for k < n, from one sized table build."""
+    tab = _table(alpha, 1.0)
+    tab.extend(n - 1)
+    return [h + l for h, l in zip(tab.hi[:n], tab.lo[:n])]
 
 
 # ----------------------------------------------------------------------------
@@ -204,6 +196,7 @@ _ERR_UNIT = 1e-30
 _ROUND_UNIT = 2.0**-53  # unit roundoff of a double
 _MIN_NORMAL = 2.0**-1022  # below this a coefficient is subnormal
 _MAX_TERMS = 1600
+_PAD = 2  # entries built past the estimated term count
 
 
 def _positive_series(tab: _RatioTable, zabs: float, floor: float,
@@ -216,15 +209,16 @@ def _positive_series(tab: _RatioTable, zabs: float, floor: float,
     (the tail beyond is then below t_n) and t_n <= max(floor, rel * sum).
     Returns (N, sum_{n<=N} t_n, t_N); the sum is inf when it overflows, is
     nan, or needs more than _MAX_TERMS terms.  The table holds coefficient
-    N on return.
+    N on return; `_grow` builds it when it is too short.
     """
-    tab.extend(1)
     ratio = tab.ratio
+    if len(ratio) < 2 and not _grow(tab, zabs, floor, rel):
+        return _MAX_TERMS + 1, math.inf, math.inf
     t = prev = s = tab.hi[0] + tab.lo[0]
     n = 0
     while True:
-        if n + 1 == len(ratio):
-            tab.extend(n + 1)
+        if n + 1 == len(ratio) and not _grow(tab, zabs, floor, rel):
+            return _MAX_TERMS + 1, math.inf, math.inf
         t *= zabs / ratio[n]
         s += t
         n += 1
@@ -233,6 +227,30 @@ def _positive_series(tab: _RatioTable, zabs: float, floor: float,
         if n >= 3 and t <= 0.5 * prev and (t <= floor or t <= rel * s):
             return n, s, t
         prev = t
+
+
+def _grow(tab: _RatioTable, zabs: float, floor: float, rel: float) -> bool:
+    """Extend tab in one build to the stopping index of `_positive_series`,
+    from log t_k = k log zabs - lgamma(alpha k + beta), plus _PAD.  Ratios
+    grow with k (Gamma is log-convex): one below 2 zabs at _MAX_TERMS means
+    the cap rejects zabs, and False returns with nothing built."""
+    a, b = tab.alpha, tab.beta
+    m = a * _MAX_TERMS + b
+    if math.exp(math.lgamma(m + a) - math.lgamma(m) + 1e-6) < 2 * zabs:
+        return False
+    lz = math.log(zabs) if zabs else -math.inf
+    prev = s = math.exp(-math.lgamma(b))
+    for k in range(1, _MAX_TERMS + 2):
+        lt = k * lz - math.lgamma(a * k + b)
+        if not lt <= 709.0:  # the float sum overflows, or zabs is nan
+            break
+        t = math.exp(lt)
+        s += t
+        if k >= 3 and t <= 0.5 * prev and (t <= floor or t <= rel * s):
+            break
+        prev = t
+    tab.extend(max(k, len(tab.ratio)) + _PAD)
+    return True
 
 
 def _horner(coeffs, z):
@@ -481,26 +499,24 @@ class FracSeries:
     def cosine(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
         """Series of cos(alpha, kx) in the chi-power basis."""
         _check_alpha(alpha)
-        c = [0.0] * terms
-        for m in range(0, terms, 2):
-            c[m] = (-1) ** (m // 2) * recip_gamma_coeff(alpha, 1.0, m)
+        g = _recip_gammas(alpha, terms)
+        c = [0.0 if m % 2 else (-1) ** (m // 2) * g[m] for m in range(terms)]
         return cls(alpha=alpha, coeffs=tuple(c), parity="even", k=k)
 
     @classmethod
     def sine(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
         """Series of sin(alpha, kx)."""
         _check_alpha(alpha)
-        c = [0.0] * terms
-        for m in range(1, terms, 2):
-            c[m] = (-1) ** ((m - 1) // 2) * recip_gamma_coeff(alpha, 1.0, m)
+        g = _recip_gammas(alpha, terms)
+        c = [(-1) ** (m // 2) * g[m] if m % 2 else 0.0 for m in range(terms)]
         return cls(alpha=alpha, coeffs=tuple(c), parity="odd", k=k)
 
     @classmethod
     def exponential(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
         """Series of exp(alpha, chi(kx))."""
         _check_alpha(alpha)
-        c = [recip_gamma_coeff(alpha, 1.0, n) for n in range(terms)]
-        return cls(alpha=alpha, coeffs=tuple(c), parity="none", k=k)
+        return cls(alpha=alpha, coeffs=tuple(_recip_gammas(alpha, terms)),
+                   parity="none", k=k)
 
     @classmethod
     def monomial(cls, alpha: float, n: int, k: float = 1.0):
@@ -559,9 +575,9 @@ def caputo_derivative(series: FracSeries) -> FracSeries:
     if len(src) <= 1:
         out = (0.0,)
     else:
-        out = tuple(
-            scale * src[n + 1] * gamma_ratio(a, 1.0, n) for n in range(len(src) - 1)
-        )
+        tab = _table(a, 1.0)
+        tab.extend(len(src) - 2)
+        out = tuple(scale * c * r for c, r in zip(src[1:], tab.ratio))
     parity = {"even": "odd", "odd": "even", "none": "none"}[series.parity]
     return FracSeries(alpha=a, coeffs=out, parity=parity, k=k)
 

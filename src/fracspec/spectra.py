@@ -386,8 +386,8 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid,
     when the estimated tail weight exceeds tail_budget (default 1e-6).
     """
     _check_alpha(alpha)
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not T > 0:  # nan included
+        raise ValueError(f"T must be positive: {T:g}")
     grid = np.asarray(grid, float)
     tagged, complete = _interleaved_roots(alpha, n_states + 1,
                                           2.0 * n_states + 30.0,

@@ -207,6 +207,13 @@ def test_radius_bad_input(tmp_path):
     # alpha > 1: cos grows on the negative axis, inside domain_of_validity
     ["special", "--name", "cos", "--alpha", "1.5", "--x-min", "0",
      "--x-max", "34", "--step", "0.5"],
+    # a directory where a file is expected: IsADirectoryError, an OSError
+    ["fit", "--alpha", "0.68", "--dataset", "DIR"],
+    ["masses", "--dataset", "DIR"],
+    ["fit", "--config", "DIR"],
+    # nan passes a `<= 0` guard
+    ["potential", "--alpha", "0.9", "--temperature", "nan", "--n-states", "5"],
+    ["radius", "--sigma-mass", "nan"],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     if "WITHOUT_21_22" in args:
@@ -216,6 +223,7 @@ def test_bad_input_is_a_json_error(tmp_path, capsys, args):
         partial.write_text(json.dumps(
             [r for r in bundled if (r["j"], r["m"]) not in ((2, 1), (2, 2))]))
         args = [str(partial) if a == "WITHOUT_21_22" else a for a in args]
+    args = [str(tmp_path) if a == "DIR" else a for a in args]
     out = tmp_path / "out"
     assert run(args + ["--out", str(out)]) == 2
     assert not out.exists()
@@ -245,6 +253,26 @@ def test_certification_failure_exits_1_with_json_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err)["error"].startswith("PrecisionLoss")
+
+
+@pytest.mark.parametrize("args", [
+    # E0 = 1e300 MeV: the well is so small that the cubature divides by zero
+    ["radius", "--sigma-mass", "1e300"],
+    ["masses"],
+])
+def test_unexpected_error_exits_1_with_json_error(tmp_path, capsys,
+                                                  monkeypatch, args):
+    if args == ["masses"]:
+        def broken(**kwargs):
+            raise RuntimeError("unforeseen")
+        monkeypatch.setattr(charmfit, "table3_report", broken)
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"].split(":")[0] in ("ZeroDivisionError",
+                                                     "RuntimeError")
 
 
 @pytest.mark.parametrize("args", [

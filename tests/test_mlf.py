@@ -277,3 +277,84 @@ def test_non_finite_argument_fails_the_certificate(fn, bad):
         fn(bad)
     with pytest.raises(PrecisionLoss):
         fn(np.array([0.5, bad]))
+
+
+# --- coefficient tables ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", [(1.6, 1.0), (1.6, 1.8)])
+def test_one_sized_build_equals_a_grown_table(key):
+    # extend(n) builds exactly up to index n, and no entry depends on how
+    # the table grew
+    one = fraccalc._RatioTable(*key)
+    one.extend(90)
+    grown = fraccalc._RatioTable(*key)
+    for n in (0, 1, 2, 5, 17, 40, 41, 89, 90):
+        grown.extend(n)
+        assert len(grown.ratio) == len(grown.hi) == len(grown.lo) == n + 1
+    for col in ("ratio", "hi", "lo"):
+        assert getattr(one, col).tobytes() == getattr(grown, col).tobytes()
+
+
+class _SizeProbe(fraccalc._RatioTable):
+    """A table that records the index a build asks for, and builds nothing."""
+    __slots__ = ("asked",)
+
+    def extend(self, n):
+        self.asked = n
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.8, 2.8])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_one_build_covers_the_terms_read(alpha, shift):
+    # the lgamma estimate asks for at least the term count the float loop
+    # reaches, and for at most two pads more
+    tab = fraccalc._RatioTable(alpha, 1.0 + shift * alpha)
+    tab.extend(700)
+    for zabs in (0.0, 0.5, 3.0, 30.0, 300.0):
+        for floor, rel in ((1e-12, 0.0), (1e-6, 0.0), (0.0, 1e-16)):
+            n, mass, _ = fraccalc._positive_series(tab, zabs, floor, rel)
+            assert math.isfinite(mass)
+            probe = _SizeProbe(tab.alpha, tab.beta)
+            assert fraccalc._grow(probe, zabs, floor, rel)
+            assert n <= probe.asked <= n + 2 * fraccalc._PAD
+
+
+def _record_terms(monkeypatch) -> dict:
+    """Fresh tables, and the largest term count each one's sums read."""
+    monkeypatch.setattr(fraccalc, "_TABLES", {})
+    read = {}
+    positive_series = fraccalc._positive_series
+
+    def recording(tab, zabs, floor, rel=0.0):
+        n, mass, last = positive_series(tab, zabs, floor, rel)
+        read[tab.alpha, tab.beta] = max(read.get((tab.alpha, tab.beta), 0), n)
+        return n, mass, last
+
+    monkeypatch.setattr(fraccalc, "_positive_series", recording)
+    return read
+
+
+def test_zero_scan_builds_only_what_its_sums_read(monkeypatch):
+    read = _record_terms(monkeypatch)
+    find_zeros("cos", 0.8, 6, 16.0)
+    tab = fraccalc._TABLES[1.6, 1.0]
+    assert 0 <= len(tab.ratio) - 1 - read[1.6, 1.0] <= fraccalc._PAD
+
+
+def test_term_cap_rejects_before_building(monkeypatch):
+    # Gamma(0.1 (n+1) + 1)/Gamma(0.1 n + 1) reaches 2|z| only near n = 63,000
+    _record_terms(monkeypatch)
+    with pytest.raises(ValueError, match="representable amplitude range"):
+        find_zeros("cos", 0.05, 1, 16.0)
+    assert len(fraccalc._TABLES[0.1, 1.0].ratio) <= 4
+    # the ratio at the cap bounds every ratio read (Gamma is log-convex):
+    # just over half of it the cap rejects |z| unbuilt, just under it the
+    # series still converges within the cap
+    tab = fraccalc._RatioTable(0.1, 1.0)
+    m = 0.1 * fraccalc._MAX_TERMS + 1.0
+    half = 0.5 * math.exp(math.lgamma(m + 0.1) - math.lgamma(m))
+    assert fraccalc._positive_series(tab, 1.05 * half, 1e-12)[1] == math.inf
+    assert len(tab.ratio) == 0
+    n, mass, _ = fraccalc._positive_series(tab, 0.95 * half, 1e-12)
+    assert math.isfinite(mass) and n <= fraccalc._MAX_TERMS
