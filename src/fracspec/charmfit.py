@@ -41,6 +41,7 @@ from .spectra import find_zeros, radial_ground, HALF_PI
 
 __all__ = [
     "ParseError",
+    "UnreadableFile",
     "DuplicateState",
     "MissingB",
     "OutOfRange",
@@ -70,6 +71,10 @@ DATA_ENV_VAR = "FRACSPEC_DATA"
 
 class ParseError(ValueError):
     """Dataset file failed to parse or validate (carries line/record info)."""
+
+
+class UnreadableFile(ValueError):
+    """An input file cannot be opened or read (missing, a directory, ...)."""
 
 
 class DuplicateState(ValueError):
@@ -150,11 +155,14 @@ def load_dataset(path) -> list[CharmState]:
     """Load a JSON list of {name, j, m, mass_mev, err_mev} records.
 
     An empty (whitespace-only) file is a valid empty dataset.  Raises
-    ParseError with position info on malformed input and DuplicateState on a
-    repeated (j, m) label.
+    UnreadableFile when the file cannot be read, ParseError with position
+    info on malformed input and DuplicateState on a repeated (j, m) label.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise UnreadableFile(f"{path}: {e.strerror or e}") from e
     if not text.strip():
         return []
     try:

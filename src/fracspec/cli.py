@@ -3,8 +3,8 @@ each emitting one CSV/JSON artifact with fixed 6-decimal float formatting.
 
 Exit codes: 0 artifact written and the command's consistency checks passed;
 1 artifact written but a check failed (details in the artifact / stderr
-JSON); 2 bad input or an unreadable file.  Any other error (an uncertifiable
-sum, a degenerate norm) exits 1 with a JSON error naming its class on stderr.
+JSON); 2 bad input or an unreadable input file.  Any other error (an
+uncertifiable sum, a disk error) exits 1, with a JSON error on stderr.
 
 FRACSPEC_DATA overrides the bundled dataset path.
 """
@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 
 import numpy as np
 
@@ -80,8 +81,12 @@ def _fail(message: str, **extra) -> int:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise charmfit.UnreadableFile(f"{path}: {e.strerror or e}") from e
+    return json.loads(text)
 
 
 def _dataset(args) -> list:
@@ -370,15 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    # ValueError covers DomainExceeded, PoleError, CutoffTooSmall and every
-    # charmfit error, OSError an unreadable file; each raises before output
+    # ValueError: DomainExceeded, PoleError, CutoffTooSmall, charmfit errors
+    # (UnreadableFile too); FileNotFoundError: --out in a missing directory
     try:
         return args.func(args)
-    except (ValueError, OSError, spectra.NoZeros) as e:
+    except (ValueError, FileNotFoundError, spectra.NoZeros) as e:
         _fail(f"{type(e).__name__}: {e}")
         return EXIT_BAD_INPUT
     except Exception as e:
-        return _fail(f"{type(e).__name__}: {e}")
+        frame = traceback.extract_tb(e.__traceback__)[-1]
+        return _fail(f"{type(e).__name__}: {e}",
+                     where=f"{frame.filename}:{frame.lineno}")
 
 
 if __name__ == "__main__":

@@ -231,12 +231,14 @@ def _positive_series(tab: _RatioTable, zabs: float, floor: float,
 
 def _grow(tab: _RatioTable, zabs: float, floor: float, rel: float) -> bool:
     """Extend tab in one build to the stopping index of `_positive_series`,
-    from log t_k = k log zabs - lgamma(alpha k + beta), plus _PAD.  Ratios
-    grow with k (Gamma is log-convex): one below 2 zabs at _MAX_TERMS means
-    the cap rejects zabs, and False returns with nothing built."""
+    from log t_k = k log zabs - lgamma(alpha k + beta), plus _PAD.  Returns
+    False, building nothing, when the ratio at _MAX_TERMS (the largest: Gamma
+    is log-convex) is below 2 zabs and t there is a normal double (log t_k is
+    concave, so none is subnormal, whose rounding could stop the loop)."""
     a, b = tab.alpha, tab.beta
     m = a * _MAX_TERMS + b
-    if math.exp(math.lgamma(m + a) - math.lgamma(m) + 1e-6) < 2 * zabs:
+    if (math.exp(math.lgamma(m + a) - math.lgamma(m) + 1e-6) < 2 * zabs
+            and _MAX_TERMS * math.log(zabs) - math.lgamma(m) > -700.0):
         return False
     lz = math.log(zabs) if zabs else -math.inf
     prev = s = math.exp(-math.lgamma(b))

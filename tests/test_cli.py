@@ -1,12 +1,14 @@
 """Command-line surface: artifacts, determinism, exit codes."""
 
+import errno
 import json
 import math
+import os
 from importlib import resources
 
 import pytest
 
-from fracspec import charmfit
+from fracspec import charmfit, cli
 from fracspec.cli import main
 from fracspec.fraccalc import PrecisionLoss
 
@@ -259,20 +261,32 @@ def test_certification_failure_exits_1_with_json_error(tmp_path, capsys,
     # E0 = 1e300 MeV: the well is so small that the cubature divides by zero
     ["radius", "--sigma-mass", "1e300"],
     ["masses"],
+    ["factorcheck"],
 ])
 def test_unexpected_error_exits_1_with_json_error(tmp_path, capsys,
                                                   monkeypatch, args):
+    def broken(*args, **kwargs):
+        raise raised
+
+    raised = None
     if args == ["masses"]:
-        def broken(**kwargs):
-            raise RuntimeError("unforeseen")
+        raised = RuntimeError("unforeseen")
         monkeypatch.setattr(charmfit, "table3_report", broken)
+    elif args == ["factorcheck"]:
+        # a write that fails for want of disk space is not bad input
+        raised = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(cli, "_write_atomic", broken)
     out = tmp_path / "out"
     assert run(args + ["--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert json.loads(err)["error"].split(":")[0] in ("ZeroDivisionError",
-                                                     "RuntimeError")
+    payload = json.loads(err)
+    assert payload["error"].split(":")[0] in (
+        "ZeroDivisionError", "RuntimeError", "OSError")
+    # the file and line the error rose from
+    path, line = payload["where"].rsplit(":", 1)
+    assert path.endswith(".py") and int(line) > 0
 
 
 @pytest.mark.parametrize("args", [

@@ -348,13 +348,34 @@ def test_term_cap_rejects_before_building(monkeypatch):
     with pytest.raises(ValueError, match="representable amplitude range"):
         find_zeros("cos", 0.05, 1, 16.0)
     assert len(fraccalc._TABLES[0.1, 1.0].ratio) <= 4
-    # the ratio at the cap bounds every ratio read (Gamma is log-convex):
-    # just over half of it the cap rejects |z| unbuilt, just under it the
-    # series still converges within the cap
+    # the ratio at the cap bounds every ratio read (Gamma is log-convex), so
+    # above half of it no term halves its predecessor in exact arithmetic;
+    # the cap rejects |z| unbuilt only while the terms stay normal doubles
     tab = fraccalc._RatioTable(0.1, 1.0)
     m = 0.1 * fraccalc._MAX_TERMS + 1.0
     half = 0.5 * math.exp(math.lgamma(m + 0.1) - math.lgamma(m))
-    assert fraccalc._positive_series(tab, 1.05 * half, 1e-12)[1] == math.inf
+    normal = math.exp((math.lgamma(m) - 700.0) / fraccalc._MAX_TERMS)
+    assert half < 0.9 < normal
+    assert fraccalc._positive_series(tab, 1.01 * normal, 1e-12)[1] == math.inf
     assert len(tab.ratio) == 0
     n, mass, _ = fraccalc._positive_series(tab, 0.95 * half, 1e-12)
     assert math.isfinite(mass) and n <= fraccalc._MAX_TERMS
+
+
+@pytest.mark.parametrize("zabs", [0.9, 0.94])
+def test_term_cap_keeps_series_that_stop_in_the_subnormals(zabs):
+    # between half the cap ratio and the normal range the terms sink into
+    # the subnormals, where rounding stops the loop with a tail near 1e-323
+    n, mass, last = fraccalc._positive_series(fraccalc._RatioTable(0.1, 1.0),
+                                              zabs, 1e-12)
+    assert n <= fraccalc._MAX_TERMS and last < fraccalc._MIN_NORMAL
+    with mp.workdps(30):
+        ref = float(ml_series_mp(0.1, 1, mp.mpf(zabs)))
+    assert mass == pytest.approx(ref, rel=1e-12)
+
+
+def test_term_cap_keeps_a_slow_cosine():
+    # cos(0.05, 0.5) = E_{0.1,1}(-0.5^0.1), |z| = 0.933
+    with mp.workdps(30):
+        ref = float(ml_series_mp(0.1, 1, -mp.mpf(0.5) ** mp.mpf(0.1)))
+    assert frac_cos(0.05, 0.5) == pytest.approx(ref, abs=1e-9)
