@@ -262,8 +262,9 @@ def cmd_radius(args) -> int:
 
 
 def cmd_potential(args) -> int:
-    grid = np.linspace(-args.grid_half_width, args.grid_half_width,
-                       args.grid_points)
+    with np.errstate(invalid="ignore"):  # an inf width: rejected below
+        grid = np.linspace(-args.grid_half_width, args.grid_half_width,
+                           args.grid_points)
     pairs = spectra.equivalent_potential(args.alpha, args.temperature,
                                          args.n_states, grid)
     _emit_table(args.out, ["x", "v_over_t"],

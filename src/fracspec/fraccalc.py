@@ -377,10 +377,8 @@ def domain_of_validity(alpha: float, beta: float, tol: float) -> float:
         except PrecisionLoss:
             return False
 
-    if not ok(1.0):
-        return 0.0
-    lo, hi = 1.0, 2.0
-    while ok(hi):
+    lo, hi = (1.0, 2.0) if ok(1.0) else (0.0, 1.0)  # else bisect (0, 1)
+    while lo and ok(hi):
         lo = hi
         hi *= 2.0
         if hi > 1e9:
@@ -607,16 +605,10 @@ def rl_nodes(alpha: float, a: float, n: int = 64):
     return u, w
 
 
-def _rl_transformed(f, alpha: float, a: float):
-    inv_alpha = 1.0 / alpha
-    norm = 1.0 / gamma(alpha + 1.0)
-
-    def g(s):
-        u = a - s**inv_alpha
-        u = np.clip(u, 0.0, a)
-        return norm * np.asarray(f(u), float)
-
-    return g, a**alpha
+# 32-point Gauss-Legendre rule and its 16-point check, nodes concatenated.
+_GL32 = np.polynomial.legendre.leggauss(32)
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL_NODES = np.concatenate([_GL32[0], _GL16[0]])
 
 
 def frac_integral(f, alpha: float, a: float, tol: float = 1e-8,
@@ -624,46 +616,43 @@ def frac_integral(f, alpha: float, a: float, tol: float = 1e-8,
     """Riemann-Liouville integral (1/Gamma(a)) int_0^a (a-u)^(a-1) f(u) du.
 
     f must accept numpy arrays.  Adaptive Gauss-Legendre bisection on the
-    substituted integrand; relative error ~tol for smooth f.  Raises
-    QuadratureFailure when refinement stalls (depth cap or panel budget).
+    substituted integrand, one level (depth) at a time: one call of f
+    evaluates the 32- and 16-point rules on every open panel.  A panel is
+    accepted when they differ by <= 0.5 tol max(scale, |v32|) or 1e-16
+    scale (scale: |accepted| + sum of |v32| over the open panels), else
+    bisected; relative error ~tol for smooth f.  Raises QuadratureFailure
+    when a panel fails at max_depth or a split would start with max_panels
+    panels evaluated.
     """
     _check_alpha(alpha)
     if a <= 0:
         raise ValueError("endpoint a must be positive")
-    g, smax = _rl_transformed(f, alpha, a)
-    xs, ws = np.polynomial.legendre.leggauss(32)
-    xs2, ws2 = np.polynomial.legendre.leggauss(16)
-
-    def panel(lo: float, hi: float):
-        h = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        v32 = h * float(np.dot(ws, g(mid + h * xs)))
-        v16 = h * float(np.dot(ws2, g(mid + h * xs2)))
-        return v32, abs(v32 - v16)
-
-    total, err = panel(0.0, smax)
-    scale = max(abs(total), 1e-300)
-    stack = [(0.0, smax, total, err, 0)]
-    acc = 0.0
-    n_panels = 1
-    while stack:
-        lo, hi, val, e, depth = stack.pop()
-        if e <= tol * max(scale, abs(val)) * 0.5 or e <= 1e-16 * scale:
-            acc += val
-            continue
-        if depth >= max_depth or n_panels >= max_panels:
+    norm, inv_alpha = 1.0 / gamma(alpha + 1.0), 1.0 / alpha
+    lo, hi = np.zeros(1), np.full(1, a**alpha)
+    acc, scale, n_panels, depth = 0.0, 1e-300, 1, 0
+    while True:
+        h, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        s = (mid[:, None] + h[:, None] * _GL_NODES).ravel()
+        u = np.clip(a - s**inv_alpha, 0.0, a)
+        vals = norm * np.asarray(f(u), float).reshape(len(h), -1)
+        v32 = h * (vals[:, :32] @ _GL32[1])
+        e = np.abs(v32 - h * (vals[:, 32:] @ _GL16[1]))
+        scale = max(scale, abs(acc) + float(np.abs(v32).sum()))
+        ok = ((e <= tol * np.maximum(scale, np.abs(v32)) * 0.5)
+              | (e <= 1e-16 * scale))
+        acc += float(v32[ok].sum())
+        n_split = len(ok) - int(np.count_nonzero(ok))
+        if not n_split:
+            return acc
+        if depth >= max_depth or n_panels + 2 * n_split - 2 >= max_panels:
             raise QuadratureFailure(
-                f"adaptive refinement stalled on [{lo:g},{hi:g}] "
-                f"(err {e:g}, depth {depth}, panels {n_panels})"
+                f"adaptive refinement stalled at depth {depth}: {n_split} "
+                f"panels fail (worst err {e[~ok].max():g}), {n_panels} evaluated"
             )
-        mid = 0.5 * (lo + hi)
-        vl, el = panel(lo, mid)
-        vr, er = panel(mid, hi)
-        n_panels += 2
-        stack.append((lo, mid, vl, el, depth + 1))
-        stack.append((mid, hi, vr, er, depth + 1))
-        scale = max(scale, abs(acc) + abs(val))
-    return acc
+        n_panels += 2 * n_split
+        lo, mid, hi = lo[~ok], mid[~ok], hi[~ok]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        depth += 1
 
 
 def sym_integral(f, alpha: float, a: float, tol: float = 1e-8) -> float:
@@ -672,10 +661,15 @@ def sym_integral(f, alpha: float, a: float, tol: float = 1e-8) -> float:
 
     Odd integrands vanish identically; even integrands get twice their
     one-sided RL integral.  (The measure convention only enters expectation
-    values through ratios, where the constant cancels.)
+    values through ratios, where the constant cancels.)  f is called once
+    per refinement level, on u and -u together.
     """
-    return frac_integral(lambda u: np.asarray(f(u), float) + np.asarray(f(-u), float),
-                         alpha, a, tol=tol)
+
+    def even_part(u):
+        v = np.asarray(f(np.concatenate([u, -u])), float)
+        return v[:len(u)] + v[len(u):]
+
+    return frac_integral(even_part, alpha, a, tol=tol)
 
 
 def scalar_product(f, g, alpha: float, a: float, tol: float = 1e-8) -> float:

@@ -157,6 +157,8 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
     _check_alpha(alpha)
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not x_max > 0:  # nan included
+        raise ValueError(f"x_max must be positive: {x_max:g}")
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
     odd = kind == "sin"
@@ -389,6 +391,8 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid,
     if not T > 0:  # nan included
         raise ValueError(f"T must be positive: {T:g}")
     grid = np.asarray(grid, float)
+    if not np.isfinite(grid).all():
+        raise ValueError("grid points must be finite")
     tagged, complete = _interleaved_roots(alpha, n_states + 1,
                                           2.0 * n_states + 30.0,
                                           eval_tol=1e-6)

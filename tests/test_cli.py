@@ -10,7 +10,7 @@ import pytest
 
 from fracspec import charmfit, cli
 from fracspec.cli import main
-from fracspec.fraccalc import PrecisionLoss
+from fracspec.fraccalc import PrecisionLoss, frac_cos
 
 
 def run(args):
@@ -62,6 +62,18 @@ def test_special_domain_exceeded(tmp_path):
               "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+def test_special_domain_below_one(tmp_path):
+    # E_{0.1,1} certifies only up to |z| ~ 0.945 < 1, yet covers x <= 0.5
+    out = tmp_path / "c005.json"
+    assert run(["special", "--name", "cos", "--alpha", "0.05", "--x-min", "0",
+                "--x-max", "0.5", "--step", "0.1", "--format", "json",
+                "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    xs = [r["x"] for r in rows]
+    assert len(xs) == 6
+    assert [r["value"] for r in rows] == list(frac_cos(0.05, xs))
 
 
 def test_special_mlf(tmp_path):
@@ -216,6 +228,15 @@ def test_radius_bad_input(tmp_path):
     # nan passes a `<= 0` guard
     ["potential", "--alpha", "0.9", "--temperature", "nan", "--n-states", "5"],
     ["radius", "--sigma-mass", "nan"],
+    # a scan range that is empty or nan
+    ["zeros", "--x-max", "nan"],
+    ["zeros", "--x-max", "0"],
+    ["zeros", "--x-max", "-3"],
+    # a grid with non-finite points
+    ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "40",
+     "--grid-half-width", "nan"],
+    ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "40",
+     "--grid-half-width", "inf"],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     if "WITHOUT_21_22" in args:

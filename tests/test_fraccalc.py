@@ -10,6 +10,7 @@ from fracspec.fraccalc import (
     AlphaContext,
     DegenerateNorm,
     FracSeries,
+    QuadratureFailure,
     caputo_derivative,
     expectation,
     frac_cos,
@@ -173,10 +174,121 @@ def test_integral_invalid_endpoint():
 
 def test_integral_stall_raises():
     # oscillation far beyond any sane panel budget
-    from fracspec.fraccalc import QuadratureFailure
-
     with pytest.raises(QuadratureFailure):
         frac_integral(lambda u: np.cos(5e7 * u), 0.7, 1.0, max_panels=512)
+
+
+# --- level-wise refinement against the depth-first loop -----------------------
+
+
+def _depth_first(f, alpha, a, tol=1e-8, max_depth=28, max_panels=4096):
+    """The depth-first adaptive loop that level-wise refinement replaced:
+    two integrand calls per panel (32 and 16 Gauss-Legendre points), the
+    same accept test and limits.  Returns (value, levels evaluated)."""
+    norm = 1.0 / gamma(alpha + 1.0)
+    g = lambda s: norm * np.asarray(f(np.clip(a - s ** (1.0 / alpha), 0.0, a)),
+                                    float)
+    xs, ws = np.polynomial.legendre.leggauss(32)
+    xs2, ws2 = np.polynomial.legendre.leggauss(16)
+
+    def panel(lo, hi):
+        h, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        v32 = h * float(np.dot(ws, g(mid + h * xs)))
+        v16 = h * float(np.dot(ws2, g(mid + h * xs2)))
+        return v32, abs(v32 - v16)
+
+    total, err = panel(0.0, a**alpha)
+    scale = max(abs(total), 1e-300)
+    stack = [(0.0, a**alpha, total, err, 0)]
+    acc, n_panels, deepest = 0.0, 1, 0
+    while stack:
+        lo, hi, val, e, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if e <= tol * max(scale, abs(val)) * 0.5 or e <= 1e-16 * scale:
+            acc += val
+            continue
+        if depth >= max_depth or n_panels >= max_panels:
+            raise QuadratureFailure("stalled")
+        mid = 0.5 * (lo + hi)
+        vl, el = panel(lo, mid)
+        vr, er = panel(mid, hi)
+        n_panels += 2
+        stack.append((lo, mid, vl, el, depth + 1))
+        stack.append((mid, hi, vr, er, depth + 1))
+        scale = max(scale, abs(acc) + abs(val))
+    return acc, deepest + 1
+
+
+def _counted(f):
+    """f wrapped to count its calls and points: (wrapped, [calls, points])."""
+    seen = [0, 0]
+
+    def wrapped(u):
+        seen[0] += 1
+        seen[1] += np.size(u)
+        return f(u)
+
+    return wrapped, seen
+
+
+def _well_state_sq(alpha, index):
+    from fracspec.spectra import well_states_1d
+
+    st = well_states_1d(alpha, index + 1, 1.0, AlphaContext(alpha))[index]
+    return lambda u: st.psi(u) ** 2
+
+
+def _cos_sin(u):
+    from fracspec.fraccalc import frac_sin
+
+    return frac_cos(0.8, 1.1 * u) * frac_sin(0.8, 0.7 * u)
+
+
+# (name, integrand factory, alpha, endpoint, over [-a, a] via sym_integral)
+QUAD_CASES = [
+    ("smooth", lambda: lambda u: np.exp(-u) * (1.0 + u**2), 2.0 / 3.0, 0.9,
+     False),
+    ("abs_sin", lambda: lambda u: np.abs(np.sin(7 * u)), 0.7, 1.5, False),
+    ("cos5_alpha1", lambda: lambda u: np.cos(5 * u), 1.0, 1.0, False),
+    ("cos0_sq_085", lambda: _well_state_sq(0.85, 0), 0.85, 1.0, True),
+    ("sin1_sq_09", lambda: _well_state_sq(0.9, 1), 0.9, 1.0, True),
+    ("cos4_sq_095", lambda: _well_state_sq(0.95, 4), 0.95, 1.0, True),
+    ("sin5_sq_095", lambda: _well_state_sq(0.95, 5), 0.95, 1.0, True),
+    ("cos_sin_odd", lambda: _cos_sin, 0.8, 1.0, True),
+    ("cos_sin_one_sided", lambda: _cos_sin, 0.8, 1.0, False),
+]
+
+
+@pytest.mark.parametrize("name,make,alpha,a,sym", QUAD_CASES,
+                         ids=[c[0] for c in QUAD_CASES])
+def test_level_wise_matches_depth_first(name, make, alpha, a, sym):
+    f = make()
+    ref_f, ref_seen = _counted(f)
+    ref_g = (lambda u: ref_f(u) + ref_f(-u)) if sym else ref_f
+    want, levels = _depth_first(ref_g, alpha, a)
+    got_f, seen = _counted(f)
+    got = (sym_integral if sym else frac_integral)(got_f, alpha, a)
+    # the same panels: the same points, one call of f per level
+    assert seen[1] == ref_seen[1]
+    assert seen[0] == levels <= 28 + 1
+    if want == 0.0:  # vanishing integral: absolute, against the scale of f
+        scale = _depth_first(lambda u: np.abs(f(u)), alpha, a)[0]
+        assert abs(got) <= 1e-16 * scale
+    else:
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_level_wise_stall_evaluates_no_more_panels():
+    f = lambda u: np.cos(5e7 * u)
+    ref_f, ref_seen = _counted(f)
+    with pytest.raises(QuadratureFailure):
+        _depth_first(ref_f, 0.7, 1.0, max_panels=512)
+    got_f, seen = _counted(f)
+    with pytest.raises(QuadratureFailure):
+        frac_integral(got_f, 0.7, 1.0, max_panels=512)
+    assert seen[1] % 48 == 0  # 32 + 16 points per panel
+    assert 0 < seen[1] <= ref_seen[1]
+    assert seen[0] <= 28 + 1
 
 
 # --- scalar product / expectation ---------------------------------------------

@@ -72,6 +72,13 @@ def test_domain_of_validity_four_thirds():
     assert domain_of_validity(4.0 / 3.0, 1.0, 1e-9) >= 50.0
 
 
+def test_domain_below_one_is_bisected():
+    # E_{0.1,1} certifies up to |z| ~ 0.945 (fails at 0.95), short of |z| = 1
+    bound = domain_of_validity(0.1, 1.0, 1e-9)
+    assert 0.93 <= bound < 0.95
+    mittag_leffler(0.1, 1.0, -bound, tol=1e-9)  # certifies, no PrecisionLoss
+
+
 def test_domain_unbounded_for_infinite_tol():
     assert domain_of_validity(1.0, 1.0, math.inf) == math.inf
 
