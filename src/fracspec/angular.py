@@ -24,12 +24,10 @@ the printed cells match alpha = 0.68, not 0.65.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .fraccalc import _check_alpha, gamma, rgamma
 
 __all__ = [
-    "CModel",
     "commutator_c",
     "c_value",
     "euler_eigenvalue",
@@ -38,23 +36,6 @@ __all__ = [
     "table1_report",
     "TABLE1_PRINTED",
 ]
-
-
-@dataclass(frozen=True)
-class CModel:
-    """Commutator-constant model: variant 'c0', 'c1' or 'c2'; j is consumed
-    by c2 only."""
-
-    variant: str
-    alpha: float = 1.0
-    j: int = 0
-
-    def __post_init__(self):
-        if self.variant not in ("c0", "c1", "c2"):
-            raise ValueError("variant must be 'c0', 'c1' or 'c2'")
-        _check_alpha(self.alpha)
-        if self.j < 0:
-            raise ValueError("j must be >= 0")
 
 
 def commutator_c(n: int, alpha: float) -> float:
@@ -76,21 +57,23 @@ def commutator_c(n: int, alpha: float) -> float:
     return t1 - euler_eigenvalue(alpha, n + 1)
 
 
-def c_value(model: CModel) -> float:
-    """Commutator constant for the given model.
+def c_value(variant: str, alpha: float, j: int = 0) -> float:
+    """Commutator constant of the model `variant` ('c0', 'c1' or 'c2') at
+    alpha; j is read by c2 only, which needs j >= 1.
 
     c1 at alpha = 1 is the Gamma(0)-pole limit, which the reciprocal-gamma
     form reaches directly (value 1).
     """
-    a = model.alpha
-    if model.variant == "c0":
+    if variant not in ("c0", "c1", "c2"):
+        raise ValueError("variant must be 'c0', 'c1' or 'c2'")
+    _check_alpha(alpha)
+    if variant == "c0":
         return 1.0
-    if model.variant == "c1":
-        return 1.0 - rgamma(1.0 - a) / gamma(1.0 + a)
-    j = model.j
+    if variant == "c1":
+        return 1.0 - rgamma(1.0 - alpha) / gamma(1.0 + alpha)
     if j < 1:
         raise ValueError("c2 requires j >= 1")
-    return euler_eigenvalue(a, j + 1) - euler_eigenvalue(a, j)
+    return euler_eigenvalue(alpha, j + 1) - euler_eigenvalue(alpha, j)
 
 
 def euler_eigenvalue(alpha: float, n: int) -> float:
@@ -112,32 +95,26 @@ def euler_eigenvalue(alpha: float, n: int) -> float:
                     - math.lgamma(alpha + 1.0))
 
 
-def lz_eigenvalue(alpha: float, m: int, allow_negative: bool = False) -> float:
-    """L_z eigenvalue (units hbar) for projection index m >= 0.
-
-    Only m >= 0 is exposed by default (the spectra realise right-handed
-    states only); negative m is available behind the flag and is the odd
-    extension -l(alpha, |m|).
-    """
+def lz_eigenvalue(alpha: float, m: int) -> float:
+    """L_z eigenvalue l(alpha, m) (units hbar) for projection index m >= 0;
+    the spectra realise right-handed states only, so negative m raises
+    ValueError."""
     if m < 0:
-        if not allow_negative:
-            raise ValueError("negative m requires allow_negative=True")
-        return -euler_eigenvalue(alpha, -m)
+        raise ValueError(f"m must be >= 0, got {m}")
     return euler_eigenvalue(alpha, m)
 
 
-def j2_eigenvalue(alpha: float, j: int, model: CModel) -> float:
-    """J^2 eigenvalue l(alpha,j) (l(alpha,j) + c) in units hbar^2.
-
-    The constant is evaluated at this alpha and j (the model's own fields
-    are overridden); for c2 that collapses to l_j * l_{j+1}.
+def j2_eigenvalue(alpha: float, j: int, variant: str) -> float:
+    """J^2 eigenvalue l(alpha,j) (l(alpha,j) + c) in units hbar^2, with c
+    the commutator constant of `variant` at this alpha and j; for c2 that
+    collapses to l_j * l_{j+1}.  An unknown variant raises ValueError for
+    every j, j = 0 included.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
+    c = c_value(variant, alpha, max(j, 1))
     lj = euler_eigenvalue(alpha, j)
-    if lj == 0.0:
-        return 0.0
-    return lj * (lj + c_value(CModel(model.variant, alpha=alpha, j=j)))
+    return lj * (lj + c) if lj else 0.0
 
 
 # Printed reference eigenvalue table (units hbar), rows n = 0..6:
@@ -156,8 +133,8 @@ TABLE1_PRINTED = {
 }
 
 
-def table1_report(n_max: int = 6) -> list[dict]:
-    """Eigenvalue table rows n = 0..n_max from the formulas.
+def table1_report() -> list[dict]:
+    """Eigenvalue table rows n = 0..6 (the printed rows) from the formulas.
 
     The columns with printed reference values carry `<col>_printed` and
     `<col>_dev` entries; the two rightmost columns (c1/c2 at 0.65) are
@@ -165,21 +142,20 @@ def table1_report(n_max: int = 6) -> list[dict]:
     with their deviations rather than matched.
     """
     rows = []
-    for n in range(n_max + 1):
+    for n in range(7):
         row = {
             "n": n,
             "lz_1": lz_eigenvalue(1.0, n),
             "lz_23": lz_eigenvalue(2.0 / 3.0, n),
             "lz_068": lz_eigenvalue(0.68, n),
-            "j2c0_1": j2_eigenvalue(1.0, n, CModel("c0")),
-            "j2c0_23": j2_eigenvalue(2.0 / 3.0, n, CModel("c0")),
-            "j2c0_068": j2_eigenvalue(0.68, n, CModel("c0")),
-            "j2c1_065": j2_eigenvalue(0.65, n, CModel("c1", alpha=0.65)),
-            "j2c2_065": j2_eigenvalue(0.65, n, CModel("c2", alpha=0.65, j=n)),
+            "j2c0_1": j2_eigenvalue(1.0, n, "c0"),
+            "j2c0_23": j2_eigenvalue(2.0 / 3.0, n, "c0"),
+            "j2c0_068": j2_eigenvalue(0.68, n, "c0"),
+            "j2c1_065": j2_eigenvalue(0.65, n, "c1"),
+            "j2c2_065": j2_eigenvalue(0.65, n, "c2"),
         }
         for col, ref in TABLE1_PRINTED.items():
-            if n < len(ref):
-                row[f"{col}_printed"] = ref[n]
-                row[f"{col}_dev"] = row[col] - ref[n]
+            row[f"{col}_printed"] = ref[n]
+            row[f"{col}_dev"] = row[col] - ref[n]
         rows.append(row)
     return rows

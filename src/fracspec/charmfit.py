@@ -33,9 +33,8 @@ from importlib import resources
 
 import numpy as np
 
-from .angular import (CModel, c_value, euler_eigenvalue, j2_eigenvalue,
-                      lz_eigenvalue)
-from .fraccalc import AlphaContext, HBARC_MEV_FM, _check_alpha, gamma, rl_nodes
+from .angular import c_value, euler_eigenvalue, j2_eigenvalue, lz_eigenvalue
+from .fraccalc import HBARC_MEV_FM, _check_alpha, gamma, rl_nodes
 from .fraccalc import frac_cos
 from .spectra import find_zeros, radial_ground, HALF_PI
 
@@ -211,21 +210,17 @@ def _states_by_jm(states):
     return {(s.j, s.m): s for s in states}
 
 
-def mass_model(p: FitParams, j: int, m: int, b_extra: dict | None = None) -> float:
+def mass_model(p: FitParams, j: int, m: int) -> float:
     """Model mass in MeV for the <jm> state under parameter vector p.
 
-    B_j exists for j in {1, 2, 3}; other j with m > 0 need an explicit entry
-    in b_extra, otherwise MissingB is raised.  (m = 0 states have L_z = 0,
-    so no B enters.)
+    B_j exists for j in {1, 2, 3}; other j with m > 0 raise MissingB.
+    (m = 0 states have L_z = 0, so no B enters.)
     """
     if j < 0 or not 0 <= m <= j:
         raise ValueError("need j >= 0 and 0 <= m <= j")
-    model = CModel(p.c_model, alpha=p.alpha, j=max(j, 1))
-    val = p.m0c2 + p.kappa * j2_eigenvalue(p.alpha, j, model)
+    val = p.m0c2 + p.kappa * j2_eigenvalue(p.alpha, j, p.c_model)
     if m > 0:
         b = p.b_for(j)
-        if b is None and b_extra is not None:
-            b = b_extra.get(j)
         if b is None:
             raise MissingB(f"no B_{j} available for a j={j}, m={m} state")
         val += b * lz_eigenvalue(p.alpha, m)
@@ -234,9 +229,9 @@ def mass_model(p: FitParams, j: int, m: int, b_extra: dict | None = None) -> flo
     return val
 
 
-def alpha_from_multiplet(m0: float, m1: float, m2: float,
-                         alpha_lo: float = 0.4, alpha_hi: float = 1.4) -> float:
-    """Solve L_z(alpha, 2) = (m2 - m0)/(m1 - m0) for alpha by bisection.
+def alpha_from_multiplet(m0: float, m1: float, m2: float) -> float:
+    """Solve L_z(alpha, 2) = (m2 - m0)/(m1 - m0) for alpha by bisection on
+    the bracket [0.4, 1.4].
 
     The ratio l(alpha, 2) = Gamma(1+2a)/Gamma(1+a)^2 is strictly increasing
     on the bracket; OutOfRange is raised when the target is unattainable.
@@ -244,7 +239,7 @@ def alpha_from_multiplet(m0: float, m1: float, m2: float,
     if m1 == m0:
         raise ValueError("m1 must differ from m0")
     target = (m2 - m0) / (m1 - m0)
-    lo, hi = alpha_lo, alpha_hi
+    lo, hi = 0.4, 1.4
     f_lo = euler_eigenvalue(lo, 2) - target
     f_hi = euler_eigenvalue(hi, 2) - target
     if f_lo * f_hi > 0:
@@ -267,8 +262,8 @@ def alpha_from_multiplet(m0: float, m1: float, m2: float,
 def two_state_solve(eta_c: float, chi0: float, alpha: float) -> tuple[float, float]:
     """(m0c2, kappa) from the two lowest m = 0 states (j = 1 and j = 2, c0):
     m0 + J2(alpha,1) kappa = eta_c;  m0 + J2(alpha,2) kappa = chi0."""
-    j2_1 = j2_eigenvalue(alpha, 1, CModel("c0"))
-    j2_2 = j2_eigenvalue(alpha, 2, CModel("c0"))
+    j2_1 = j2_eigenvalue(alpha, 1, "c0")
+    j2_2 = j2_eigenvalue(alpha, 2, "c0")
     kappa = (chi0 - eta_c) / (j2_2 - j2_1)
     m0c2 = eta_c - j2_1 * kappa
     return m0c2, kappa
@@ -291,7 +286,7 @@ def _design_matrix(jm, alphas, c_model: str) -> np.ndarray:
         (lg[:, 1:] - lg[:, :-1]) - lg[:, 1:2])
     lj, lz = l[:, j], l[:, m]
     if c_model == "c1":
-        c = np.array([[c_value(CModel("c1", alpha=a))] for a in alphas])
+        c = np.array([[c_value("c1", a)] for a in alphas])
     else:
         c = 1.0 if c_model == "c0" else l[:, j + 1] - lj
     one = np.ones_like(lj)
@@ -355,16 +350,15 @@ def _solve(states, alphas, c_model: str):
     return p, _masses(A, p) - y
 
 
-def fit(dataset, alpha, c_model: str = "c0",
-        scan_range: tuple[float, float] = (0.60, 0.72),
-        scan_step: float = 0.001, objective: str = "dm_published_abs") -> FitResult:
+def fit(dataset, alpha, c_model: str = "c0", scan_step: float = 0.001,
+        objective: str = "dm_published_abs") -> FitResult:
     """Least-squares fit of the mass formula.
 
     With a numeric `alpha` the model is linear in the six parameters and one
     least-squares solve suffices.  With alpha="scan" the objective (one of
     the diagnostic keys; the published tables correspond to the
     mean-absolute deviation excluding <33>) is minimised on a grid over
-    scan_range with step scan_step, then refined by golden section to 1e-4;
+    [0.60, 0.72] with step scan_step, then refined by golden section to 1e-4;
     ties break toward smaller alpha.  The grid is one batch (one design
     tensor over alpha, one stacked solve); each golden-section probe is a
     batch of one.  An objective that is not a diagnostic key raises
@@ -391,7 +385,7 @@ def fit(dataset, alpha, c_model: str = "c0",
     def obj(alphas) -> np.ndarray:
         return _metrics(states, _solve(states, alphas, c_model)[1])[objective]
 
-    grid = np.arange(scan_range[0], scan_range[1] + 0.5 * scan_step, scan_step)
+    grid = np.arange(0.60, 0.72 + 0.5 * scan_step, scan_step)
     i = int(np.argmin(obj(grid)))  # the first (smallest alpha) on ties
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
@@ -413,7 +407,7 @@ def fit(dataset, alpha, c_model: str = "c0",
 
 
 def predict(p: FitParams, j: int, m: int, dataset=None,
-            with_interval: bool = False, b_extra: dict | None = None):
+            with_interval: bool = False):
     """Mass prediction at an unfitted (j, m).
 
     Plain call: mass_model(p, j, m).  For the <33> state with
@@ -439,7 +433,7 @@ def predict(p: FitParams, j: int, m: int, dataset=None,
         e32 = s32.mass_err or 0.0
         err = math.hypot((1.0 - ratio) * e30, ratio * e32)
         return val, err
-    return mass_model(p, j, m, b_extra=b_extra)
+    return mass_model(p, j, m)
 
 
 # ----------------------------------------------------------------------------
@@ -452,44 +446,54 @@ def _radius_prefactor(alpha: float, mc2: float, hbar_c: float) -> float:
 
 
 def _zero_point(sigma_mass: float, quarks: QuarkMasses, alpha: float,
-                ctx: AlphaContext | None) -> tuple[float, float]:
-    """(E0, hbar_c) shared by the radius estimates: E0 = sigma - (2 m_d + m_c)
-    c^2, hbar_c from ctx or the standard value.  Raises NegativeZeroPoint
-    when E0 < 0 or is nan."""
+                hbar_c: float) -> float:
+    """E0 = sigma - (2 m_d + m_c) c^2, shared by the radius estimates.
+    Raises ValueError for a non-finite sigma or an hbar_c that is not
+    finite and positive, NegativeZeroPoint when E0 < 0."""
     _check_alpha(alpha)
+    if not math.isfinite(sigma_mass):
+        raise ValueError(f"sigma mass must be finite: {sigma_mass:g}")
+    if not 0.0 < hbar_c < math.inf:  # nan included
+        raise ValueError(f"hbar_c must be finite and positive: {hbar_c:g}")
     constituents = 2.0 * quarks.m_d_c2 + quarks.m_c_c2
     e0 = sigma_mass - constituents
-    if not e0 >= 0:  # nan included
+    if e0 < 0:
         raise NegativeZeroPoint(f"sigma mass {sigma_mass:g} below constituent "
                                 f"sum {constituents:g}")
-    return e0, (ctx.hbar_c if ctx is not None else HBARC_MEV_FM)
+    return e0
 
 
 def _octant_nodes(alpha: float, a: float, n: int, measure: str):
+    """Nodes on [0, a] and their weights scaled to sum 1: every use is a
+    ratio, and unscaled weights (~a) underflow in the triple products of a
+    well below about 1e-103 fm."""
     if measure == "rl":
-        return rl_nodes(alpha, a, n)
-    if measure == "plain":
-        xs, ws = np.polynomial.legendre.leggauss(n)
-        return 0.5 * a * (xs + 1.0), 0.5 * a * ws
-    raise ValueError("measure must be 'plain' or 'rl'")
+        u, w = rl_nodes(alpha, a, n)
+    elif measure == "plain":
+        xs, w = np.polynomial.legendre.leggauss(n)
+        u = 0.5 * a * (xs + 1.0)
+    else:
+        raise ValueError("measure must be 'plain' or 'rl'")
+    return u, w / w.sum()
 
 
 def radius_box(sigma_mass: float, quarks: QuarkMasses, alpha: float,
-               ctx: AlphaContext | None = None, n_nodes: int = 64,
+               hbar_c: float = HBARC_MEV_FM, n_nodes: int = 64,
                measure: str = "plain") -> tuple[float, float]:
     """(half-width a, <r>) in fm for the composite in a cubic box.
 
     The zero-point energy E0 = sigma - (2 m_d + m_c) c^2 fixes a through
     E0 = (3/2) m_c c^2 (hbar k0 / (m_c c a))^(2 alpha) with k0 the first
-    cos zero; <r> is the ground-state expectation of the fractional radius
-    operator over [0, a]^3 (ordinary volume element by default, which is
-    the convention behind the published value; measure="rl" switches to the
-    endpoint-anchored fractional measure).
+    cos zero and hbar c = hbar_c (MeV fm); <r> is the ground-state
+    expectation of the fractional radius operator over [0, a]^3 (ordinary
+    volume element by default, which is the convention behind the published
+    value; measure="rl" switches to the endpoint-anchored fractional
+    measure).
 
     Equality with the constituent sum is flagged by (inf, inf); below it,
     NegativeZeroPoint is raised.
     """
-    e0, hbar_c = _zero_point(sigma_mass, quarks, alpha, ctx)
+    e0 = _zero_point(sigma_mass, quarks, alpha, hbar_c)
     mc2 = quarks.m_c_c2
     k0 = find_zeros("cos", alpha, 1, 8.0, xtol=1e-12)[0] * HALF_PI
     if e0 == 0.0:
@@ -508,21 +512,21 @@ def radius_box(sigma_mass: float, quarks: QuarkMasses, alpha: float,
 
 
 def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
-                  ctx: AlphaContext | None = None, n_nodes: int = 64,
+                  hbar_c: float = HBARC_MEV_FM, n_nodes: int = 64,
                   measure: str = "plain") -> tuple[float, float]:
     """(r0, <r>) in fm for the composite in a spherical well.
 
     r0 comes from E0 = (1/2) m_c c^2 (hbar k_sph/(m_c c r0))^(2 alpha) with
-    k_sph the first zero of the radial ground state; <r> integrates the
-    radial ground state g over [0, r0]^3 like radius_box.  g depends on the
-    coordinates only through rho = sum |x_i|^(2 alpha), so L_z g = J^2 g = 0
-    holds by construction.
+    k_sph the first zero of the radial ground state and hbar c = hbar_c
+    (MeV fm); <r> integrates the radial ground state g over [0, r0]^3 like
+    radius_box.  g depends on the coordinates only through
+    rho = sum |x_i|^(2 alpha), so L_z g = J^2 g = 0 holds by construction.
 
     Weights, rho and g are symmetric in the node indices, so g is evaluated
     only at the sorted triples i <= j <= k (about n_nodes^3/6 points), each
     weighted by its number of distinct permutations.
     """
-    e0, hbar_c = _zero_point(sigma_mass, quarks, alpha, ctx)
+    e0 = _zero_point(sigma_mass, quarks, alpha, hbar_c)
     mc2 = quarks.m_c_c2
     ground = radial_ground(3, alpha)
     k_sph = ground.first_zero

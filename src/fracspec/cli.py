@@ -22,7 +22,6 @@ import numpy as np
 
 from . import angular, charmfit, spectra, su3fact
 from .fraccalc import (
-    AlphaContext,
     PrecisionLoss,
     domain_of_validity,
     frac_cos,
@@ -247,9 +246,9 @@ def cmd_radius(args) -> int:
     alpha = float(args.alpha if args.alpha is not None
                   else cfg.get("alpha", 2.0 / 3.0))
     hbar_c = float(cfg.get("hbar_c", charmfit.HBARC_MEV_FM))
-    ctx = AlphaContext(alpha=alpha, hbar_c=hbar_c, mc2=quarks.m_c_c2)
-    a_fm, r_box = charmfit.radius_box(args.sigma_mass, quarks, alpha, ctx)
-    r0_fm, r_sph = charmfit.radius_sphere(args.sigma_mass, quarks, alpha, ctx)
+    a_fm, r_box = charmfit.radius_box(args.sigma_mass, quarks, alpha, hbar_c)
+    r0_fm, r_sph = charmfit.radius_sphere(args.sigma_mass, quarks, alpha,
+                                          hbar_c)
     payload = {"sigma_mass_mev": args.sigma_mass, "alpha": alpha,
                "a_fm": a_fm, "r_mean_box_fm": r_box,
                "r0_fm": r0_fm, "r_mean_sphere_fm": r_sph}

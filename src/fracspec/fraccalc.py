@@ -472,8 +472,7 @@ class FracSeries:
     """f(x) = sum_n coeffs[n] * sign(kx)^n * |kx|^(n*alpha).
 
     parity is 'even' (odd-index coefficients vanish), 'odd' (even-index
-    vanish) or 'none'.  The truncation order is len(coeffs); eval() reports a
-    crude residual bound from the last retained term on request.
+    vanish) or 'none'.  The truncation order is len(coeffs).
     """
 
     alpha: float
@@ -528,15 +527,14 @@ class FracSeries:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval(self, x, with_residual: bool = False):
+    def eval(self, x):
         """Evaluate at scalar x by compensated summation of the truncated
-        series.  The residual estimate is twice the last retained term."""
+        series."""
         xf = float(x)
         u = self.k * xf
         au = abs(u)
         s = math.copysign(1.0, u) if u != 0.0 else 0.0
         terms = []
-        last = 0.0
         for n, a in enumerate(self.coeffs):
             if a == 0.0:
                 continue
@@ -545,20 +543,10 @@ class FracSeries:
             else:
                 t = a * (s**n) * au ** (n * self.alpha)
             terms.append(t)
-            last = t
-        val = math.fsum(terms)
-        if with_residual:
-            return val, 2.0 * abs(last)
-        return val
+        return math.fsum(terms)
 
     def __call__(self, x):
         return self.eval(x)
-
-    def to_csv(self) -> str:
-        """Debug dump of the coefficients (columns: n, a_n)."""
-        lines = ["n,a_n"]
-        lines += [f"{n},{a!r}" for n, a in enumerate(self.coeffs)]
-        return "\n".join(lines) + "\n"
 
 
 def caputo_derivative(series: FracSeries) -> FracSeries:
@@ -587,7 +575,7 @@ def caputo_derivative(series: FracSeries) -> FracSeries:
 # ----------------------------------------------------------------------------
 
 
-def rl_nodes(alpha: float, a: float, n: int = 64):
+def rl_nodes(alpha: float, a: float, n: int):
     """Nodes/weights (u_i, w_i) with I^alpha[f](a) ~= sum w_i f(u_i).
 
     Uses the exact substitution s = (a-u)^alpha, so the weight function is
@@ -612,7 +600,7 @@ _GL_NODES = np.concatenate([_GL32[0], _GL16[0]])
 
 
 def frac_integral(f, alpha: float, a: float, tol: float = 1e-8,
-                  max_depth: int = 28, max_panels: int = 4096) -> float:
+                  max_panels: int = 4096) -> float:
     """Riemann-Liouville integral (1/Gamma(a)) int_0^a (a-u)^(a-1) f(u) du.
 
     f must accept numpy arrays.  Adaptive Gauss-Legendre bisection on the
@@ -621,7 +609,7 @@ def frac_integral(f, alpha: float, a: float, tol: float = 1e-8,
     accepted when they differ by <= 0.5 tol max(scale, |v32|) or 1e-16
     scale (scale: |accepted| + sum of |v32| over the open panels), else
     bisected; relative error ~tol for smooth f.  Raises QuadratureFailure
-    when a panel fails at max_depth or a split would start with max_panels
+    when a panel fails at depth 28 or a split would start with max_panels
     panels evaluated.
     """
     _check_alpha(alpha)
@@ -644,7 +632,7 @@ def frac_integral(f, alpha: float, a: float, tol: float = 1e-8,
         n_split = len(ok) - int(np.count_nonzero(ok))
         if not n_split:
             return acc
-        if depth >= max_depth or n_panels + 2 * n_split - 2 >= max_panels:
+        if depth >= 28 or n_panels + 2 * n_split - 2 >= max_panels:
             raise QuadratureFailure(
                 f"adaptive refinement stalled at depth {depth}: {n_split} "
                 f"panels fail (worst err {e[~ok].max():g}), {n_panels} evaluated"

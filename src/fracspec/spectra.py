@@ -93,7 +93,8 @@ def _brackets(vs):
     """Indices i of the scan intervals [x_i, x_i+1] holding a root: a sign
     change, or an exact 0 at x_i+1 after a nonzero value, so a root landing
     on a scan point is reported once."""
-    a, b = vs[:-1], vs[1:]
+    s = np.sign(vs)  # a product of the values themselves can overflow
+    a, b = s[:-1], s[1:]
     return np.flatnonzero((a * b < 0.0) | ((b == 0.0) & (a != 0.0)))
 
 
@@ -142,14 +143,13 @@ def _refine(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
 
 
 def find_zeros(kind: str, alpha: float, count: int, x_max: float,
-               step: float = SCAN_STEP, xtol: float = 1e-10,
-               eval_tol: float = 1e-9) -> ZeroScan:
+               xtol: float = 1e-10, eval_tol: float = 1e-9) -> ZeroScan:
     """First `count` positive roots of frac_cos/frac_sin(alpha, (pi/2) x) on
     (0, x_max], on the scaled axis.
 
-    Scans with `step` in chunks of certified signs (a float64 pass, summed
-    again in double-double only near zero), brackets sign changes and exact
-    zeros, refines to xtol, and stops once `count` roots are found.  Raises
+    Scans with step SCAN_STEP in chunks of certified signs (a float64 pass,
+    summed again in double-double only near zero), brackets sign changes and
+    exact zeros, refines to xtol, and stops once `count` roots are found.  Raises
     NoZeros when no sign change exists in the whole scanned domain (the
     alpha <= 1/2 regime); returns fewer roots with complete=False when the
     function stops crossing zero later on.
@@ -166,12 +166,12 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
     beta = 1.0 + alpha if odd else 1.0
     roots: list[float] = []
     chunk = 400  # scan points per vector evaluation
-    x0 = step
+    x0 = SCAN_STEP
     prev_x = None
     prev_v = None
     while x0 <= x_max and len(roots) < count:
-        xs = x0 + step * np.arange(chunk)
-        xs = xs[xs <= x_max + 0.5 * step]
+        xs = x0 + SCAN_STEP * np.arange(chunk)
+        xs = xs[xs <= x_max + 0.5 * SCAN_STEP]
         if len(xs) == 0:
             break
         tol = _scan_tol(alpha, beta, float(xs[-1]), eval_tol)
@@ -195,7 +195,7 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
                                  float(vs[i]), float(vs[i + 1]), xtol))
         prev_x = float(xs[-1])
         prev_v = float(vs[-1])
-        x0 = prev_x + step
+        x0 = prev_x + SCAN_STEP
     if not roots:
         raise NoZeros(
             f"frac_{kind}(alpha={alpha:g}) has no zero on (0, {x_max:g}] "
@@ -313,7 +313,6 @@ class RadialGround:
     N: int
     alpha: float
     coeffs: tuple
-    eta: tuple
     first_zero: float
 
     def g(self, z):
@@ -330,28 +329,27 @@ class RadialGround:
         return self.first_zero / HALF_PI
 
 
-def radial_ground(N: int, alpha: float, terms: int = 64,
-                  scan_max_scaled: float = 20.0) -> RadialGround:
-    """Radial ground-state series and its first zero for the N-dimensional
-    spherical problem.  Raises NoZeros if no root lies in the scan range
-    (0, scan_max_scaled] on the (pi/2)-scaled axis."""
+def radial_ground(N: int, alpha: float) -> RadialGround:
+    """Radial ground-state series (64 terms past a_0) and its first zero for
+    the N-dimensional spherical problem.  Raises NoZeros if no root lies in
+    the scan range (0, 20] on the (pi/2)-scaled axis."""
     if N < 2:
         raise ValueError("N must be >= 2")
     _check_alpha(alpha)
     tab = _table(2.0 * alpha, 1.0)
-    tab.extend(terms + 1)
-    eta = tuple(tab.ratio[j - 1] for j in range(1, terms + 1))  # eta[j-1] = eta_j
+    tab.extend(65)
+    eta = tab.ratio  # eta[j-1] = eta_j
     coeffs = [1.0]
-    for j in range(1, terms + 1):
+    for j in range(1, 65):
         coeffs.append(coeffs[-1] / ((N - 1) * j * eta[0] + eta[j - 1]))
-    ground = RadialGround(N, alpha, tuple(coeffs), eta, first_zero=math.nan)
-    xs = np.arange(SCAN_STEP, scan_max_scaled + SCAN_STEP, SCAN_STEP) * HALF_PI
+    ground = RadialGround(N, alpha, tuple(coeffs), first_zero=math.nan)
+    xs = np.arange(SCAN_STEP, 20.0 + SCAN_STEP, SCAN_STEP) * HALF_PI
     vs = ground.g(xs)
     idx = _brackets(vs)
     if len(idx) == 0:
         raise NoZeros(
             f"radial ground state g(N={N}, alpha={alpha:g}) has no zero on "
-            f"(0, {scan_max_scaled:g}] (scaled axis)"
+            "(0, 20] (scaled axis)"
         )
     i = idx[0]
     root = _refine(lambda z: float(ground.g(z)), float(xs[i]),
@@ -374,8 +372,7 @@ def spherical_ground_energy(N: int, alpha: float, r0: float,
 # ----------------------------------------------------------------------------
 
 
-def equivalent_potential(alpha: float, T: float, n_states: int, grid,
-                         tail_budget: float = 1e-6):
+def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     """V(x)/T of the ordinary-equation potential whose thermal density
     matches the fractional well's, on the dimensionless well [-1, 1]:
 
@@ -385,7 +382,7 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid,
     under the alpha-measure; energies use hbar = m = c = a = 1.
 
     The cutoff must satisfy exp(-E_last/T) < 1e-8; CutoffTooSmall is raised
-    when the estimated tail weight exceeds tail_budget (default 1e-6).
+    when the estimated tail weight exceeds 1e-6.
     """
     _check_alpha(alpha)
     if not T > 0:  # nan included
@@ -410,7 +407,7 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid,
         # spectrum exhausted (finite zero set); treat the basis as complete
         tail = 0.0
         w_next = 0.0
-    if weights[-1] > 1e-8 or tail > tail_budget:
+    if weights[-1] > 1e-8 or tail > 1e-6:
         raise CutoffTooSmall(
             f"cutoff weight {weights[-1]:.2e} (tail ~{tail:.2e}) exceeds the "
             f"budget; raise n_states or lower T"

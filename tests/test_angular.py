@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fracspec.angular import (
-    CModel,
     TABLE1_PRINTED,
     c_value,
     commutator_c,
@@ -43,11 +42,11 @@ def test_bracket_smooth_in_n():
 
 
 def test_c0_is_one():
-    assert c_value(CModel("c0", alpha=0.7)) == 1.0
+    assert c_value("c0", 0.7) == 1.0
 
 
 def test_c1_limit_alpha_one():
-    assert c_value(CModel("c1", alpha=1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert c_value("c1", 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_c1_reflection_formula_value():
@@ -55,22 +54,34 @@ def test_c1_reflection_formula_value():
     # published table's 0.545 (recorded discrepancy, not silently matched)
     a = 0.647
     expected = 1.0 - math.sin(math.pi * a) / (math.pi * a)
-    got = c_value(CModel("c1", alpha=a))
+    got = c_value("c1", a)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(0.5595586701316777, rel=1e-12)
     assert abs(got - 0.545) > 0.01
 
 
 def test_c2_classical():
-    assert c_value(CModel("c2", alpha=1.0, j=1)) == pytest.approx(1.0,
-                                                                  abs=1e-12)
+    assert c_value("c2", 1.0, 1) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: c_value("c3", 0.7),
+    lambda: c_value("c2", 0.7, 0),
+    lambda: c_value("c1", 0.0),
+    lambda: j2_eigenvalue(0.7, 2, "c3"),
+    # the l(alpha, 0) = 0 shortcut does not skip the variant check
+    lambda: j2_eigenvalue(0.7, 0, "c3"),
+], ids=["c3", "c2_j0", "c1_alpha0", "j2_c3", "j2_c3_j0"])
+def test_commutator_model_validation(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_c2_is_euler_step():
     # c2(j, a) telescopes to l(a, j+1) - l(a, j)
     for a in (0.65, 0.8, 1.1):
         for j in (1, 2, 4):
-            got = c_value(CModel("c2", alpha=a, j=j))
+            got = c_value("c2", a, j)
             assert got == pytest.approx(
                 euler_eigenvalue(a, j + 1) - euler_eigenvalue(a, j), rel=1e-10)
 
@@ -125,10 +136,9 @@ def test_euler_increasing_sublinear():
 
 
 def test_lz_negative_projection_flagged():
-    with pytest.raises(ValueError):
-        lz_eigenvalue(0.7, -1)
-    assert lz_eigenvalue(0.7, -2, allow_negative=True) == pytest.approx(
-        -euler_eigenvalue(0.7, 2), rel=1e-12)
+    for m in (-1, -2):
+        with pytest.raises(ValueError):
+            lz_eigenvalue(0.7, m)
 
 
 # --- J^2 ----------------------------------------------------------------------------
@@ -137,19 +147,18 @@ def test_lz_negative_projection_flagged():
 def test_j2_zero_at_j0():
     for variant in ("c0", "c1", "c2"):
         for a in (0.65, 0.8, 1.0):
-            assert j2_eigenvalue(a, 0, CModel(variant, alpha=a, j=1)) == 0.0
+            assert j2_eigenvalue(a, 0, variant) == 0.0
 
 
 def test_j2_printed_values():
-    assert j2_eigenvalue(0.68, 2, CModel("c0")) == pytest.approx(3.663108,
-                                                                 abs=1e-4)
-    assert j2_eigenvalue(2.0 / 3.0, 3, CModel("c0")) == pytest.approx(
+    assert j2_eigenvalue(0.68, 2, "c0") == pytest.approx(3.663108, abs=1e-4)
+    assert j2_eigenvalue(2.0 / 3.0, 3, "c0") == pytest.approx(
         5.323069, abs=1e-4)
 
 
 def test_j2_classical_collapse():
     for j in range(7):
-        assert j2_eigenvalue(1.0, j, CModel("c0")) == pytest.approx(
+        assert j2_eigenvalue(1.0, j, "c0") == pytest.approx(
             j * (j + 1.0), abs=1e-12)
 
 
@@ -157,7 +166,7 @@ def test_j2_nonnegative():
     for variant in ("c0", "c1", "c2"):
         for a in (0.6, 0.68, 0.9, 1.1):
             for j in range(7):
-                assert j2_eigenvalue(a, j, CModel(variant, alpha=a, j=max(j, 1))) >= 0.0
+                assert j2_eigenvalue(a, j, variant) >= 0.0
 
 
 # --- the printed table ---------------------------------------------------------------
@@ -187,7 +196,7 @@ def test_table1_tension_columns_match_alpha_068():
     for r in rows[1:3]:
         n = r["n"]
         v1 = euler_eigenvalue(0.68, n) * (euler_eigenvalue(0.68, n)
-                                          + c_value(CModel("c1", alpha=0.68)))
+                                          + c_value("c1", 0.68))
         assert v1 == pytest.approx(TABLE1_PRINTED["j2c1_065"][n], abs=2e-4)
         v2 = euler_eigenvalue(0.68, n) * euler_eigenvalue(0.68, n + 1)
         assert v2 == pytest.approx(TABLE1_PRINTED["j2c2_065"][n], abs=2e-4)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracspec import charmfit
-from fracspec.angular import CModel, j2_eigenvalue, lz_eigenvalue
+from fracspec.angular import j2_eigenvalue, lz_eigenvalue
 from fracspec.charmfit import (
     CharmState,
     DuplicateState,
@@ -105,7 +105,9 @@ def test_mass_model_missing_b():
     p = TABLE2_ROWS[1]
     with pytest.raises(MissingB):
         mass_model(p, 4, 1)
-    assert mass_model(p, 4, 1, b_extra={4: 100.0}) > mass_model(p, 4, 0)
+    with pytest.raises(MissingB):
+        predict(p, 5, 2)
+    assert mass_model(p, 4, 0) > mass_model(p, 3, 0)
 
 
 # --- alpha extraction ---------------------------------------------------------------
@@ -242,7 +244,7 @@ def test_design_rows_equal_scalar_eigenvalues(c_model):
     for a, rows in zip(alphas, A):
         for (j, m), row in zip(_ALL_JM, rows):
             lz = lz_eigenvalue(a, m) if m > 0 else 0.0
-            ref = [1.0, j2_eigenvalue(a, j, CModel(c_model, alpha=a, j=max(j, 1))),
+            ref = [1.0, j2_eigenvalue(a, j, c_model),
                    lz if j == 1 else 0.0, lz if j == 2 else 0.0,
                    lz if j == 3 else 0.0, 1.0 if j == 3 else 0.0]
             assert row.tolist() == ref, (a, j, m)
@@ -265,8 +267,7 @@ def _lstsq_scan(states, c_model, step, lo=0.60, hi=0.72):
     published = np.array([(s.j, s.m) != (3, 3) for s in states])
 
     def solve(a):
-        A = np.array([[1.0, j2_eigenvalue(a, s.j, CModel(c_model, alpha=a,
-                                                          j=max(s.j, 1))),
+        A = np.array([[1.0, j2_eigenvalue(a, s.j, c_model),
                        *[lz_eigenvalue(a, s.m) if (s.j == jb and s.m > 0)
                          else 0.0 for jb in (1, 2, 3)],
                        1.0 if s.j == 3 else 0.0] for s in states])
@@ -411,6 +412,27 @@ def test_sphere_cubature_matches_brute_force(alpha, n_nodes, measure):
                           measure=measure)
     assert r == pytest.approx(_sphere_brute_force(r0, alpha, n_nodes, measure),
                               rel=1e-13)
+
+
+@pytest.mark.parametrize("fn", [radius_box, radius_sphere])
+def test_radius_scales_to_a_tiny_well(fn):
+    # <r> ~ a^alpha at fixed shape: E0 = 1e300 MeV shrinks the well to
+    # ~1e-224 fm, where unscaled cubature weights underflow
+    alpha = 2.0 / 3.0
+    a, r = fn(2452.2, QUARKS, alpha)
+    a_tiny, r_tiny = fn(1e300, QUARKS, alpha)
+    assert 0.0 < a_tiny < 1e-200 and 0.0 < r_tiny
+    assert r_tiny / a_tiny**alpha == pytest.approx(r / a**alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma, hbar_c", [
+    (math.inf, 197.327), (-math.inf, 197.327), (math.nan, 197.327),
+    (2452.2, -1.0), (2452.2, math.nan), (2452.2, math.inf),
+])
+def test_radius_rejects_bad_sigma_and_hbar_c(sigma, hbar_c):
+    for fn in (radius_box, radius_sphere):
+        with pytest.raises(ValueError):
+            fn(sigma, QUARKS, 2.0 / 3.0, hbar_c)
 
 
 def test_radius_quadrature_stability():

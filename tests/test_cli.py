@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import warnings
 from importlib import resources
 
 import pytest
@@ -202,6 +203,15 @@ def test_radius_artifact_honest_exit(tmp_path):
     assert p["r0_fm"] == pytest.approx(1.1222, abs=0.001)
 
 
+def test_radius_of_a_tiny_well_is_finite(tmp_path):
+    # E0 = 1e300 MeV: a well of ~1e-224 fm, far from the published values
+    out = tmp_path / "radius.json"
+    assert run(["radius", "--sigma-mass", "1e300", "--out", str(out)]) == 1
+    p = json.loads(out.read_text())
+    for key in ("a_fm", "r_mean_box_fm", "r0_fm", "r_mean_sphere_fm"):
+        assert 0.0 < p[key] < math.inf, key
+
+
 def test_radius_bad_input(tmp_path):
     assert run(["radius", "--sigma-mass", "100",
                 "--out", str(tmp_path / "r.json")]) == 2
@@ -228,6 +238,7 @@ def test_radius_bad_input(tmp_path):
     # nan passes a `<= 0` guard
     ["potential", "--alpha", "0.9", "--temperature", "nan", "--n-states", "5"],
     ["radius", "--sigma-mass", "nan"],
+    ["radius", "--sigma-mass", "inf"],
     # a scan range that is empty or nan
     ["zeros", "--x-max", "nan"],
     ["zeros", "--x-max", "0"],
@@ -255,6 +266,17 @@ def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     assert "error" in json.loads(err)
 
 
+def test_scan_past_the_amplitude_range_warns_nothing(tmp_path, capsys):
+    # past the amplitude range the scan values reach ~1e160; stderr must
+    # still be one JSON object, with no numpy warning ahead of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["zeros", "--x-max", "500", "--alpha-min", "0.6",
+                  "--alpha-max", "0.6", "--out", str(tmp_path / "z.csv")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("ValueError")
+
+
 @pytest.mark.parametrize("args", [
     # beyond the certified range: PrecisionLoss, raised before any artifact
     ["potential", "--alpha", "0.8", "--temperature", "12", "--n-states", "18",
@@ -279,8 +301,7 @@ def test_certification_failure_exits_1_with_json_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("args", [
-    # E0 = 1e300 MeV: the well is so small that the cubature divides by zero
-    ["radius", "--sigma-mass", "1e300"],
+    ["radius"],
     ["masses"],
     ["factorcheck"],
 ])
@@ -290,7 +311,10 @@ def test_unexpected_error_exits_1_with_json_error(tmp_path, capsys,
         raise raised
 
     raised = None
-    if args == ["masses"]:
+    if args == ["radius"]:
+        raised = ZeroDivisionError("float division by zero")
+        monkeypatch.setattr(charmfit, "radius_box", broken)
+    elif args == ["masses"]:
         raised = RuntimeError("unforeseen")
         monkeypatch.setattr(charmfit, "table3_report", broken)
     elif args == ["factorcheck"]:

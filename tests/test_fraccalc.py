@@ -105,15 +105,6 @@ def test_series_eval_matches_ml_functions():
         assert c.eval(x) == pytest.approx(frac_cos(alpha, k * x), abs=1e-10)
 
 
-def test_series_eval_residual_and_csv():
-    s = FracSeries.cosine(0.8, terms=24)
-    val, resid = s.eval(1.0, with_residual=True)
-    assert resid >= 0.0
-    dump = s.to_csv()
-    assert dump.startswith("n,a_n")
-    assert len(dump.strip().splitlines()) == 25
-
-
 def test_series_validation():
     with pytest.raises(ValueError):
         FracSeries(alpha=0.7, coeffs=(1.0, 2.0), parity="even")

@@ -1,6 +1,7 @@
 """Zero finding, well spectra, radial ground state, equivalent potential."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -372,6 +373,13 @@ def test_roots_of_small_slope_within_xtol(kind, alpha):
 ])
 def test_root_on_a_scan_point_is_bracketed_once(vs, want):
     assert _brackets(np.array(vs)).tolist() == want
+
+
+def test_scan_beyond_the_amplitude_range_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="representable"):
+            find_zeros("cos", 0.6, 6, 500.0)
 
 
 def test_find_zeros_keeps_a_root_on_a_scan_point(monkeypatch):
