@@ -25,6 +25,7 @@ measure="rl".  Both coincide at alpha = 1.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from importlib import resources
 
 import numpy as np
 
-from .angular import c_value, euler_eigenvalue, j2_eigenvalue, lz_eigenvalue
+from .angular import c_value, euler_eigenvalue
 from .fraccalc import HBARC_MEV_FM, _check_alpha, gamma, rl_nodes
 from .fraccalc import frac_cos
 from .spectra import find_zeros, radial_ground, HALF_PI
@@ -112,8 +113,10 @@ class CharmState:
                 f"state {self.name!r}: need j >= 0 and 0 <= m <= j "
                 f"(got j={self.j}, m={self.m})"
             )
-        if self.mass_exp <= 0:
-            raise ParseError(f"state {self.name!r}: mass must be positive")
+        if not (0 < self.mass_exp < math.inf  # nan included
+                and 0 <= (self.mass_err or 0.0) < math.inf):
+            raise ParseError(f"state {self.name!r}: mass must be finite and "
+                             f"positive, its error finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -134,8 +137,9 @@ class FitParams:
         if self.c_model not in ("c0", "c1", "c2"):
             raise ValueError("c_model must be 'c0', 'c1' or 'c2'")
 
-    def b_for(self, j: int) -> float | None:
-        return {1: self.B1, 2: self.B2, 3: self.B3}.get(j)
+    def vector(self) -> np.ndarray:
+        """The six mass-formula parameters in _PARAM_NAMES order."""
+        return np.array([getattr(self, k) for k in _PARAM_NAMES])
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,17 @@ class QuarkMasses:
     m_c_c2: float = 1400.0
 
     def __post_init__(self):
-        if self.m_d_c2 <= 0 or self.m_c_c2 <= 0:
-            raise ValueError("quark masses must be positive")
+        if not (0 < self.m_d_c2 < math.inf and 0 < self.m_c_c2 < math.inf):
+            raise ValueError("quark masses must be finite and positive")
+
+
+def _read_input(path) -> str:
+    """The text of an input file; UnreadableFile when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise UnreadableFile(f"{path}: {e.strerror or e}") from e
 
 
 def load_dataset(path) -> list[CharmState]:
@@ -157,11 +170,7 @@ def load_dataset(path) -> list[CharmState]:
     UnreadableFile when the file cannot be read, ParseError with position
     info on malformed input and DuplicateState on a repeated (j, m) label.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise UnreadableFile(f"{path}: {e.strerror or e}") from e
+    text = _read_input(path)
     if not text.strip():
         return []
     try:
@@ -218,15 +227,10 @@ def mass_model(p: FitParams, j: int, m: int) -> float:
     """
     if j < 0 or not 0 <= m <= j:
         raise ValueError("need j >= 0 and 0 <= m <= j")
-    val = p.m0c2 + p.kappa * j2_eigenvalue(p.alpha, j, p.c_model)
-    if m > 0:
-        b = p.b_for(j)
-        if b is None:
-            raise MissingB(f"no B_{j} available for a j={j}, m={m} state")
-        val += b * lz_eigenvalue(p.alpha, m)
-    if j == 3:
-        val += p.delta_tau
-    return val
+    if m > 0 and j not in (1, 2, 3):
+        raise MissingB(f"no B_{j} available for a j={j}, m={m} state")
+    A = _design_matrix([(j, m)], [p.alpha], p.c_model)
+    return float(_masses(A, p.vector())[0, 0])
 
 
 def alpha_from_multiplet(m0: float, m1: float, m2: float) -> float:
@@ -262,8 +266,7 @@ def alpha_from_multiplet(m0: float, m1: float, m2: float) -> float:
 def two_state_solve(eta_c: float, chi0: float, alpha: float) -> tuple[float, float]:
     """(m0c2, kappa) from the two lowest m = 0 states (j = 1 and j = 2, c0):
     m0 + J2(alpha,1) kappa = eta_c;  m0 + J2(alpha,2) kappa = chi0."""
-    j2_1 = j2_eigenvalue(alpha, 1, "c0")
-    j2_2 = j2_eigenvalue(alpha, 2, "c0")
+    j2_1, j2_2 = _design_matrix([(1, 0), (2, 0)], [alpha], "c0")[0, :, 1]
     kappa = (chi0 - eta_c) / (j2_2 - j2_1)
     m0c2 = eta_c - j2_1 * kappa
     return m0c2, kappa
@@ -295,7 +298,7 @@ def _design_matrix(jm, alphas, c_model: str) -> np.ndarray:
 
 
 def _masses(A: np.ndarray, params) -> np.ndarray:
-    """A . params added in mass_model's order, so bitwise mass_model's."""
+    """A . params, added term by term in the mass formula's order."""
     return sum(A[..., k] * params[..., None, k] for k in range(6))
 
 
@@ -307,12 +310,7 @@ class FitResult:
 
     def to_json(self) -> str:
         payload = {
-            "params": {
-                "m0c2": self.params.m0c2, "kappa": self.params.kappa,
-                "B1": self.params.B1, "B2": self.params.B2,
-                "B3": self.params.B3, "delta_tau": self.params.delta_tau,
-                "alpha": self.params.alpha, "c_model": self.params.c_model,
-            },
+            "params": dataclasses.asdict(self.params),
             "residuals": {f"{j}{m}": v for (j, m), v in self.residuals.items()},
             "diagnostics": self.diagnostics,
         }
@@ -441,28 +439,6 @@ def predict(p: FitParams, j: int, m: int, dataset=None,
 # ----------------------------------------------------------------------------
 
 
-def _radius_prefactor(alpha: float, mc2: float, hbar_c: float) -> float:
-    return (hbar_c / mc2) ** (1.0 - alpha) / gamma(1.0 + alpha)
-
-
-def _zero_point(sigma_mass: float, quarks: QuarkMasses, alpha: float,
-                hbar_c: float) -> float:
-    """E0 = sigma - (2 m_d + m_c) c^2, shared by the radius estimates.
-    Raises ValueError for a non-finite sigma or an hbar_c that is not
-    finite and positive, NegativeZeroPoint when E0 < 0."""
-    _check_alpha(alpha)
-    if not math.isfinite(sigma_mass):
-        raise ValueError(f"sigma mass must be finite: {sigma_mass:g}")
-    if not 0.0 < hbar_c < math.inf:  # nan included
-        raise ValueError(f"hbar_c must be finite and positive: {hbar_c:g}")
-    constituents = 2.0 * quarks.m_d_c2 + quarks.m_c_c2
-    e0 = sigma_mass - constituents
-    if e0 < 0:
-        raise NegativeZeroPoint(f"sigma mass {sigma_mass:g} below constituent "
-                                f"sum {constituents:g}")
-    return e0
-
-
 def _octant_nodes(alpha: float, a: float, n: int, measure: str):
     """Nodes on [0, a] and their weights scaled to sum 1: every use is a
     ratio, and unscaled weights (~a) underflow in the triple products of a
@@ -475,6 +451,42 @@ def _octant_nodes(alpha: float, a: float, n: int, measure: str):
     else:
         raise ValueError("measure must be 'plain' or 'rl'")
     return u, w / w.sum()
+
+
+def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
+                   hbar_c: float, n_nodes: int, measure: str, factor: float,
+                   k0: float, density) -> tuple[float, float]:
+    """radius_box/radius_sphere for the ground state of first zero k0, energy
+    E0 = factor m_c c^2 (hbar k0/(m_c c size))^(2 alpha) and density(u, size,
+    t, G) at the node triples t of the nodes u, G = sum_t |u|^(2 alpha).  Only
+    the sorted triples i <= j <= k are summed (about n_nodes^3/6 points), as
+    all of it is symmetric in the node indices."""
+    if not math.isfinite(sigma_mass):
+        raise ValueError(f"sigma mass must be finite: {sigma_mass:g}")
+    if not 0.0 < hbar_c < math.inf:  # nan included
+        raise ValueError(f"hbar_c must be finite and positive: {hbar_c:g}")
+    constituents = 2.0 * quarks.m_d_c2 + quarks.m_c_c2
+    e0 = sigma_mass - constituents
+    if e0 < 0:
+        raise NegativeZeroPoint(f"sigma mass {sigma_mass:g} below constituent "
+                                f"sum {constituents:g}")
+    if e0 == 0.0:
+        return math.inf, math.inf
+    mc2 = quarks.m_c_c2
+    X = (e0 / (factor * mc2)) ** (1.0 / (2.0 * alpha))
+    size = hbar_c * k0 / (mc2 * X)
+    u, w = _octant_nodes(alpha, size, n_nodes, measure)
+    R = np.abs(u) ** (2.0 * alpha)
+    # sorted triples i <= j <= k: for each pair j <= k, i runs over 0..j
+    j, k = np.triu_indices(n_nodes)
+    i = np.arange((j + 1).sum()) - np.repeat(np.cumsum(j + 1) - j - 1, j + 1)
+    j, k = np.repeat(j, j + 1), np.repeat(k, j + 1)
+    G = R[i] + R[j] + R[k]
+    # each sorted triple stands for its 6, 3 or 1 distinct permutations
+    W = w[i] * w[j] * w[k] * np.array([6.0, 3.0, 1.0])[(i == j) * 1 + (j == k)]
+    W *= density(u, size, (i, j, k), G)
+    prefactor = (hbar_c / mc2) ** (1.0 - alpha) / gamma(1.0 + alpha)
+    return size, prefactor * float(W @ np.sqrt(G)) / float(W.sum())
 
 
 def radius_box(sigma_mass: float, quarks: QuarkMasses, alpha: float,
@@ -493,22 +505,14 @@ def radius_box(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     Equality with the constituent sum is flagged by (inf, inf); below it,
     NegativeZeroPoint is raised.
     """
-    e0 = _zero_point(sigma_mass, quarks, alpha, hbar_c)
-    mc2 = quarks.m_c_c2
     k0 = find_zeros("cos", alpha, 1, 8.0, xtol=1e-12)[0] * HALF_PI
-    if e0 == 0.0:
-        return math.inf, math.inf
-    X = (2.0 * e0 / (3.0 * mc2)) ** (1.0 / (2.0 * alpha))
-    a = hbar_c * k0 / (mc2 * X)
-    u, w = _octant_nodes(alpha, a, n_nodes, measure)
-    psi = frac_cos(alpha, k0 * u / a)
-    W = w * psi * psi
-    R = np.abs(u) ** (2.0 * alpha)
-    G = R[:, None, None] + R[None, :, None] + R[None, None, :]
-    num = float(np.einsum("i,j,k,ijk->", W, W, W, np.sqrt(G)))
-    den = float(W.sum()) ** 3
-    r_mean = _radius_prefactor(alpha, mc2, hbar_c) * num / den
-    return a, r_mean
+
+    def density(u, a, t, G):  # psi_i^2 psi_j^2 psi_k^2
+        p = frac_cos(alpha, k0 * u / a) ** 2
+        return p[t[0]] * p[t[1]] * p[t[2]]
+
+    return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, measure,
+                          1.5, k0, density)
 
 
 def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
@@ -521,34 +525,15 @@ def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     (MeV fm); <r> integrates the radial ground state g over [0, r0]^3 like
     radius_box.  g depends on the coordinates only through
     rho = sum |x_i|^(2 alpha), so L_z g = J^2 g = 0 holds by construction.
-
-    Weights, rho and g are symmetric in the node indices, so g is evaluated
-    only at the sorted triples i <= j <= k (about n_nodes^3/6 points), each
-    weighted by its number of distinct permutations.
     """
-    e0 = _zero_point(sigma_mass, quarks, alpha, hbar_c)
-    mc2 = quarks.m_c_c2
     ground = radial_ground(3, alpha)
     k_sph = ground.first_zero
-    if e0 == 0.0:
-        return math.inf, math.inf
-    X = (2.0 * e0 / mc2) ** (1.0 / (2.0 * alpha))
-    r0 = hbar_c * k_sph / (mc2 * X)
-    u, w = _octant_nodes(alpha, r0, n_nodes, measure)
-    R = np.abs(u) ** (2.0 * alpha)
-    # sorted triples i <= j <= k: for each pair j <= k, i runs over 0..j
-    j, k = np.triu_indices(n_nodes)
-    i = np.arange((j + 1).sum()) - np.repeat(np.cumsum(j + 1) - j - 1, j + 1)
-    j, k = np.repeat(j, j + 1), np.repeat(k, j + 1)
-    G = R[i] + R[j] + R[k]
-    scale = (k_sph / r0) ** (2.0 * alpha)
-    P = ground.g_of_rho(scale * G)
-    # each sorted triple stands for its 6, 3 or 1 distinct permutations
-    W = w[i] * w[j] * w[k] * np.array([6.0, 3.0, 1.0])[(i == j) * 1 + (j == k)]
-    num = float((W * P * P) @ np.sqrt(G))
-    den = float((W * P * P).sum())
-    r_mean = _radius_prefactor(alpha, mc2, hbar_c) * num / den
-    return r0, r_mean
+
+    def density(u, r0, t, G):  # g(rho)^2
+        return ground.g_of_rho((k_sph / r0) ** (2.0 * alpha) * G) ** 2
+
+    return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, measure,
+                          0.5, k_sph, density)
 
 
 # ----------------------------------------------------------------------------
@@ -612,19 +597,21 @@ def table3_report(param_rows=TABLE2_ROWS, dataset=None) -> list[dict]:
     jm_list = sorted(TABLE3_PRINTED.keys())
     # the window covers the observed mis-rounding of the printed alphas (0.681
     # evidently computed at ~0.680, 0.649 at ~0.6496); first best on ties
-    refined = []
+    # one batch per parameter row: the printed alpha, then the window
+    at_printed, refined = [], []
     for i, p in enumerate(param_rows):
-        masses = _masses(_design_matrix(jm_list, np.linspace(
-            p.alpha - 0.003, p.alpha + 0.003, 241), p.c_model),
-            np.array([getattr(p, k) for k in _PARAM_NAMES]))
-        dev = np.abs(masses - [TABLE3_PRINTED[jm][i] for jm in jm_list])
-        refined.append(masses[int(np.argmin(dev.max(axis=1)))])
+        alphas = np.concatenate([[p.alpha], np.linspace(
+            p.alpha - 0.003, p.alpha + 0.003, 241)])
+        masses = _masses(_design_matrix(jm_list, alphas, p.c_model), p.vector())
+        dev = np.abs(masses[1:] - [TABLE3_PRINTED[jm][i] for jm in jm_list])
+        at_printed.append(masses[0])
+        refined.append(masses[1 + int(np.argmin(dev.max(axis=1)))])
     rows = []
     for r, (j, m) in enumerate(jm_list):
         row = {"j": j, "m": m, "symbol": _TABLE3_SYMBOLS.get((j, m), ""),
                "m_exp": by_jm[(j, m)].mass_exp if (j, m) in by_jm else None}
         for i, p in enumerate(param_rows):
-            mth = mass_model(p, j, m)
+            mth = float(at_printed[i][r])
             label = f"set{i}"
             row[f"{label}_m_th"] = mth
             row[f"{label}_delta_exp"] = (mth - row["m_exp"]

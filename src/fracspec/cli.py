@@ -80,12 +80,18 @@ def _fail(message: str, **extra) -> int:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
+    cfg = json.loads(charmfit._read_input(path))
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: expected a top-level JSON object")
+    return cfg
+
+
+def _number(value, what: str) -> float:
+    """value as a float; a JSON list, object or null is bad input."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise charmfit.UnreadableFile(f"{path}: {e.strerror or e}") from e
-    return json.loads(text)
+        return float(value)
+    except TypeError as e:
+        raise ValueError(f"{what} must be a number, got {value!r}") from e
 
 
 def _dataset(args) -> list:
@@ -112,23 +118,16 @@ def cmd_special(args) -> int:
         beta = 1.0 if args.name in ("exp", "cos") else 1.0 + args.alpha
         a_ml = power = 2.0 * args.alpha
         fn = {"exp": frac_exp, "cos": frac_cos, "sin": frac_sin}[args.name]
-    bound = domain_of_validity(a_ml, beta, args.tol)
-    xmax = float(np.max(np.abs(xs))) if len(xs) else 0.0
-    if xmax**power > bound:
-        raise DomainExceeded(
-            f"|x| up to {xmax:g} exceeds the certified bound |x| <= "
-            f"{bound ** (1.0 / power):g} for {args.name}(alpha={args.alpha:g}) "
-            f"at tol {args.tol:g}"
-        )
-    # the bound covers the cancelling axis only; a value too large to round
-    # within tol (exp, mlf at x > 0, cos/sin at alpha > 1) is still the
-    # user's range, and the sum raises before any artifact is written
+    # the sum certifies the whole range first, so past it (or where a value
+    # is too large to round within tol) no artifact is written
     try:
         ys = fn(args.alpha, xs, args.tol)
     except PrecisionLoss as e:
-        raise DomainExceeded(f"x in [{args.x_min:g}, {args.x_max:g}] is beyond "
-                             f"the certified range of {args.name}"
-                             f"(alpha={args.alpha:g}): {e}") from e
+        bound = domain_of_validity(a_ml, beta, args.tol) ** (1.0 / power)
+        raise DomainExceeded(
+            f"x in [{args.x_min:g}, {args.x_max:g}] is beyond the certified "
+            f"range of {args.name}(alpha={args.alpha:g}) at tol {args.tol:g}, "
+            f"|x| <= {bound:g} on the cancelling axis: {e}") from e
     rows = [(float(x), float(y)) for x, y in zip(xs, ys)]
     _emit_table(args.out, ["x", "value"], rows, args.format)
     return EXIT_OK
@@ -177,8 +176,8 @@ def cmd_fit(args) -> int:
     c_model = args.c_model or cfg.get("c_model", "c0")
     alpha = args.alpha if args.alpha is not None else cfg.get("alpha", "scan")
     ds = _dataset(args)
-    result = charmfit.fit(ds, alpha if alpha == "scan" else float(alpha),
-                          c_model)
+    result = charmfit.fit(ds, alpha if alpha == "scan"
+                          else _number(alpha, "alpha"), c_model)
     _write_atomic(args.out, result.to_json() + "\n")
     return EXIT_OK
 
@@ -239,13 +238,15 @@ def cmd_predict(args) -> int:
 def cmd_radius(args) -> int:
     cfg = _load_config(args.config)
     qm = cfg.get("quark_masses", {})
+    if not isinstance(qm, dict):
+        raise ValueError("config quark_masses must be a JSON object")
     quarks = charmfit.QuarkMasses(
-        m_d_c2=float(qm.get("m_d_c2", 300.0)),
-        m_c_c2=float(qm.get("m_c_c2", 1400.0)),
+        m_d_c2=_number(qm.get("m_d_c2", 300.0), "m_d_c2"),
+        m_c_c2=_number(qm.get("m_c_c2", 1400.0), "m_c_c2"),
     )
-    alpha = float(args.alpha if args.alpha is not None
-                  else cfg.get("alpha", 2.0 / 3.0))
-    hbar_c = float(cfg.get("hbar_c", charmfit.HBARC_MEV_FM))
+    alpha = _number(args.alpha if args.alpha is not None
+                    else cfg.get("alpha", 2.0 / 3.0), "alpha")
+    hbar_c = _number(cfg.get("hbar_c", charmfit.HBARC_MEV_FM), "hbar_c")
     a_fm, r_box = charmfit.radius_box(args.sigma_mass, quarks, alpha, hbar_c)
     r0_fm, r_sph = charmfit.radius_sphere(args.sigma_mass, quarks, alpha,
                                           hbar_c)
@@ -272,7 +273,7 @@ def cmd_potential(args) -> int:
 
 
 def cmd_factorcheck(args) -> int:
-    clifford = [r.as_dict() for r in su3fact.clifford_check()]
+    clifford = su3fact.clifford_check()
     triple = su3fact.triple_product_check()
     s2 = su3fact.s2_structure()
     payload = {

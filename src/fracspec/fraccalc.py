@@ -528,22 +528,12 @@ class FracSeries:
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, x):
-        """Evaluate at scalar x by compensated summation of the truncated
-        series."""
-        xf = float(x)
-        u = self.k * xf
-        au = abs(u)
-        s = math.copysign(1.0, u) if u != 0.0 else 0.0
-        terms = []
-        for n, a in enumerate(self.coeffs):
-            if a == 0.0:
-                continue
-            if au == 0.0:
-                t = a if n == 0 else 0.0
-            else:
-                t = a * (s**n) * au ** (n * self.alpha)
-            terms.append(t)
-        return math.fsum(terms)
+        """The truncated series at scalar or array x (a float or an ndarray)
+        by Horner's rule in chi = sign(kx)|kx|^alpha."""
+        u = self.k * _coerce(x)
+        chi = np.sign(u) * abs(u) ** self.alpha
+        # a zero top coefficient gives a constant series the shape of chi
+        return _coerce(_horner(self.coeffs + (0.0,), chi))
 
     def __call__(self, x):
         return self.eval(x)

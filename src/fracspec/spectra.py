@@ -224,10 +224,6 @@ class WellState:
         f = frac_cos if self.parity == "even" else frac_sin
         return f(self.alpha, self.k0 * np.asarray(x, float) / self.a)
 
-    @property
-    def k0_scaled(self) -> float:
-        return self.k0 / HALF_PI
-
 
 def _interleaved_roots(alpha: float, count: int, x_max: float,
                        eval_tol: float = 1e-9):
@@ -260,13 +256,9 @@ def well_states_1d(alpha: float, count: int, a: float,
         raise ValueError("half-width a must be positive")
     x_max = 2.0 * count + 20.0
     tagged, _ = _interleaved_roots(alpha, count, x_max)
-    lam = ctx.hbar_c / (ctx.mc2 * a)
-    out = []
-    for n, (k0, parity) in enumerate(tagged):
-        e = 0.5 * ctx.mc2 * (lam * k0) ** (2.0 * alpha)
-        out.append(WellState(alpha=alpha, n=n, parity=parity, k0=k0, a=a,
-                             energy=e))
-    return out
+    return [WellState(alpha=alpha, n=n, parity=parity, k0=k0, a=a,
+                      energy=free_energy(alpha, k0 / a, ctx))
+            for n, (k0, parity) in enumerate(tagged)]
 
 
 def well_energy_nd(alpha: float, indices: list[int], half_widths: list[float],
@@ -279,14 +271,10 @@ def well_energy_nd(alpha: float, indices: list[int], half_widths: list[float],
     tagged, complete = _interleaved_roots(alpha, nmax + 1, 2.0 * (nmax + 1) + 20.0)
     if not complete:
         raise NoZeros(f"only {len(tagged)} well states exist at alpha={alpha:g}")
-    lam = ctx.hbar_c / ctx.mc2
-    total = 0.0
-    for n, a in zip(indices, half_widths):
-        if a <= 0:
-            raise ValueError("half-widths must be positive")
-        k0 = tagged[n][0]
-        total += (lam * k0 / a) ** (2.0 * alpha)
-    return 0.5 * ctx.mc2 * total
+    if any(a <= 0 for a in half_widths):
+        raise ValueError("half-widths must be positive")
+    return sum(free_energy(alpha, tagged[n][0] / a, ctx)
+               for n, a in zip(indices, half_widths))
 
 
 def free_energy(alpha: float, k: float, ctx: AlphaContext) -> float:
@@ -363,8 +351,7 @@ def spherical_ground_energy(N: int, alpha: float, r0: float,
     e0 = (1/2) mc^2 (hbar k0_sph / (mc r0))^(2 alpha)."""
     if r0 <= 0:
         raise ValueError("r0 must be positive")
-    k_sph = radial_ground(N, alpha).first_zero
-    return 0.5 * ctx.mc2 * (ctx.hbar_c * k_sph / (ctx.mc2 * r0)) ** (2.0 * alpha)
+    return free_energy(alpha, radial_ground(N, alpha).first_zero / r0, ctx)
 
 
 # ----------------------------------------------------------------------------
@@ -393,20 +380,15 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     tagged, complete = _interleaved_roots(alpha, n_states + 1,
                                           2.0 * n_states + 30.0,
                                           eval_tol=1e-6)
-    ks = [k for k, _ in tagged[:n_states]]
-    parities = [p for _, p in tagged[:n_states]]
-    energies = [0.5 * k ** (2.0 * alpha) for k in ks]
-    weights = [math.exp(-e / T) for e in energies]
-    # tail estimate: geometric continuation from the first excluded state
+    unit = AlphaContext(alpha, hbar_c=1.0, mc2=1.0)
+    weights = [math.exp(-free_energy(alpha, k, unit) / T) for k, _ in tagged]
+    # tail estimate: geometric continuation from the first excluded state;
+    # none when the spectrum is exhausted (finite zero set)
+    tail = 0.0
     if len(tagged) > n_states:
-        e_next = 0.5 * tagged[n_states][0] ** (2.0 * alpha)
-        w_next = math.exp(-e_next / T)
+        w_next = weights.pop()
         ratio = w_next / weights[-1] if weights[-1] > 0 else 0.0
         tail = w_next / (1.0 - ratio) if ratio < 1.0 else math.inf
-    else:
-        # spectrum exhausted (finite zero set); treat the basis as complete
-        tail = 0.0
-        w_next = 0.0
     if weights[-1] > 1e-8 or tail > 1e-6:
         raise CutoffTooSmall(
             f"cutoff weight {weights[-1]:.2e} (tail ~{tail:.2e}) exceeds the "
@@ -415,7 +397,7 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     u, wq = rl_nodes(alpha, 1.0, 128)
     rho = np.zeros_like(grid)
     Z = 0.0
-    for k, parity, wn in zip(ks, parities, weights):
+    for (k, parity), wn in zip(tagged, weights):
         f = frac_cos if parity == "even" else frac_sin
         tol_n = max(1e-9, 1e-9 / max(wn, 1e-300))
         psi_q = f(alpha, k * u, tol_n)

@@ -22,13 +22,13 @@ rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "PhaseTriple",
+    "PHASES",
     "MatrixPoly",
     "ALPHA_T",
     "ALPHA_I",
@@ -38,7 +38,6 @@ __all__ = [
     "build_factors",
     "triple_product_check",
     "s2_structure",
-    "CheckReport",
 ]
 
 ALPHA_T = Fraction(1, 2)
@@ -52,44 +51,15 @@ C_SCALAR = 1.0           # c = (mc^2)^(1/3)
 
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 
-
-@dataclass(frozen=True)
-class PhaseTriple:
-    """Cube-root phases x_k = exp(2 pi i k / 3), k = 1, 2, 3 (exact
-    half-integer real parts, so the zero-sum identity holds to rounding)."""
-
-    x1: complex = complex(-0.5, _HALF_SQRT3)
-    x2: complex = complex(-0.5, -_HALF_SQRT3)
-    x3: complex = complex(1.0, 0.0)
-
-    def as_tuple(self):
-        return (self.x1, self.x2, self.x3)
-
-    def check(self, tol: float = 1e-15) -> bool:
-        s = abs(self.x1 + self.x2 + self.x3)
-        cubes = max(abs(x**3 - 1.0) for x in self.as_tuple())
-        return s <= tol and cubes <= tol
-
-
-@dataclass
-class CheckReport:
-    check_name: str
-    max_abs_deviation: float
-    passed: bool
-    detail: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        d = {"check_name": self.check_name,
-             "max_abs_deviation": self.max_abs_deviation,
-             "pass": self.passed}
-        if self.detail:
-            d["detail"] = self.detail
-        return d
+# Cube-root phases x_k = exp(2 pi i k / 3), k = 1, 2, 3 (exact half-integer
+# real parts, so the zero-sum identity holds to rounding).
+PHASES = (complex(-0.5, _HALF_SQRT3), complex(-0.5, -_HALF_SQRT3),
+          complex(1.0, 0.0))
 
 
 def build_sigma() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unitary traceless 3x3 triad spanning the SU(3) subspace."""
-    x1, x2, x3 = PhaseTriple().as_tuple()
+    x1, x2, x3 = PHASES
     s1 = np.array([[0, x1, 0], [0, 0, x2], [x3, 0, 0]], dtype=complex)
     s2 = np.array([[0, x2, 0], [0, 0, x1], [x3, 0, 0]], dtype=complex)
     s3 = np.array([[x1, 0, 0], [0, x2, 0], [0, 0, x3]], dtype=complex)
@@ -104,9 +74,10 @@ def build_gamma() -> tuple[np.ndarray, list[np.ndarray]]:
     return g0, gi
 
 
-def clifford_check(tol: float = 1e-12) -> list[CheckReport]:
+def clifford_check(tol: float = 1e-12) -> list[dict]:
     """Verify sum over all permutations of sigma^i sigma^j sigma^k
-    = 6 delta^{ijk} 1_3 for all 27 index triples."""
+    = 6 delta^{ijk} 1_3 for all 27 index triples: one report
+    {check_name, max_abs_deviation, pass} per triple."""
     import itertools
 
     sigmas = build_sigma()
@@ -117,11 +88,8 @@ def clifford_check(tol: float = 1e-12) -> list[CheckReport]:
             acc = acc + sigmas[p[0]] @ sigmas[p[1]] @ sigmas[p[2]]
         target = 6.0 * np.eye(3) if i == j == k else np.zeros((3, 3))
         dev = float(np.max(np.abs(acc - target)))
-        reports.append(CheckReport(
-            check_name=f"clifford_{i + 1}{j + 1}{k + 1}",
-            max_abs_deviation=dev,
-            passed=dev <= tol,
-        ))
+        reports.append({"check_name": f"clifford_{i + 1}{j + 1}{k + 1}",
+                        "max_abs_deviation": dev, "pass": dev <= tol})
     return reports
 
 
@@ -157,9 +125,6 @@ class MatrixPoly:
         nb = key[1] + key[2] + key[3]
         return nt, nb, self.nfactors - nt - nb
 
-    def sorted_keys(self):
-        return sorted(self.terms.keys())
-
 
 def _factor(A: np.ndarray, Bs: list[np.ndarray], C: np.ndarray) -> MatrixPoly:
     terms = {(1, 0, 0, 0): A, (0, 0, 0, 0): C}
@@ -176,14 +141,13 @@ def build_factors() -> tuple[MatrixPoly, MatrixPoly, MatrixPoly]:
     A-family: (gamma^0 - x_k 1_9)/sqrt(3); B-family: gamma^i for every
     factor; C-family: x_k 1_3 (x) E_kk (units fixed internally).
     """
-    x = PhaseTriple().as_tuple()
     g0, gi = build_gamma()
     eye9 = np.eye(9)
-    A_fam = [(g0 - xk * eye9) / math.sqrt(3.0) for xk in x]
+    A_fam = [(g0 - xk * eye9) / math.sqrt(3.0) for xk in PHASES]
     proj = [np.zeros((3, 3)) for _ in range(3)]
     for k in range(3):
         proj[k][k, k] = 1.0
-    C_fam = [x[k] * np.kron(np.eye(3), proj[k]) for k in range(3)]
+    C_fam = [PHASES[k] * np.kron(np.eye(3), proj[k]) for k in range(3)]
     return tuple(_factor(A_fam[k], gi, C_fam[k]) for k in range(3))
 
 
@@ -206,7 +170,7 @@ def triple_product_check(tol: float = 1e-12) -> dict:
     }
     checks = []
     worst = 0.0
-    for key in P.sorted_keys():
+    for key in sorted(P.terms):
         mat = P.terms[key]
         target = expected.get(key, None)
         dev = float(np.max(np.abs(mat - (target if target is not None else 0.0))))
@@ -254,11 +218,8 @@ def s2_structure(tol: float = 1e-12) -> dict:
     """
     R, Rp, _ = build_factors()
     P2 = R @ Rp
-    x = PhaseTriple().as_tuple()
-    g0, gi = build_gamma()
-    eye9 = np.eye(9)
-    A = (g0 - x[0] * eye9) / math.sqrt(3.0)
-    Ap = (g0 - x[1] * eye9) / math.sqrt(3.0)
+    A, Ap = R.coefficient((1, 0, 0, 0)), Rp.coefficient((1, 0, 0, 0))
+    _, gi = build_gamma()
 
     # time part: coefficient of d_t^(2 alpha_t) = d_t, scaled by c
     time_mat = A_SQUARED * C_SCALAR * P2.coefficient((2, 0, 0, 0))
@@ -281,7 +242,7 @@ def s2_structure(tol: float = 1e-12) -> dict:
             space_dev = max(space_dev, float(np.max(np.abs(mat - target))))
 
     b2c = B_SCALAR**2 * C_SCALAR
-    remainder_keys = [k for k in P2.sorted_keys()
+    remainder_keys = [k for k in P2.terms
                       if k not in ((2, 0, 0, 0),)
                       and sum(k[1:]) != 2]
     remainder_norm = max(

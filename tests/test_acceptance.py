@@ -247,11 +247,11 @@ def test_criterion7_sphere_published_values():
 
 def test_criterion8_factorization():
     cliff = su3fact.clifford_check(tol=1e-12)
-    cliff_ok = len(cliff) == 27 and all(c.passed for c in cliff)
+    cliff_ok = len(cliff) == 27 and all(c["pass"] for c in cliff)
     triple = su3fact.triple_product_check(tol=1e-12)
     assert report("criterion 8: 27 extended-Clifford triples <= 1e-12",
                   cliff_ok,
-                  f"worst {max(c.max_abs_deviation for c in cliff):.2e}")
+                  f"worst {max(c['max_abs_deviation'] for c in cliff):.2e}")
     assert report("criterion 8: triple product collapses, cross terms <= 1e-12",
                   triple["pass"], f"worst {triple['max_abs_deviation']:.2e}")
     assert report("criterion 8: exponent identities exact",

@@ -1,5 +1,6 @@
 """Charmonium dataset, mass model, fits, predictions and size estimates."""
 
+import dataclasses
 import json
 import math
 
@@ -30,7 +31,8 @@ from fracspec.charmfit import (
     table3_report,
     two_state_solve,
 )
-from fracspec.spectra import radial_ground
+from fracspec.fraccalc import HALF_PI, frac_cos
+from fracspec.spectra import find_zeros, radial_ground
 
 QUARKS = QuarkMasses()
 
@@ -250,13 +252,26 @@ def test_design_rows_equal_scalar_eigenvalues(c_model):
             assert row.tolist() == ref, (a, j, m)
 
 
+def _scalar_mass(p, j, m):
+    """m0 + kappa J^2 + B_j L_z + delta_tau, summed term by term from the
+    scalar eigenvalues."""
+    val = p.m0c2 + p.kappa * j2_eigenvalue(p.alpha, j, p.c_model)
+    if m > 0:
+        val += {1: p.B1, 2: p.B2, 3: p.B3}[j] * lz_eigenvalue(p.alpha, m)
+    if j == 3:
+        val += p.delta_tau
+    return val
+
+
 def test_batched_masses_equal_mass_model():
     jm = sorted(charmfit.TABLE3_PRINTED)
-    for p in TABLE2_ROWS:
-        params = np.array([p.m0c2, p.kappa, p.B1, p.B2, p.B3, p.delta_tau])
-        got = charmfit._masses(charmfit._design_matrix(jm, [p.alpha], p.c_model),
-                               params)[0]
-        assert got.tolist() == [mass_model(p, j, m) for j, m in jm]
+    for row in TABLE2_ROWS:
+        for alpha in (row.alpha, 0.41, 1.0, 1.37):
+            p = dataclasses.replace(row, alpha=alpha)
+            ref = [_scalar_mass(p, j, m) for j, m in jm]
+            assert [mass_model(p, j, m) for j, m in jm] == ref
+            A = charmfit._design_matrix(jm, [alpha], p.c_model)
+            assert charmfit._masses(A, p.vector())[0].tolist() == ref
 
 
 def _lstsq_scan(states, c_model, step, lo=0.60, hi=0.72):
@@ -404,14 +419,32 @@ def _sphere_brute_force(r0, alpha, n_nodes, measure):
             / math.gamma(1.0 + alpha) * ratio)
 
 
-@pytest.mark.parametrize("measure", ["plain", "rl"])
-@pytest.mark.parametrize("n_nodes", [7, 16])
-@pytest.mark.parametrize("alpha", [2.0 / 3.0, 1.0])
-def test_sphere_cubature_matches_brute_force(alpha, n_nodes, measure):
-    r0, r = radius_sphere(2452.2, QUARKS, alpha, n_nodes=n_nodes,
-                          measure=measure)
-    assert r == pytest.approx(_sphere_brute_force(r0, alpha, n_nodes, measure),
-                              rel=1e-13)
+def _box_brute_force(a, alpha, n_nodes, measure):
+    """<r> of radius_box by one einsum over all n_nodes^3 octant nodes of
+    the separable density psi_i^2 psi_j^2 psi_k^2."""
+    k0 = find_zeros("cos", alpha, 1, 8.0, xtol=1e-12)[0] * HALF_PI
+    u, w = charmfit._octant_nodes(alpha, a, n_nodes, measure)
+    psi = frac_cos(alpha, k0 * u / a)
+    W = w * psi * psi
+    R = np.abs(u) ** (2.0 * alpha)
+    G = R[:, None, None] + R[None, :, None] + R[None, None, :]
+    ratio = (float(np.einsum("i,j,k,ijk->", W, W, W, np.sqrt(G)))
+             / float(W.sum()) ** 3)
+    return ((charmfit.HBARC_MEV_FM / QUARKS.m_c_c2) ** (1.0 - alpha)
+            / math.gamma(1.0 + alpha) * ratio)
+
+
+# ids alpha-n_nodes-measure, with a "box-" prefix for the box cases
+@pytest.mark.parametrize("fn, alpha, n_nodes, measure", [
+    pytest.param(fn, alpha, n, m, id=("box-" if fn is radius_box else "")
+                 + f"{alpha}-{n}-{m}")
+    for fn in (radius_sphere, radius_box) for alpha in (2.0 / 3.0, 1.0)
+    for n in (7, 16) for m in ("plain", "rl")
+])
+def test_sphere_cubature_matches_brute_force(fn, alpha, n_nodes, measure):
+    size, r = fn(2452.2, QUARKS, alpha, n_nodes=n_nodes, measure=measure)
+    brute = _box_brute_force if fn is radius_box else _sphere_brute_force
+    assert r == pytest.approx(brute(size, alpha, n_nodes, measure), rel=1e-13)
 
 
 @pytest.mark.parametrize("fn", [radius_box, radius_sphere])

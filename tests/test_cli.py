@@ -11,7 +11,7 @@ import pytest
 
 from fracspec import charmfit, cli
 from fracspec.cli import main
-from fracspec.fraccalc import PrecisionLoss, frac_cos
+from fracspec.fraccalc import PrecisionLoss, domain_of_validity, frac_cos
 
 
 def run(args):
@@ -56,13 +56,16 @@ def test_special_amplitude_growth_above_one(tmp_path):
     assert _column_max(out, 5.0, 10.0) > _column_max(out, 0.0, 5.0)
 
 
-def test_special_domain_exceeded(tmp_path):
+def test_special_domain_exceeded(tmp_path, capsys):
     out = tmp_path / "wide.csv"
     rc = run(["special", "--name", "cos", "--alpha", "1.0",
               "--x-min", "-500", "--x-max", "500", "--step", "10",
               "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+    # the message names the certified reach |x| <= (z bound)^(1/2)
+    bound = domain_of_validity(2.0, 1.0, 1e-9) ** 0.5
+    assert f"|x| <= {bound:g}" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_special_domain_below_one(tmp_path):
@@ -248,16 +251,40 @@ def test_radius_bad_input(tmp_path):
      "--grid-half-width", "nan"],
     ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "40",
      "--grid-half-width", "inf"],
+    # a non-finite mass or error in a dataset (json reads NaN and Infinity),
+    # a non-finite quark mass in a config
+    ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:mass_mev=nan"],
+    ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:mass_mev=inf"],
+    ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:err_mev=nan"],
+    ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:err_mev=-1"],
+    ["radius", "--config", 'CONFIG:{"quark_masses": {"m_c_c2": NaN}}'],
+    ["radius", "--config", 'CONFIG:{"quark_masses": {"m_d_c2": Infinity}}'],
+    # a config of the wrong shape
+    ["fit", "--alpha", "0.68", "--config", "CONFIG:[1, 2]"],
+    ["radius", "--config", "CONFIG:[1, 2]"],
+    ["radius", "--config", 'CONFIG:{"quark_masses": 5}'],
+    ["fit", "--config", 'CONFIG:{"alpha": [0.7]}'],
+    ["radius", "--config", 'CONFIG:{"alpha": [0.7]}'],
+    ["radius", "--config", 'CONFIG:{"hbar_c": null}'],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
+    bundled = json.loads(resources.files("fracspec.data")
+                         .joinpath("charmonium.json").read_text())
     if "WITHOUT_21_22" in args:
-        bundled = json.loads(resources.files("fracspec.data")
-                             .joinpath("charmonium.json").read_text())
         partial = tmp_path / "partial.json"
         partial.write_text(json.dumps(
             [r for r in bundled if (r["j"], r["m"]) not in ((2, 1), (2, 2))]))
         args = [str(partial) if a == "WITHOUT_21_22" else a for a in args]
     args = [str(tmp_path) if a == "DIR" else a for a in args]
+    for n, a in enumerate(args):
+        kind, _, text = a.partition(":")
+        if kind == "BUNDLED":  # the bundled dataset with one <00> field set
+            key, value = text.split("=")
+            text = json.dumps([{**bundled[0], key: float(value)}] + bundled[1:])
+        if kind in ("BUNDLED", "CONFIG"):
+            path = tmp_path / f"input{n}.json"
+            path.write_text(text)
+            args[n] = str(path)
     out = tmp_path / "out"
     assert run(args + ["--out", str(out)]) == 2
     assert not out.exists()

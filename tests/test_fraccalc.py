@@ -105,6 +105,32 @@ def test_series_eval_matches_ml_functions():
         assert c.eval(x) == pytest.approx(frac_cos(alpha, k * x), abs=1e-10)
 
 
+def _fsum_eval(series, x):
+    """The series at scalar x summed term by term with math.fsum, and the
+    sum of the |terms|."""
+    u = series.k * x
+    s = math.copysign(1.0, u) if u != 0.0 else 0.0
+    terms = [(a if n == 0 else 0.0) if u == 0.0
+             else a * s**n * abs(u) ** (n * series.alpha)
+             for n, a in enumerate(series.coeffs) if a != 0.0]
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_series_eval_matches_fsum_reference(alpha):
+    xs = [-3.0, -0.7, 0.0, 0.4, 1.0, 2.5]
+    for make in (FracSeries.cosine, FracSeries.sine, FracSeries.exponential):
+        series = make(alpha, k=1.3)
+        values = series.eval(np.array(xs))
+        assert isinstance(values, np.ndarray) and values.shape == (len(xs),)
+        for x, v in zip(xs, values):
+            ref, mass = _fsum_eval(series, x)
+            scalar = series.eval(x)
+            assert type(scalar) is float
+            assert abs(scalar - ref) <= 1e-13 * mass, (make, x)
+            assert abs(v - ref) <= 1e-13 * mass, (make, x)
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         FracSeries(alpha=0.7, coeffs=(1.0, 2.0), parity="even")
