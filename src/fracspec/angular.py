@@ -28,6 +28,7 @@ import math
 from .fraccalc import _check_alpha, gamma, rgamma
 
 __all__ = [
+    "C_MODELS",
     "commutator_c",
     "c_value",
     "euler_eigenvalue",
@@ -36,6 +37,8 @@ __all__ = [
     "table1_report",
     "TABLE1_PRINTED",
 ]
+
+C_MODELS = ("c0", "c1", "c2")  # the commutator-constant models above
 
 
 def commutator_c(n: int, alpha: float) -> float:
@@ -64,8 +67,8 @@ def c_value(variant: str, alpha: float, j: int = 0) -> float:
     c1 at alpha = 1 is the Gamma(0)-pole limit, which the reciprocal-gamma
     form reaches directly (value 1).
     """
-    if variant not in ("c0", "c1", "c2"):
-        raise ValueError("variant must be 'c0', 'c1' or 'c2'")
+    if variant not in C_MODELS:
+        raise ValueError(f"variant must be one of {C_MODELS}")
     _check_alpha(alpha)
     if variant == "c0":
         return 1.0

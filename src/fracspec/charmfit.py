@@ -34,7 +34,7 @@ from importlib import resources
 
 import numpy as np
 
-from .angular import c_value, euler_eigenvalue
+from .angular import C_MODELS, c_value, euler_eigenvalue
 from .fraccalc import HBARC_MEV_FM, _check_alpha, gamma, rl_nodes
 from .fraccalc import frac_cos
 from .spectra import find_zeros, radial_ground, HALF_PI
@@ -134,8 +134,8 @@ class FitParams:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.c_model not in ("c0", "c1", "c2"):
-            raise ValueError("c_model must be 'c0', 'c1' or 'c2'")
+        if self.c_model not in C_MODELS:
+            raise ValueError(f"c_model must be one of {C_MODELS}")
 
     def vector(self) -> np.ndarray:
         """The six mass-formula parameters in _PARAM_NAMES order."""
@@ -183,10 +183,13 @@ def load_dataset(path) -> list[CharmState]:
     seen = {}
     for i, rec in enumerate(raw):
         try:
+            j, m = rec["j"], rec["m"]
+            if type(j) is not int or type(m) is not int:  # bool, float, str
+                raise TypeError(f"labels j, m must be integers: {j!r}, {m!r}")
             st = CharmState(
                 name=str(rec["name"]),
-                j=int(rec["j"]),
-                m=int(rec["m"]),
+                j=j,
+                m=m,
                 mass_exp=float(rec["mass_mev"]),
                 mass_err=(float(rec["err_mev"])
                           if rec.get("err_mev") is not None else None),
@@ -280,6 +283,8 @@ def _design_matrix(jm, alphas, c_model: str) -> np.ndarray:
     _PARAM_NAMES, each entry bitwise the scalar j2_eigenvalue/lz_eigenvalue:
     one l(alpha, n) table per alpha from the lgamma difference of
     euler_eigenvalue, lgamma(k alpha + 1) shared by n = k and n = k + 1."""
+    if c_model not in C_MODELS:
+        raise ValueError(f"c_model must be one of {C_MODELS}")
     alphas = np.array([_check_alpha(a) for a in alphas])
     j, m = np.array(jm, int).T
     lg = np.vectorize(math.lgamma, otypes=[float])(

@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                   "fit.json")
     sp.add_argument("--alpha", default=None,
                     help="fixed alpha value or 'scan'")
-    sp.add_argument("--c-model", choices=("c0", "c1", "c2"), default=None)
+    sp.add_argument("--c-model", choices=angular.C_MODELS, default=None)
     sp.add_argument("--dataset", default=None)
     sp.add_argument("--config", default=None)
 

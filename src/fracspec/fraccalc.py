@@ -84,12 +84,7 @@ class PoleError(ValueError):
 
 class PrecisionLoss(ArithmeticError):
     """A compensated series sum could not be certified to the requested
-    tolerance.  `bound` is the value's certified bound when only its
-    rounding to double exceeded the tolerance, and inf otherwise."""
-
-    def __init__(self, msg: str, bound: float = math.inf):
-        super().__init__(msg)
-        self.bound = bound
+    tolerance."""
 
 
 class QuadratureFailure(ArithmeticError):
@@ -279,18 +274,21 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     sign change past a root tolerance).  PrecisionLoss is raised when
     rounding any value to double pushes its bound past tol.
 
-    signs=True serves zero scans (z an ndarray): the float pass is taken
-    even where its bound exceeds tol, so every sign is certified while the
-    values above the float bound carry only that bound.
+    signs=True serves zero scans: the float pass is taken even where its
+    bound exceeds tol, no bound is held to tol, and PrecisionLoss is raised
+    only when the series cannot be sized (its bound is inf).
 
-    Returns (value, err_bound): the certified series error of the pass
-    taken, the same for every element, plus each value's rounding to double.
+    Returns (value, bound): the largest certified error over the elements,
+    series error plus rounding to double.  In signs mode, where the float
+    bound exceeds tol, it bounds only the elements summed in double-double;
+    the others, |value| > float bound, are certified in sign only.  Every
+    element with |value| > bound has a certified sign.
     """
     tab = _table(alpha, beta)
     zmax = _absmax(z)
     n, mass, last = _positive_series(tab, zmax, tol * 1e-3)
     err = _ERR_UNIT * mass + 2.0 * last
-    if not err <= tol:
+    if not (err <= tol or signs and err < math.inf):
         raise PrecisionLoss(
             f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}) "
             f"at |z|={zmax:g}; bound reached {err:g}"
@@ -313,13 +311,12 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
         dhi, dlo = dd_horner(hi, lo, z)
         val = dhi + dlo
     bound = err + _ROUND_UNIT * _absmax(val)
-    if not bound <= tol:
+    if not (bound <= tol or signs):
         raise PrecisionLoss(
             f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}) "
-            f"at |z|={zmax:g}: rounding the value to double exceeds it",
-            bound,
+            f"at |z|={zmax:g}: rounding the value to double exceeds it"
         )
-    return val, err + _ROUND_UNIT * abs(val)
+    return val, bound
 
 
 def _absmax(v) -> float:
@@ -349,17 +346,6 @@ def mittag_leffler(alpha: float, beta: float, z, tol: float = 1e-9):
     if alpha <= 0 or beta <= 0:
         raise ValueError("mittag_leffler requires alpha > 0 and beta > 0")
     return _ml_sum(alpha, beta, _coerce(z), tol)[0]
-
-
-def certified_floor(alpha: float, beta: float, z_abs: float) -> float:
-    """Smallest absolute tolerance certifiable at argument magnitude z_abs.
-
-    Applies the rounding budget to the cancellation mass sum|t_n| of the
-    positive-argument series (summed in plain double, no cancellation).
-    Used to choose evaluation tolerances in zero scans.
-    """
-    _, mass, _ = _positive_series(_table(alpha, beta), z_abs, 0.0, rel=1e-16)
-    return _ERR_UNIT * mass
 
 
 def domain_of_validity(alpha: float, beta: float, tol: float) -> float:
@@ -403,23 +389,24 @@ def _check_alpha(alpha: float) -> float:
 
 def frac_cos(alpha: float, x, tol: float = 1e-9):
     """cos(alpha, x) = E_{2a,1}(-|x|^(2a)); even, reduces to cos at alpha=1."""
-    return _trig(alpha, x, tol, odd=False)
+    return _trig(alpha, x, tol, odd=False)[0]
 
 
 def frac_sin(alpha: float, x, tol: float = 1e-9):
     """sin(alpha, x) = sign(x)|x|^a E_{2a,1+a}(-|x|^(2a)); odd, sin at alpha=1."""
-    return _trig(alpha, x, tol, odd=True)
+    return _trig(alpha, x, tol, odd=True)[0]
 
 
 def _trig(alpha: float, x, tol: float, odd: bool, signs: bool = False):
-    """frac_sin (odd) or frac_cos; signs=True gives the sign-certified
-    values of _ml_sum(signs=True) that zero scans need."""
+    """frac_sin (odd) or frac_cos, and the bound _ml_sum returns for its
+    Mittag-Leffler factor; signs=True gives the sign-certified values that
+    zero scans need."""
     alpha = _check_alpha(alpha)
     x = _coerce(x)
     ax = abs(x)
     beta = 1.0 + alpha if odd else 1.0
-    val, _ = _ml_sum(2.0 * alpha, beta, -ax ** (2.0 * alpha), tol, signs)
-    return _coerce(np.sign(x) * ax**alpha * val) if odd else val
+    val, bound = _ml_sum(2.0 * alpha, beta, -ax ** (2.0 * alpha), tol, signs)
+    return (_coerce(np.sign(x) * ax**alpha * val) if odd else val), bound
 
 
 def frac_exp(alpha: float, x, tol: float = 1e-9):
@@ -453,11 +440,6 @@ class AlphaContext:
         _check_alpha(self.alpha)
         if self.hbar_c <= 0 or self.mc2 <= 0:
             raise ValueError("hbar_c and mc2 must be positive")
-
-    @property
-    def compton_fm(self) -> float:
-        """hbar/(m c) in fm."""
-        return self.hbar_c / self.mc2
 
 
 # ----------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .fraccalc import (
     _horner,
     _table,
     _trig,
-    certified_floor,
     frac_cos,
     frac_sin,
     rl_nodes,
@@ -43,7 +42,6 @@ __all__ = [
     "radial_ground",
     "spherical_ground_energy",
     "equivalent_potential",
-    "eigenfunction_table",
 ]
 
 SCAN_STEP = 0.01  # on the (pi/2)-scaled axis; root spacing there is >~ 0.5
@@ -74,19 +72,6 @@ class ZeroScan:
 
     def __getitem__(self, i):
         return self.roots[i]
-
-
-def _scan_tol(alpha: float, beta: float, x_hi: float, base_tol: float) -> float:
-    """Evaluation tolerance for a scan chunk ending at scaled x_hi: the
-    user tolerance, floored by what is certifiable at that argument."""
-    z = (HALF_PI * x_hi) ** (2.0 * alpha)
-    floor = 4.0 * certified_floor(2.0 * alpha, beta, z)
-    if not math.isfinite(floor):
-        raise ValueError(
-            f"scan limit x={x_hi:g} (scaled) is beyond the representable "
-            f"amplitude range for alpha={alpha:g}"
-        )
-    return max(base_tol, floor)
 
 
 def _brackets(vs):
@@ -149,10 +134,12 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
 
     Scans with step SCAN_STEP in chunks of certified signs (a float64 pass,
     summed again in double-double only near zero), brackets sign changes and
-    exact zeros, refines to xtol, and stops once `count` roots are found.  Raises
-    NoZeros when no sign change exists in the whole scanned domain (the
-    alpha <= 1/2 regime); returns fewer roots with complete=False when the
-    function stops crossing zero later on.
+    exact zeros, refines to xtol, and stops once `count` roots are found.  A
+    chunk's roots are refined at eval_tol, or at twice the bound the chunk
+    reached when that exceeds it.  Raises NoZeros when no sign change exists
+    in the whole scanned domain (the alpha <= 1/2 regime); returns fewer
+    roots with complete=False when the function stops crossing zero later
+    on.  Raises ValueError past the representable amplitude range.
     """
     _check_alpha(alpha)
     if count < 1:
@@ -163,7 +150,6 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
         raise ValueError("kind must be 'cos' or 'sin'")
     odd = kind == "sin"
     f = frac_sin if odd else frac_cos
-    beta = 1.0 + alpha if odd else 1.0
     roots: list[float] = []
     chunk = 400  # scan points per vector evaluation
     x0 = SCAN_STEP
@@ -174,16 +160,16 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
         xs = xs[xs <= x_max + 0.5 * SCAN_STEP]
         if len(xs) == 0:
             break
-        tol = _scan_tol(alpha, beta, float(xs[-1]), eval_tol)
         try:
-            vs = _trig(alpha, HALF_PI * xs, tol, odd, signs=True)
-        except PrecisionLoss as exc:
-            # alpha > 1: rounding values of amplitude ~1e8 to double exceeds
-            # tol but never moves a sign change; take twice the bound reached
-            if not math.isfinite(exc.bound):
-                raise
-            tol = 2.0 * exc.bound
-            vs = _trig(alpha, HALF_PI * xs, tol, odd, signs=True)
+            vs, reached = _trig(alpha, HALF_PI * xs, eval_tol, odd, signs=True)
+        except PrecisionLoss:
+            raise ValueError(
+                f"scan limit x={xs[-1]:g} (scaled) is beyond the representable "
+                f"amplitude range for alpha={alpha:g}"
+            ) from None
+        # rounding amplitudes ~1e8 (alpha > 1) or the series bound at large x
+        # exceeds eval_tol but moves no certified sign; refine within it
+        tol = eval_tol if reached <= eval_tol else 2.0 * reached
         if prev_x is not None:
             xs = np.concatenate(([prev_x], xs))
             vs = np.concatenate(([prev_v], vs))
@@ -409,11 +395,3 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     v = -np.log(rho)
     v -= v.min()
     return list(zip(grid.tolist(), v.tolist()))
-
-
-def eigenfunction_table(states: list[WellState], xs) -> list[tuple]:
-    """Rows (x, psi_0(x), psi_1(x), ...) for CSV emission."""
-    xs = np.asarray(xs, float)
-    cols = [st.psi(xs) for st in states]
-    return [tuple([float(x)] + [float(c[i]) for c in cols])
-            for i, x in enumerate(xs)]

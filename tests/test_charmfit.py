@@ -80,6 +80,16 @@ def test_invalid_record_rejected(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("field,value", [("j", "2"), ("m", True)])
+def test_non_integer_label_rejected(tmp_path, field, value):
+    # int() would read "2" as 2 and true as 1
+    rec = {"name": "a", "j": 2, "m": 1, "mass_mev": 3510.6, field: value}
+    p = tmp_path / "label.json"
+    p.write_text(json.dumps([rec]))
+    with pytest.raises(ParseError):
+        load_dataset(p)
+
+
 def test_env_override(tmp_path, monkeypatch):
     p = tmp_path / "alt.json"
     p.write_text(json.dumps([{"name": "only", "j": 1, "m": 0,
@@ -250,6 +260,12 @@ def test_design_rows_equal_scalar_eigenvalues(c_model):
                    lz if j == 1 else 0.0, lz if j == 2 else 0.0,
                    lz if j == 3 else 0.0, 1.0 if j == 3 else 0.0]
             assert row.tolist() == ref, (a, j, m)
+
+
+def test_design_matrix_rejects_an_unknown_model():
+    # an unknown model must not fall through to the c2 matrix
+    with pytest.raises(ValueError, match="c_model"):
+        charmfit._design_matrix([(2, 1)], [0.68], "c5")
 
 
 def _scalar_mass(p, j, m):

@@ -257,6 +257,8 @@ def test_radius_bad_input(tmp_path):
     ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:mass_mev=inf"],
     ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:err_mev=nan"],
     ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:err_mev=-1"],
+    # a state label that is not an integer
+    ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:j=1.7"],
     ["radius", "--config", 'CONFIG:{"quark_masses": {"m_c_c2": NaN}}'],
     ["radius", "--config", 'CONFIG:{"quark_masses": {"m_d_c2": Infinity}}'],
     # a config of the wrong shape

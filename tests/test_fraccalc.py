@@ -353,8 +353,7 @@ def test_expectation_degenerate_norm():
 
 
 def test_alpha_context_validation():
-    ctx = AlphaContext(alpha=2.0 / 3.0, hbar_c=197.327, mc2=1400.0)
-    assert ctx.compton_fm == pytest.approx(197.327 / 1400.0)
+    AlphaContext(alpha=2.0 / 3.0, hbar_c=197.327, mc2=1400.0)
     with pytest.raises(ValueError):
         AlphaContext(alpha=0.0)
     with pytest.raises(ValueError):

@@ -11,17 +11,27 @@ from hypothesis import strategies as st
 
 from fracspec import fraccalc
 from fracspec.fraccalc import (
+    _ERR_UNIT,
     HALF_PI,
     PrecisionLoss,
     _ml_sum,
-    certified_floor,
+    _positive_series,
+    _table,
+    _trig,
     domain_of_validity,
     frac_cos,
     frac_exp,
     frac_sin,
     mittag_leffler,
 )
-from fracspec.spectra import NoZeros, ZeroScan, _scan_tol, find_zeros
+from fracspec.spectra import (
+    SCAN_STEP,
+    NoZeros,
+    ZeroScan,
+    _brackets,
+    _refine,
+    find_zeros,
+)
 
 from conftest import ml_partial_sum_oracle, ml_series_mp
 
@@ -176,22 +186,19 @@ def test_ml_sum_within_returned_bound(monkeypatch):
     @example(alpha=0.8, odd=False, x=0.5, tol_exp=-9.0)   # float64
     @example(alpha=0.8, odd=True, x=12.0, tol_exp=-9.0)   # double-double
     @example(alpha=1.5, odd=True, x=12.0, tol_exp=-9.0)   # near the switch
-    # |E| ~ 1e7: rounding alone ~ 1e-9, so the first call raises
+    # |E| ~ 1e7: rounding alone ~ 1e-9, so the bound reached exceeds tol
     @example(alpha=1.5, odd=False, x=21.0, tol_exp=-9.0)
     def check(alpha, odd, x, tol_exp):
         beta = 1.0 + alpha if odd else 1.0
         z = -((math.pi / 2.0) * x) ** (2.0 * alpha)
-        tol = max(10.0 ** tol_exp, 4.0 * certified_floor(2.0 * alpha, beta, -z))
+        # the tolerance of root refinement in find_zeros: 10^tol_exp, or
+        # twice the bound the sign-certified sum reached when that exceeds it
+        tol = 10.0 ** tol_exp
+        _, reached = _ml_sum(2.0 * alpha, beta, z, tol, signs=True)
+        if reached > tol:
+            tol = 2.0 * reached
         taken.clear()
-        try:
-            got, err = _ml_sum(2.0 * alpha, beta, z, tol)
-        except PrecisionLoss as exc:
-            # only the rounding of a large |E| (alpha > 1) can fail here; the
-            # error names the bound, and twice it certifies (as in find_zeros)
-            assert tol < exc.bound < math.inf
-            tol = 2.0 * exc.bound
-            taken.clear()
-            got, err = _ml_sum(2.0 * alpha, beta, z, tol)
+        got, err = _ml_sum(2.0 * alpha, beta, z, tol)
         branches.add(taken[-1])  # the pass that gave the value
         assert err <= tol
         with mp.workdps(90):
@@ -222,13 +229,11 @@ def test_sign_certified_scan_matches_mpmath(alpha, odd, root, offsets, far):
     xs = np.array(sorted(x for x in near + far if x > 0.0) or [1.0])
     beta = 1.0 + alpha if odd else 1.0
     z = -(HALF_PI * xs) ** (2.0 * alpha)
-    tol = _scan_tol(alpha, beta, float(xs[-1]), 1e-9)
-    try:
-        vs, _ = _ml_sum(2.0 * alpha, beta, z, tol, signs=True)
-    except PrecisionLoss as exc:
-        assert math.isfinite(exc.bound)
-        tol = 2.0 * exc.bound
-        vs, _ = _ml_sum(2.0 * alpha, beta, z, tol, signs=True)
+    # the chunk sized at 1e-9, its roots refined at the tolerance find_zeros
+    # takes from the bound reached
+    vs, reached = _ml_sum(2.0 * alpha, beta, z, 1e-9, signs=True)
+    assert reached < math.inf
+    tol = 1e-9 if reached <= 1e-9 else 2.0 * reached
     with mp.workdps(90):
         for zi, v in zip(z, vs):
             ref = ml_series_mp(2 * mp.mpf(alpha), mp.mpf(beta), mp.mpf(zi))
@@ -236,6 +241,53 @@ def test_sign_certified_scan_matches_mpmath(alpha, odd, root, offsets, far):
                 # the chunk, and a plain call as in root refinement
                 one, _ = _ml_sum(2.0 * alpha, beta, float(zi), tol)
                 assert np.sign(v) == np.sign(one) == mp.sign(ref), (zi, v, ref)
+
+
+def _find_zeros_earlier_rule(kind, alpha, count, x_max, xtol=1e-10,
+                             eval_tol=1e-9):
+    """find_zeros under its earlier chunk rule, kept as a reference: each
+    chunk at tol = max(eval_tol, 4 _ERR_UNIT sum|t_n|), the positive series
+    sized at the chunk's end to 1e-16 relative, and summed again at twice
+    the bound reached when that exceeds tol; roots refined at that tol."""
+    odd = kind == "sin"
+    f = frac_sin if odd else frac_cos
+    tab = _table(2.0 * alpha, 1.0 + alpha if odd else 1.0)
+    roots, x0, prev = [], SCAN_STEP, None
+    while x0 <= x_max and len(roots) < count:
+        xs = x0 + SCAN_STEP * np.arange(400)
+        xs = xs[xs <= x_max + 0.5 * SCAN_STEP]
+        z = (HALF_PI * xs[-1]) ** (2.0 * alpha)
+        mass = _positive_series(tab, z, 0.0, rel=1e-16)[1]
+        tol = max(eval_tol, 4.0 * _ERR_UNIT * mass)
+        vs, reached = _trig(alpha, HALF_PI * xs, tol, odd, signs=True)
+        if not reached <= tol:
+            tol = 2.0 * reached
+            vs, _ = _trig(alpha, HALF_PI * xs, tol, odd, signs=True)
+        if prev is not None:
+            xs = np.concatenate(([prev[0]], xs))
+            vs = np.concatenate(([prev[1]], vs))
+        for i in _brackets(vs)[:count - len(roots)]:
+            g = lambda x: float(f(alpha, HALF_PI * x, tol))
+            roots.append(_refine(g, float(xs[i]), float(xs[i + 1]),
+                                 float(vs[i]), float(vs[i + 1]), xtol))
+        prev = float(xs[-1]), float(vs[-1])
+        x0 = prev[0] + SCAN_STEP
+    return tuple(roots)
+
+
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_find_zeros_matches_the_earlier_chunk_rule(kind):
+    # sizing every chunk at eval_tol and refining within the bound it
+    # reached leaves these scans bitwise as they were
+    for alpha in [round(0.55 + 0.05 * k, 2) for k in range(20)]:
+        want = _find_zeros_earlier_rule(kind, alpha, 12, 28.0)
+        if not want:
+            with pytest.raises(NoZeros):
+                find_zeros(kind, alpha, 12, 28.0)
+            continue
+        scan = find_zeros(kind, alpha, 12, 28.0)
+        assert scan.roots == want, alpha
+        assert scan.complete == (len(want) == 12)
 
 
 def test_rounding_to_double_is_certified():

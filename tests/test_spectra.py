@@ -16,7 +16,6 @@ from fracspec.spectra import (
     _brackets,
     _refine,
     equivalent_potential,
-    eigenfunction_table,
     find_zeros,
     free_energy,
     radial_ground,
@@ -144,13 +143,6 @@ def test_localization_toward_origin_below_one():
     p10 = np.abs(st10.psi(xs))
     outer = xs > 0.6
     assert p09[outer].max() < p10[outer].max()
-
-
-def test_eigenfunction_table_shape():
-    states = well_states_1d(1.0, 3, 1.0, CTX)
-    rows = eigenfunction_table(states, np.linspace(-1, 1, 11))
-    assert len(rows) == 11
-    assert len(rows[0]) == 4
 
 
 # --- N-dimensional well --------------------------------------------------------
@@ -386,7 +378,7 @@ def test_find_zeros_keeps_a_root_on_a_scan_point(monkeypatch):
     # values of exactly 0.0 at the scan points 1, 3 and 5, which a
     # sign-product test alone drops
     monkeypatch.setattr(spectra, "_trig", lambda alpha, x, tol, odd, signs:
-                        np.round(np.cos(x), 12))
+                        (np.round(np.cos(x), 12), 0.0))
     scan = find_zeros("cos", 1.0, 3, 6.0)
     assert scan.roots == pytest.approx((1.0, 3.0, 5.0), abs=1e-12)
 
