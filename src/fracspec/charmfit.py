@@ -35,8 +35,8 @@ from importlib import resources
 import numpy as np
 
 from .angular import C_MODELS, c_value, euler_eigenvalue
-from .fraccalc import HBARC_MEV_FM, _check_alpha, gamma, rl_nodes
-from .fraccalc import frac_cos
+from .fraccalc import (HBARC_MEV_FM, _check_alpha, _gauss_legendre, frac_cos,
+                       gamma, rl_nodes)
 from .spectra import find_zeros, radial_ground, HALF_PI
 
 __all__ = [
@@ -451,7 +451,7 @@ def _octant_nodes(alpha: float, a: float, n: int, measure: str):
     if measure == "rl":
         u, w = rl_nodes(alpha, a, n)
     elif measure == "plain":
-        xs, w = np.polynomial.legendre.leggauss(n)
+        xs, w = _gauss_legendre(n)
         u = 0.5 * a * (xs + 1.0)
     else:
         raise ValueError("measure must be 'plain' or 'rl'")

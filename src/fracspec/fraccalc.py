@@ -25,31 +25,31 @@ computed after the exact substitution s = (a-u)^alpha which removes the
 endpoint singularity.
 
 Numerical strategy for the Mittag-Leffler sums: the series alternates and can
-cancel 15+ digits at the largest arguments needed for zero scanning.  The
-coefficients 1/Gamma(alpha n + beta) are computed once per (alpha, beta) in
-50-digit arithmetic and stored as double-doubles.  An evaluation certifies
-first: the positive-argument series at max|z|, summed in plain double, gives
-the term count N and the cancellation mass sum|t_n| that bound every
-element, and `PrecisionLoss` is raised when the double-double budget cannot
-meet the tolerance.  The same numbers bound a plain double Horner pass
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1):
-when that bound meets the tolerance the series is summed in float64, and
-only otherwise in double-double.  Zero scans need signs, not values: they
-sum a chunk in float64 and sum again in double-double only the points whose
-|value| does not exceed the float bound.
+cancel 15+ digits at the largest arguments needed for zero scanning.  An
+evaluation certifies first (`_ml_sum`): the positive-argument series at
+max|z| bounds every element, and `PrecisionLoss` is raised when the
+double-double budget cannot meet the tolerance.  Where the bound of a plain
+double Horner pass (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., 5.1) meets it, the series is summed in float64 over coefficients
+from math.gamma at the exact argument, and otherwise in double-double over
+coefficients built in 50-digit arithmetic only as far as that pass reads.
+Zero scans need signs, not values: they sum a chunk in float64 and sum again
+in double-double only the points whose |value| does not exceed the float
+bound.
 
 alpha is restricted to (0, 1.5] in the public fractional API.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._dd import dd_horner
+from ._dd import _SPLIT, dd_horner
 
 __all__ = [
     "PoleError",
@@ -109,54 +109,100 @@ def gamma(x: float) -> float:
 
 
 def rgamma(x: float) -> float:
-    """1/Gamma(x); zero (not an error) at the poles x = 0, -1, -2, ..."""
+    """1/Gamma(x): zero (not an error) at the poles x = 0, -1, -2, ..., and
+    exp(-lgamma(x)) past 171.62, +-inf where math.gamma gives +-0."""
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         return 0.0
-    return 1.0 / gamma(x)
+    try:
+        g = gamma(x)
+    except OverflowError:
+        return math.exp(-math.lgamma(x))
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 # ----------------------------------------------------------------------------
 # Gamma tables for the Mittag-Leffler series.
 #
 # For fixed (alpha, beta) the series E(z) = sum_n c_n z^n has coefficients
-# c_n = 1/Gamma(alpha n + beta).  They are computed once in 50-digit
-# arithmetic and cached as double-doubles (`hi` + `lo`), so that coefficient
-# rounding stays far below the double-double summation noise; the float64
-# Horner pass reads `hi` alone.  The plain double ratios
-# Gamma(alpha(n+1)+beta)/Gamma(alpha n+beta) (`ratio`) drive the float sizing
-# pass of the positive series and the recurrences of the derivative and the
-# radial ground state.  All three are flat array('d') columns, built once per
-# growth to the size read (`math.lgamma` sizes the positive series' builds).
+# c_n = 1/Gamma(alpha n + beta).  `extend` builds the float columns `hi` and
+# `ratio` = hi[n]/hi[n+1] (read by the float passes and the recurrences of
+# the derivative and the radial ground state), `dd` the 50-digit double-double
+# columns `dhi` + `dlo` only as far as a double-double pass reads; each once
+# per growth to the size read (`math.lgamma` sizes the positive series').
 # ----------------------------------------------------------------------------
+
+_GAMMA_TOP = 171.0  # math.gamma overflows past 171.62; 1/Gamma(171) is normal
+
+
+def _rgamma_at(a: float, k: int, b: float) -> float:
+    """1/Gamma(a k + b) for 0 < a k + b < _GAMMA_TOP, corrected to first order
+    for the rounding of x = fl(a k + b), up to 1.4e-13 relative near x = 167:
+    (1 - psi(x) d)/Gamma(x), d = a k + b - x exact (Dekker product, k < 2^26,
+    and two-sum), psi to ~1e-5 (upward recurrence, then asymptotics)."""
+    p = a * k
+    c = _SPLIT * a
+    ah = c - (c - a)
+    d = (ah * k - p) + (a - ah) * k
+    x = y = p + b
+    bb = x - p
+    d += (p - (x - bb)) + (b - bb)
+    psi = 0.0
+    while y < 6.0:
+        psi -= 1.0 / y
+        y += 1.0
+    psi += math.log(y) - 0.5 / y - 1.0 / (12.0 * y * y)
+    return (1.0 - psi * d) / math.gamma(x)
 
 
 class _RatioTable:
-    __slots__ = ("alpha", "beta", "ratio", "hi", "lo")
+    __slots__ = ("alpha", "beta", "ratio", "hi", "dhi", "dlo")
 
     def __init__(self, alpha: float, beta: float):
         self.alpha = alpha
         self.beta = beta
         self.ratio = array("d")  # G(a(n+1)+b)/G(an+b) as double
-        self.hi = array("d")     # 1/G(an+b) = hi + lo as double-double
-        self.lo = array("d")
+        self.hi = array("d")     # 1/G(an+b) within _COEFF_REL
+        self.dhi = array("d")    # 1/G(an+b) = dhi + dlo as double-double
+        self.dlo = array("d")
 
     def extend(self, n: int) -> None:
-        """Build the entries up to index n exactly (none when present)."""
-        if n < len(self.ratio):
-            return
+        """Build the float columns to index n exactly (none when present)."""
+        k0 = m = len(self.ratio)
+        a, b = self.alpha, self.beta
+        while m <= n and a * (m + 1) + b < _GAMMA_TOP:  # from m on: mpmath
+            m += 1
+        if m > k0:
+            hs = [_rgamma_at(a, k, b) for k in range(k0, m + 1)]
+            self.hi.extend(hs[:-1])
+            self.ratio.extend([h0 / h1 for h0, h1 in zip(hs, hs[1:])])
+        if m <= n:
+            self._build_mp(n)
+
+    def dd(self, n: int) -> tuple[array, array]:
+        """The double-double columns up to index n, built on first read."""
+        self.extend(n)
+        if n >= len(self.dhi):
+            self._build_mp(n)
+        return self.dhi[:n + 1], self.dlo[:n + 1]
+
+    def _build_mp(self, n: int) -> None:
+        """Append the double-double columns, and the float columns from where
+        they end, up to index n from one 50-digit gamma per entry."""
         import mpmath as mp
 
+        k0, kf = len(self.dhi), len(self.ratio)
         with mp.workdps(50):
-            a = mp.mpf(self.alpha)
-            b = mp.mpf(self.beta)
-            gs = [mp.gamma(a * k + b) for k in range(len(self.ratio), n + 2)]
-            for g0, g1 in zip(gs, gs[1:]):
-                self.ratio.append(float(g1 / g0))
+            a, b = mp.mpf(self.alpha), mp.mpf(self.beta)
+            gs = [mp.gamma(a * k + b) for k in range(k0, n + 1 + (kf <= n))]
+            for k, g0 in enumerate(gs[:n + 1 - k0], k0):
                 r = 1 / g0
                 hi = float(r)
-                self.hi.append(hi)
-                self.lo.append(float(r - hi))
+                self.dhi.append(hi)
+                self.dlo.append(float(r - hi))
+                if k >= kf:
+                    self.hi.append(hi)
+                    self.ratio.append(float(gs[k + 1 - k0] / g0))
 
 
 _TABLES: dict[tuple[float, float], _RatioTable] = {}
@@ -171,11 +217,11 @@ def _table(alpha: float, beta: float) -> _RatioTable:
     return tab
 
 
-def _recip_gammas(alpha: float, n: int) -> list:
+def _recip_gammas(alpha: float, n: int) -> array:
     """1/Gamma(alpha k + 1) for k < n, from one sized table build."""
     tab = _table(alpha, 1.0)
     tab.extend(n - 1)
-    return [h + l for h, l in zip(tab.hi[:n], tab.lo[:n])]
+    return tab.hi[:n]
 
 
 # ----------------------------------------------------------------------------
@@ -188,6 +234,11 @@ def _recip_gammas(alpha: float, n: int) -> list:
 # 21-digit cancellation) the error stays below 1.2e-32 * sum|t_n|, about one
 # double-double ulp; the constant keeps nearly two orders of headroom.
 _ERR_UNIT = 1e-30
+# Relative error of a float coefficient `hi` (`_rgamma_at`).  Measured against
+# 60-digit mpmath at the exact argument (52,979 coefficients: alpha 0.05-1.5
+# and its double, beta 1, 1+alpha and seeded draws in (0.1, 3), arguments
+# below _GAMMA_TOP) it stays below 7.7e-16, about 7 units of roundoff.
+_COEFF_REL = 2e-15
 _ROUND_UNIT = 2.0**-53  # unit roundoff of a double
 _MIN_NORMAL = 2.0**-1022  # below this a coefficient is subnormal
 _MAX_TERMS = 1600
@@ -209,7 +260,7 @@ def _positive_series(tab: _RatioTable, zabs: float, floor: float,
     ratio = tab.ratio
     if len(ratio) < 2 and not _grow(tab, zabs, floor, rel):
         return _MAX_TERMS + 1, math.inf, math.inf
-    t = prev = s = tab.hi[0] + tab.lo[0]
+    t = prev = s = tab.hi[0]
     n = 0
     while True:
         if n + 1 == len(ratio) and not _grow(tab, zabs, floor, rel):
@@ -262,17 +313,18 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     """Certified sum of E_{alpha,beta}(z) for a float or an ndarray z.
 
     Certify first: the positive series at max|z| fixes the term count N and
-    the mass S = sum|t_n| for every element, and PrecisionLoss is raised
-    before any summation when the double-double bound _ERR_UNIT * S + 2 t_N
-    exceeds tol.  Where the float64 bound (2N + 3) 2^-53 S + 2 t_N (Higham's
-    gamma_2N for Horner, one rounding per coefficient, two units of slack for
-    the float sizing pass) meets tol too, the `hi` coefficients are summed in
-    plain double, unless the last (smallest) one is subnormal; otherwise
-    double-double sums the full coefficients.  Elements with |value| <= the
-    float bound, whose sign it leaves open, are summed again in double-double
-    (near a root of small slope, float rounding within tol can still move the
-    sign change past a root tolerance).  PrecisionLoss is raised when
-    rounding any value to double pushes its bound past tol.
+    the mass S = sum|t_n| for every element (both scaled by 1 + N (2
+    _COEFF_REL + 3u) for the float ratios and roundings), and PrecisionLoss
+    is raised before any summation when the double-double bound
+    _ERR_UNIT * S + 2 t_N exceeds tol.  Where the float64 bound
+    ((2N + 3) u + _COEFF_REL) S + 2 t_N (Higham's gamma_2N for Horner, one
+    rounding per coefficient, two units of slack for the sizing pass, the
+    error of `hi`) meets tol too, `hi` is summed in plain double, unless its
+    last entry is subnormal; otherwise double-double sums `tab.dd(N)`.
+    Elements with |value| <= the float bound, whose sign it leaves open, are
+    summed again in double-double (near a root of small slope, float
+    rounding within tol can move the sign change past a root tolerance).
+    PrecisionLoss is raised when rounding to double pushes a bound past tol.
 
     signs=True serves zero scans: the float pass is taken even where its
     bound exceeds tol, no bound is held to tol, and PrecisionLoss is raised
@@ -287,28 +339,30 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     tab = _table(alpha, beta)
     zmax = _absmax(z)
     n, mass, last = _positive_series(tab, zmax, tol * 1e-3)
+    scale = 1.0 + n * (2.0 * _COEFF_REL + 3.0 * _ROUND_UNIT)
+    mass, last = scale * mass, scale * last
     err = _ERR_UNIT * mass + 2.0 * last
     if not (err <= tol or signs and err < math.inf):
         raise PrecisionLoss(
             f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}) "
             f"at |z|={zmax:g}; bound reached {err:g}"
         )
-    hi, lo = tab.hi[:n + 1], tab.lo[:n + 1]
-    ferr = (2 * n + 3) * _ROUND_UNIT * mass + 2.0 * last
+    ferr = ((2 * n + 3) * _ROUND_UNIT + _COEFF_REL) * mass + 2.0 * last
     val = None
-    if hi[n] >= _MIN_NORMAL and (signs or ferr <= tol):
-        val = _horner(hi, z)
+    if tab.hi[n] >= _MIN_NORMAL and (signs or ferr <= tol):
+        val = _horner(tab.hi[:n + 1], z)
         if ferr <= tol:
             err = ferr
         if isinstance(val, np.ndarray):
-            weak = np.abs(val) <= ferr
-            if weak.any():
-                whi, wlo = dd_horner(hi, lo, z[weak])
-                val[weak] = whi + wlo
+            weak = np.flatnonzero(np.abs(val) <= ferr)
+            # an array Horner step costs about ten on a scalar: few go singly
+            for w in [weak] if len(weak) > 8 else weak.tolist():
+                whi, wlo = dd_horner(*tab.dd(n), z[w])
+                val[w] = whi + wlo
         elif abs(val) <= ferr:
             val = None
     if val is None:
-        dhi, dlo = dd_horner(hi, lo, z)
+        dhi, dlo = dd_horner(*tab.dd(n), z)
         val = dhi + dlo
     bound = err + _ROUND_UNIT * _absmax(val)
     if not (bound <= tol or signs):
@@ -556,7 +610,7 @@ def rl_nodes(alpha: float, a: float, n: int):
     _check_alpha(alpha)
     if a <= 0:
         raise ValueError("endpoint a must be positive")
-    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs, ws = _gauss_legendre(n)
     smax = a**alpha
     s = 0.5 * smax * (xs + 1.0)
     u = a - s ** (1.0 / alpha)
@@ -565,9 +619,17 @@ def rl_nodes(alpha: float, a: float, n: int):
     return u, w
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights, cached and read-only."""
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
 # 32-point Gauss-Legendre rule and its 16-point check, nodes concatenated.
-_GL32 = np.polynomial.legendre.leggauss(32)
-_GL16 = np.polynomial.legendre.leggauss(16)
+_GL32 = _gauss_legendre(32)
+_GL16 = _gauss_legendre(16)
 _GL_NODES = np.concatenate([_GL32[0], _GL16[0]])
 
 

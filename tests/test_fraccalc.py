@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fracspec import charmfit, fraccalc
 from fracspec.fraccalc import (
     AlphaContext,
     DegenerateNorm,
@@ -358,3 +359,32 @@ def test_alpha_context_validation():
         AlphaContext(alpha=0.0)
     with pytest.raises(ValueError):
         AlphaContext(alpha=0.7, hbar_c=-1.0)
+
+
+# --- cached Gauss-Legendre node sets -------------------------------------------
+
+
+def test_gauss_legendre_nodes_are_cached_and_read_only():
+    xs, ws = fraccalc._gauss_legendre(128)
+    assert fraccalc._gauss_legendre(128)[0] is xs
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
+    with pytest.raises(ValueError):
+        ws[0] = 0.0
+    ref = np.polynomial.legendre.leggauss(128)
+    assert xs.tobytes() == ref[0].tobytes() and ws.tobytes() == ref[1].tobytes()
+
+
+def test_cached_nodes_leave_rl_nodes_and_radii_bitwise(monkeypatch):
+    quarks = charmfit.QuarkMasses()
+    calls = [lambda: rl_nodes(0.8, 1.7, 128),
+             lambda: charmfit.radius_box(2452.2, quarks, 0.7, n_nodes=24),
+             lambda: charmfit.radius_box(2452.2, quarks, 0.7, n_nodes=24,
+                                         measure="rl"),
+             lambda: charmfit.radius_sphere(2452.2, quarks, 0.7, n_nodes=24)]
+    cached = [np.asarray(f()).tobytes() for f in calls]
+    monkeypatch.setattr(fraccalc, "_gauss_legendre",
+                        np.polynomial.legendre.leggauss)
+    monkeypatch.setattr(charmfit, "_gauss_legendre",
+                        np.polynomial.legendre.leggauss)
+    assert [np.asarray(f()).tobytes() for f in calls] == cached

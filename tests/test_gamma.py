@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -53,3 +54,17 @@ def test_rgamma_zero_at_poles():
     for x in (0.0, -1.0, -5.0):
         assert rgamma(x) == 0.0
     assert rgamma(3.0) == pytest.approx(0.5, rel=1e-13)
+
+
+def test_rgamma_past_the_range_of_math_gamma():
+    # math.gamma overflows past 171.62, where 1/Gamma is a subnormal (0 by
+    # x = 200), and underflows to +-0 where 1/Gamma overflows to +-inf
+    with mp.workdps(30):
+        assert rgamma(171.7) == pytest.approx(float(mp.rgamma(171.7)),
+                                              rel=1e-12)
+    assert 0.0 < rgamma(171.7) < 2.0**-1022
+    assert rgamma(200.0) == 0.0
+    assert rgamma(-171.5) == math.inf
+    assert rgamma(-180.5) == -math.inf
+    for x in (-171.0, -180.0):
+        assert rgamma(x) == 0.0

@@ -2,18 +2,28 @@
 partial-sum oracle, validity domains and precision-loss behaviour."""
 
 import math
+import os
+import subprocess
+import sys
+from array import array
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from fracspec import fraccalc
+from fracspec._dd import dd_horner
 from fracspec.fraccalc import (
+    _COEFF_REL,
     _ERR_UNIT,
+    _ROUND_UNIT,
     HALF_PI,
+    FracSeries,
     PrecisionLoss,
+    caputo_derivative,
     _ml_sum,
     _positive_series,
     _table,
@@ -31,6 +41,7 @@ from fracspec.spectra import (
     _brackets,
     _refine,
     find_zeros,
+    radial_ground,
 )
 
 from conftest import ml_partial_sum_oracle, ml_series_mp
@@ -209,6 +220,20 @@ def test_ml_sum_within_returned_bound(monkeypatch):
     assert branches == {"_horner", "dd_horner"}
 
 
+@settings(deadline=None, max_examples=30)
+@given(zs=st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=12))
+def test_double_double_sum_of_one_point_equals_its_array_sum(zs):
+    # a chunk re-sums a few weak points one at a time (a Python or numpy
+    # float), bitwise as the array pass would
+    hi, lo = _table(1.6, 1.0).dd(80)
+    whi, wlo = dd_horner(hi, lo, np.array(zs))
+    for i, zi in enumerate(zs):
+        for one in (zi, np.float64(zi)):
+            h, l = dd_horner(hi, lo, one)
+            assert (float(h).hex(), float(l).hex()) == (whi[i].hex(),
+                                                        wlo[i].hex())
+
+
 @settings(deadline=None, max_examples=25)
 @given(alpha=st.floats(0.55, 1.5), odd=st.booleans(),
        root=st.integers(0, 7),
@@ -338,21 +363,128 @@ def test_non_finite_argument_fails_the_certificate(fn, bad):
         fn(np.array([0.5, bad]))
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.nan),
+                                         (math.inf, 1.0), (1.0, math.inf)])
+def test_non_finite_parameter_fails_the_certificate(alpha, beta):
+    with pytest.raises(PrecisionLoss):
+        mittag_leffler(alpha, beta, 0.5)
+
+
 # --- coefficient tables ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("key", [(1.6, 1.0), (1.6, 1.8)])
+@pytest.mark.parametrize("key", [(1.6, 1.0), (1.6, 1.8), (2.8, 1.0)])
 def test_one_sized_build_equals_a_grown_table(key):
-    # extend(n) builds exactly up to index n, and no entry depends on how
-    # the table grew
+    # extend(n) builds the float columns exactly up to index n, dd(n) the
+    # double-double columns, and no entry depends on how the table grew
+    # ((2.8, 1.0) leaves the range of math.gamma at index 60)
     one = fraccalc._RatioTable(*key)
     one.extend(90)
     grown = fraccalc._RatioTable(*key)
     for n in (0, 1, 2, 5, 17, 40, 41, 89, 90):
         grown.extend(n)
-        assert len(grown.ratio) == len(grown.hi) == len(grown.lo) == n + 1
-    for col in ("ratio", "hi", "lo"):
+        assert len(grown.ratio) == len(grown.hi) == n + 1
+        if n in (5, 41):
+            grown.dd(n - 3)
+    for col in ("ratio", "hi"):
         assert getattr(one, col).tobytes() == getattr(grown, col).tobytes()
+    one.dd(90)
+    grown.dd(90)
+    for col in ("dhi", "dlo"):
+        assert getattr(one, col).tobytes() == getattr(grown, col).tobytes()
+
+
+def _mp_columns(alpha, beta, n):
+    """(hi, lo, ratio) to index n from 50-digit mpmath at the exact
+    arguments alpha k + beta."""
+    with mp.workdps(50):
+        gs = [mp.gamma(mp.mpf(alpha) * k + mp.mpf(beta)) for k in range(n + 2)]
+        rs = [1 / g for g in gs[:-1]]
+        hi = [float(r) for r in rs]
+        return (hi, [float(r - h) for r, h in zip(rs, hi)],
+                [float(g1 / g0) for g0, g1 in zip(gs, gs[1:])])
+
+
+@pytest.mark.parametrize("key", [(1.6, 1.0), (0.7, 1.35), (2.8, 1.0)])
+def test_double_double_columns_equal_a_fresh_50_digit_build(key):
+    tab = fraccalc._RatioTable(*key)
+    dhi, dlo = tab.dd(90)
+    hi, lo, ratio = _mp_columns(*key, 90)
+    assert dhi.tobytes() == array("d", hi).tobytes()
+    assert dlo.tobytes() == array("d", lo).tobytes()
+    # past the range of math.gamma the float columns come from the same build
+    past = [k for k in range(91) if key[0] * (k + 1) + key[1] >= 171.0]
+    assert all(tab.hi[k] == hi[k] and tab.ratio[k] == ratio[k] for k in past)
+    assert len(past) == (31 if key[0] == 2.8 else 0)
+
+
+_BETA = st.one_of(st.sampled_from(["1", "1+alpha"]), st.floats(0.1, 3.0))
+
+
+def _beta(alpha, beta):
+    return {"1": 1.0, "1+alpha": 1.0 + alpha}.get(beta, beta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=st.floats(0.05, 3.0, exclude_min=True), beta=_BETA,
+       at=st.floats(0.0, 1.0))
+@example(alpha=0.36, beta=0.36 + 1.0, at=1.0)  # 1.4e-13 without correction
+def test_float_columns_lie_within_the_coefficient_error(alpha, beta, at):
+    # hi from math.gamma, corrected for the rounding of its argument, is
+    # within _COEFF_REL of 1/Gamma at the exact argument alpha k + beta, and
+    # ratio = hi[k]/hi[k+1] within twice that plus one rounding
+    beta = _beta(alpha, beta)
+    k = int(at * ((171.0 - beta) / alpha - 1.0))
+    while k and alpha * (k + 1) + beta >= 171.0:
+        k -= 1
+    tab = fraccalc._RatioTable(alpha, beta)
+    tab.extend(k)
+    with mp.workdps(60):
+        c0, c1 = (1 / mp.gamma(mp.mpf(alpha) * j + mp.mpf(beta))
+                  for j in (k, k + 1))
+        assert abs(tab.hi[k] - c0) <= _COEFF_REL * c0
+        assert (abs(tab.ratio[k] - c0 / c1)
+                <= (2 * _COEFF_REL + _ROUND_UNIT) * c0 / c1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.5, 3.0), beta=_BETA, x=st.floats(0.0, 12.0),
+       sign=st.sampled_from([-1.0, -1.0, 1.0]),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_float_pass_lies_within_its_bound(alpha, beta, x, sign, tol):
+    # the float64 Horner pass over math.gamma coefficients (no double-double
+    # column built) against 90-digit mpmath at the exact arguments
+    beta = _beta(alpha, beta)
+    z = sign * x ** alpha
+    with mock.patch.object(fraccalc, "_TABLES", {}):
+        try:
+            val, bound = _ml_sum(alpha, beta, z, tol)
+        except PrecisionLoss:
+            reject()
+        if len(fraccalc._TABLES[alpha, beta].dhi):
+            reject()
+    with mp.workdps(90):
+        ref = ml_series_mp(mp.mpf(alpha), mp.mpf(beta), mp.mpf(z))
+        assert abs(val - ref) <= bound <= tol
+
+
+def test_float_only_readers_build_no_double_double_columns(monkeypatch):
+    # series coefficients, the Caputo map and the radial recurrence read the
+    # float columns only, and never import mpmath
+    monkeypatch.setattr(fraccalc, "_TABLES", {})
+    caputo_derivative(FracSeries.cosine(0.8))
+    radial_ground(3, 2.0 / 3.0)
+    assert len(fraccalc._TABLES) == 2
+    assert all(len(t.dhi) == 0 for t in fraccalc._TABLES.values())
+    code = ("import sys\n"
+            "from fracspec.fraccalc import FracSeries, caputo_derivative\n"
+            "from fracspec.spectra import radial_ground\n"
+            "caputo_derivative(FracSeries.cosine(0.8))\n"
+            "radial_ground(3, 2.0 / 3.0)\n"
+            "assert 'mpmath' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(fraccalc.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class _SizeProbe(fraccalc._RatioTable):
