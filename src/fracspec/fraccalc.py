@@ -33,9 +33,8 @@ double Horner pass (Higham, Accuracy and Stability of Numerical Algorithms,
 2nd ed., 5.1) meets it, the series is summed in float64 over coefficients
 from math.gamma at the exact argument, and otherwise in double-double over
 coefficients built in 50-digit arithmetic only as far as that pass reads.
-Zero scans need signs, not values: they sum a chunk in float64 and sum again
-in double-double only the points whose |value| does not exceed the float
-bound.
+Zero scans need signs, not values: a chunk is summed in float64, and again
+in double-double only where |value| does not exceed the float bound.
 
 alpha is restricted to (0, 1.5] in the public fractional API.
 """
@@ -314,16 +313,15 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
 
     Certify first: the positive series at max|z| fixes the term count N and
     the mass S = sum|t_n| for every element (both scaled by 1 + N (2
-    _COEFF_REL + 3u) for the float ratios and roundings), and PrecisionLoss
-    is raised before any summation when the double-double bound
-    _ERR_UNIT * S + 2 t_N exceeds tol.  Where the float64 bound
-    ((2N + 3) u + _COEFF_REL) S + 2 t_N (Higham's gamma_2N for Horner, one
-    rounding per coefficient, two units of slack for the sizing pass, the
-    error of `hi`) meets tol too, `hi` is summed in plain double, unless its
-    last entry is subnormal; otherwise double-double sums `tab.dd(N)`.
-    Elements with |value| <= the float bound, whose sign it leaves open, are
-    summed again in double-double (near a root of small slope, float
-    rounding within tol can move the sign change past a root tolerance).
+    _COEFF_REL + 3u) for the float ratios and roundings); PrecisionLoss is
+    raised before summing when the double-double bound _ERR_UNIT S + 2 t_N
+    exceeds tol.  Where the float64 bound ((2N + 3) u + _COEFF_REL) S + 2 t_N
+    (Higham's gamma_2N for Horner, one rounding per coefficient, two units
+    of slack for the sizing pass, the error of `hi`) meets tol too and the
+    last `hi` is normal, `hi` is summed in plain double, else `tab.dd(N)` in
+    double-double.  Elements with |value| <= the float bound, whose sign it
+    leaves open (float rounding near a root of small slope can move the sign
+    change past a root tolerance), are summed again in double-double.
     PrecisionLoss is raised when rounding to double pushes a bound past tol.
 
     signs=True serves zero scans: the float pass is taken even where its
@@ -355,10 +353,15 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
             err = ferr
         if isinstance(val, np.ndarray):
             weak = np.flatnonzero(np.abs(val) <= ferr)
-            # an array Horner step costs about ten on a scalar: few go singly
-            for w in [weak] if len(weak) > 8 else weak.tolist():
-                whi, wlo = dd_horner(*tab.dd(n), z[w])
-                val[w] = whi + wlo
+            # one double-double pass over 1-400 points costs as much as 26-55
+            # over one float (BENCH_12.json): fewer than 40 go singly, bitwise
+            if len(weak) >= 40:
+                whi, wlo = dd_horner(*tab.dd(n), z[weak])
+                val[weak] = whi + wlo
+            elif len(weak):
+                dhi, dlo = tab.dd(n)
+                val[weak] = [h + l for h, l in (dd_horner(dhi, dlo, x)
+                                                for x in z[weak].tolist())]
         elif abs(val) <= ferr:
             val = None
     if val is None:
@@ -521,9 +524,7 @@ class FracSeries:
         if self.parity not in ("even", "odd", "none"):
             raise ValueError("parity must be 'even', 'odd' or 'none'")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.parity == "even" and any(
-            c != 0.0 for c in self.coeffs[1::2]
-        ):
+        if self.parity == "even" and any(c != 0.0 for c in self.coeffs[1::2]):
             raise ValueError("even series has nonzero odd coefficients")
         if self.parity == "odd" and any(c != 0.0 for c in self.coeffs[0::2]):
             raise ValueError("odd series has nonzero even coefficients")
@@ -628,8 +629,7 @@ def _gauss_legendre(n: int):
 
 
 # 32-point Gauss-Legendre rule and its 16-point check, nodes concatenated.
-_GL32 = _gauss_legendre(32)
-_GL16 = _gauss_legendre(16)
+_GL32, _GL16 = _gauss_legendre(32), _gauss_legendre(16)
 _GL_NODES = np.concatenate([_GL32[0], _GL16[0]])
 
 

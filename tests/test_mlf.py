@@ -223,8 +223,8 @@ def test_ml_sum_within_returned_bound(monkeypatch):
 @settings(deadline=None, max_examples=30)
 @given(zs=st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=12))
 def test_double_double_sum_of_one_point_equals_its_array_sum(zs):
-    # a chunk re-sums a few weak points one at a time (a Python or numpy
-    # float), bitwise as the array pass would
+    # a chunk re-sums a few weak points one at a time (as Python floats),
+    # bitwise as the array pass would
     hi, lo = _table(1.6, 1.0).dd(80)
     whi, wlo = dd_horner(hi, lo, np.array(zs))
     for i, zi in enumerate(zs):
@@ -232,6 +232,24 @@ def test_double_double_sum_of_one_point_equals_its_array_sum(zs):
             h, l = dd_horner(hi, lo, one)
             assert (float(h).hex(), float(l).hex()) == (whi[i].hex(),
                                                         wlo[i].hex())
+
+
+@pytest.mark.parametrize("few", [1, 5, 38])
+def test_weak_points_resum_alike_singly_and_as_an_array(few):
+    # cos at alpha 0.75 on scaled x in [20, 24] takes the float pass and
+    # every point is weak: 60 go through one array pass, `few` plus the
+    # largest |z| (the same sizing) one at a time; either way each value is
+    # bitwise the double-double sum of its point
+    z = -(HALF_PI * np.linspace(20.0, 24.0, 60)) ** 1.5
+    tab = _table(1.5, 1.0)
+    n, _, _ = fraccalc._positive_series(tab, float(np.max(np.abs(z))), 1e-12)
+    assert tab.hi[n] >= fraccalc._MIN_NORMAL
+    whi, wlo = dd_horner(*tab.dd(n), z)
+    every, _ = _ml_sum(1.5, 1.0, z, 1e-9, signs=True)
+    assert [v.hex() for v in every] == [v.hex() for v in whi + wlo]
+    idx = list(range(few)) + [59]
+    some, _ = _ml_sum(1.5, 1.0, z[idx], 1e-9, signs=True)
+    assert [v.hex() for v in some] == [every[i].hex() for i in idx]
 
 
 @settings(deadline=None, max_examples=25)
@@ -470,12 +488,16 @@ def test_float_pass_lies_within_its_bound(alpha, beta, x, sign, tol):
 
 def test_float_only_readers_build_no_double_double_columns(monkeypatch):
     # series coefficients, the Caputo map and the radial recurrence read the
-    # float columns only, and never import mpmath
+    # float columns only, and below the range end of math.gamma never import
+    # mpmath; radial_ground at alpha 1.4 reads 2.8 * 66 + 1 >= 171, where
+    # every column, the double-double one included, is built in 50 digits
     monkeypatch.setattr(fraccalc, "_TABLES", {})
     caputo_derivative(FracSeries.cosine(0.8))
     radial_ground(3, 2.0 / 3.0)
     assert len(fraccalc._TABLES) == 2
     assert all(len(t.dhi) == 0 for t in fraccalc._TABLES.values())
+    radial_ground(3, 1.4)
+    assert len(fraccalc._TABLES[(2.8, 1.0)].dhi) == 66
     code = ("import sys\n"
             "from fracspec.fraccalc import FracSeries, caputo_derivative\n"
             "from fracspec.spectra import radial_ground\n"
