@@ -90,7 +90,9 @@ class OutOfRange(ValueError):
 
 
 class RankDeficient(ValueError):
-    """A fit parameter has no supporting state in the dataset."""
+    """The dataset cannot fix the six fit parameters: one has no supporting
+    state, there are fewer states than parameters, or the design matrix is
+    numerically singular at some alpha."""
 
 
 class NegativeZeroPoint(ValueError):
@@ -342,14 +344,32 @@ def _metrics(states, res) -> dict:
 
 def _solve(states, alphas, c_model: str):
     """Least-squares parameters (n_alpha, 6) and residuals model - experiment
-    (n_alpha, n_states), all alphas in one stacked pseudo-inverse."""
+    (n_alpha, n_states), all alphas in one batched Householder QR, A = QR and
+    p = R^-1 Q^T y.  RankDeficient when a parameter has no supporting state,
+    when there are fewer states than parameters, or where ||R||_F ||R^-1||_F
+    (>= cond_2(A)) reaches 1/(max(M, N) eps), lstsq's rcond=None cutoff: no
+    alpha goes through at which that cutoff would drop a singular value."""
     A = _design_matrix([(s.j, s.m) for s in states], alphas, c_model)
     y = np.array([s.mass_exp for s in states])
     dead = [n for n, d in zip(_PARAM_NAMES, (A == 0.0).all(axis=1).any(axis=0)) if d]
     if dead:
         raise RankDeficient(f"no supporting state for parameter(s): {', '.join(dead)}")
+    if len(states) < len(_PARAM_NAMES):
+        raise RankDeficient(f"{len(states)} states cannot fix the "
+                            f"{len(_PARAM_NAMES)} parameters")
     cutoff = max(A.shape[-2:]) * np.finfo(float).eps  # lstsq's rcond=None
-    p = np.linalg.pinv(A, cutoff) @ y
+    Q, R = np.linalg.qr(A)
+    try:
+        R_inv = np.linalg.inv(R)
+    except np.linalg.LinAlgError as e:  # an exactly zero diagonal entry of R
+        raise RankDeficient(f"singular design matrix: {e}") from e
+    cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2))
+    bad = ~(cond * cutoff < 1.0)  # nan included
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RankDeficient(f"design matrix numerically singular at alpha = "
+                            f"{float(alphas[i]):g} (condition bound {cond[i]:.3g})")
+    p = (R_inv @ (y @ Q)[..., None])[..., 0]
     return p, _masses(A, p) - y
 
 
@@ -363,10 +383,16 @@ def fit(dataset, alpha, c_model: str = "c0", scan_step: float = 0.001,
     mean-absolute deviation excluding <33>) is minimised on a grid over
     [0.60, 0.72] with step scan_step, then refined by golden section to 1e-4;
     ties break toward smaller alpha.  The grid is one batch (one design
-    tensor over alpha, one stacked solve); each golden-section probe is a
-    batch of one.  An objective that is not a diagnostic key raises
-    ValueError for either kind of alpha.
+    tensor over alpha, one batched QR solve); each golden-section probe is a
+    batch of one.  RankDeficient is raised rather than a minimum-norm answer
+    when the states cannot fix all six parameters at some alpha solved: a
+    parameter without a supporting state, fewer than six states, or a design
+    matrix at which lstsq's rcond=None would drop a singular value.  An
+    objective that is not a diagnostic key, or a scan_step that is not
+    finite and positive, raises ValueError for either kind of alpha.
     """
+    if not 0.0 < scan_step < math.inf:  # nan included
+        raise ValueError(f"scan_step must be finite and positive: {scan_step:g}")
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {', '.join(_OBJECTIVES)}, "
                          f"got {objective!r}")

@@ -393,6 +393,12 @@ def _coerce(x):
     return float(x)
 
 
+def _check_ml_parameters(fn: str, alpha: float, beta: float) -> None:
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 < v < math.inf:  # nan included
+            raise ValueError(f"{fn} requires a finite {name} > 0, got {v:g}")
+
+
 def mittag_leffler(alpha: float, beta: float, z, tol: float = 1e-9):
     """Generalized Mittag-Leffler E_{alpha,beta}(z) = sum z^n/Gamma(alpha n+beta).
 
@@ -400,16 +406,14 @@ def mittag_leffler(alpha: float, beta: float, z, tol: float = 1e-9):
     <= tol, including the rounding to double, is certified by the
     compensated-summation budget; PrecisionLoss is raised otherwise.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("mittag_leffler requires alpha > 0 and beta > 0")
+    _check_ml_parameters("mittag_leffler", alpha, beta)
     return _ml_sum(alpha, beta, _coerce(z), tol)[0]
 
 
 def domain_of_validity(alpha: float, beta: float, tol: float) -> float:
     """Largest |z| (negative axis, the cancelling direction) for which the
     summation budget certifies absolute tolerance tol."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("domain_of_validity requires alpha > 0 and beta > 0")
+    _check_ml_parameters("domain_of_validity", alpha, beta)
     if math.isinf(tol):
         return math.inf
 

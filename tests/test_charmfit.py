@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracspec import charmfit
 from fracspec.angular import j2_eigenvalue, lz_eigenvalue
@@ -243,6 +245,85 @@ def test_fit_rank_deficient():
     tiny = [CharmState("x", 0, 0, 2452.2), CharmState("y", 1, 0, 2979.6)]
     with pytest.raises(RankDeficient):
         fit(tiny, 0.68, "c0")
+
+
+def test_fit_exact_column_dependence_is_rank_deficient(bundled_dataset):
+    # with <31> the only j = 3 state, the B3 column (l(alpha, 1) = 1) equals
+    # the delta_tau column: every parameter has a supporting state, yet a
+    # pseudo-inverse would return a minimum-norm answer
+    ds = [s for s in bundled_dataset if (s.j, s.m) not in ((3, 0), (3, 2), (3, 3))]
+    A = charmfit._design_matrix([(s.j, s.m) for s in ds], [0.68], "c0")[0]
+    assert np.array_equal(A[:, 4], A[:, 5]) and A[:, 4].any()
+    with pytest.raises(RankDeficient, match="singular"):
+        fit(ds, 0.68, "c0")
+
+
+def test_fit_fewer_states_than_parameters(bundled_dataset):
+    five = [s for s in bundled_dataset
+            if (s.j, s.m) in ((0, 0), (1, 1), (2, 1), (3, 0), (3, 1))]
+    for alpha in (0.68, "scan"):
+        with pytest.raises(RankDeficient, match="5 states"):
+            fit(five, alpha, "c0")
+
+
+def test_rank_guard_catches_every_pinv_truncation(bundled_dataset, monkeypatch):
+    # design matrices U diag(s) V^T with cond_2 spread around lstsq's cutoff
+    # 1/(M eps): wherever the pseudo-inverse would drop a singular value the
+    # solve must raise, and it must not below cutoff/6 (the Frobenius bound
+    # is at most 6 cond_2 for six columns)
+    n_states = len(bundled_dataset)
+    cutoff = n_states * np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    raised = truncated = 0
+    for _ in range(600):
+        U = np.linalg.qr(rng.normal(size=(n_states, 6)))[0]
+        V = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        cond = 10.0 ** rng.uniform(12.0, 16.0)
+        s = np.r_[1.0, cond ** -rng.uniform(0.0, 1.0, 4), 1.0 / cond]
+        A = (U * s * 10.0 ** rng.uniform(-3.0, 3.0)) @ V.T
+        monkeypatch.setattr(charmfit, "_design_matrix", lambda *args: A[None])
+        sv = np.linalg.svd(A, compute_uv=False)
+        try:
+            charmfit._solve(bundled_dataset, [0.7], "c0")
+        except RankDeficient:
+            raised += 1
+            assert sv[0] / sv[-1] > 0.9 / (6.0 * cutoff)
+        else:
+            assert sv[-1] >= cutoff * sv[0]
+        truncated += sv[-1] < cutoff * sv[0]
+    assert raised >= truncated > 100
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_fit_scan_step_must_be_finite_and_positive(bundled_dataset, step):
+    for alpha in ("scan", 0.68):
+        with pytest.raises(ValueError, match="scan_step"):
+            fit(bundled_dataset, alpha, "c0", scan_step=step)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), alphas=st.lists(st.floats(0.41, 1.5), min_size=1,
+                                       max_size=6),
+       c_model=st.sampled_from(["c0", "c1", "c2"]))
+def test_batched_solve_matches_per_alpha_lstsq(bundled_dataset, data, alphas,
+                                               c_model):
+    states = sorted(bundled_dataset, key=lambda s: (s.j, s.m))
+    pick = data.draw(st.sets(st.sampled_from(range(len(states))), min_size=6))
+    jitter = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=len(states),
+                                max_size=len(states)))
+    states = [dataclasses.replace(s, mass_exp=s.mass_exp + dm)
+              for i, (s, dm) in enumerate(zip(states, jitter)) if i in pick]
+    y = np.array([s.mass_exp for s in states])
+    A = charmfit._design_matrix([(s.j, s.m) for s in states], alphas, c_model)
+    assume(all(np.linalg.matrix_rank(a) == 6 for a in A))
+    p, res = charmfit._solve(states, alphas, c_model)
+    for a, p_a, res_a in zip(A, p, res):
+        # equilibrated columns: plain lstsq itself misses the 50-digit
+        # residuals by up to 1.3e-9 MeV near alpha = 1.5 (QR: 2e-12)
+        d = np.linalg.norm(a, axis=0)
+        ref = np.linalg.lstsq(a / d, y, rcond=None)[0] / d
+        assert np.linalg.norm(p_a - ref) <= 1e-12 * np.linalg.norm(ref)
+        np.testing.assert_allclose(res_a, a @ ref - y, rtol=0.0, atol=1e-9)
 
 
 _ALL_JM = [(j, m) for j in range(6) for m in range(j + 1)]

@@ -268,15 +268,24 @@ def test_radius_bad_input(tmp_path):
     ["fit", "--config", 'CONFIG:{"alpha": [0.7]}'],
     ["radius", "--config", 'CONFIG:{"alpha": [0.7]}'],
     ["radius", "--config", 'CONFIG:{"hbar_c": null}'],
+    # fewer states than the six parameters, each parameter supported
+    ["fit", "--alpha", "0.68", "--dataset", "FIVE_STATES"],
+    # a non-finite Mittag-Leffler parameter
+    ["special", "--name", "mlf", "--alpha", "1", "--beta", "inf"],
+    ["special", "--name", "mlf", "--alpha", "nan"],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     bundled = json.loads(resources.files("fracspec.data")
                          .joinpath("charmonium.json").read_text())
-    if "WITHOUT_21_22" in args:
-        partial = tmp_path / "partial.json"
-        partial.write_text(json.dumps(
-            [r for r in bundled if (r["j"], r["m"]) not in ((2, 1), (2, 2))]))
-        args = [str(partial) if a == "WITHOUT_21_22" else a for a in args]
+    subsets = {"WITHOUT_21_22": lambda jm: jm not in ((2, 1), (2, 2)),
+               "FIVE_STATES": lambda jm: jm in ((0, 0), (1, 1), (2, 1),
+                                                (3, 0), (3, 1))}
+    for label, keep in subsets.items():
+        if label in args:
+            partial = tmp_path / "partial.json"
+            partial.write_text(json.dumps(
+                [r for r in bundled if keep((r["j"], r["m"]))]))
+            args = [str(partial) if a == label else a for a in args]
     args = [str(tmp_path) if a == "DIR" else a for a in args]
     for n, a in enumerate(args):
         kind, _, text = a.partition(":")

@@ -383,9 +383,13 @@ def test_non_finite_argument_fails_the_certificate(fn, bad):
 
 @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.nan),
                                          (math.inf, 1.0), (1.0, math.inf)])
-def test_non_finite_parameter_fails_the_certificate(alpha, beta):
-    with pytest.raises(PrecisionLoss):
+def test_non_finite_parameter_is_named(alpha, beta):
+    # nan passes an `<= 0` guard; the parameter is named before any sum
+    name = "beta" if math.isfinite(alpha) else "alpha"
+    with pytest.raises(ValueError, match=f"finite {name} > 0"):
         mittag_leffler(alpha, beta, 0.5)
+    with pytest.raises(ValueError, match=f"finite {name} > 0"):
+        domain_of_validity(alpha, beta, 1e-9)
 
 
 # --- coefficient tables ----------------------------------------------------------
