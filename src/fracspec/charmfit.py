@@ -470,32 +470,40 @@ def predict(p: FitParams, j: int, m: int, dataset=None,
 # ----------------------------------------------------------------------------
 
 
+def _check_radius_args(sigma_mass, hbar_c, n_nodes, measure) -> None:
+    """The radius functions' arguments, checked before any root search."""
+    if not math.isfinite(sigma_mass):
+        raise ValueError(f"sigma mass must be finite: {sigma_mass:g}")
+    if not 0.0 < hbar_c < math.inf:  # nan included
+        raise ValueError(f"hbar_c must be finite and positive: {hbar_c:g}")
+    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1 or n_nodes is True:
+        raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
+    if measure not in ("plain", "rl"):
+        raise ValueError(f"measure must be 'plain' or 'rl', got {measure!r}")
+
+
 def _octant_nodes(alpha: float, a: float, n: int, measure: str):
     """Nodes on [0, a] and their weights scaled to sum 1: every use is a
     ratio, and unscaled weights (~a) underflow in the triple products of a
     well below about 1e-103 fm."""
     if measure == "rl":
         u, w = rl_nodes(alpha, a, n)
-    elif measure == "plain":
+    else:
         xs, w = _gauss_legendre(n)
         u = 0.5 * a * (xs + 1.0)
-    else:
-        raise ValueError("measure must be 'plain' or 'rl'")
     return u, w / w.sum()
 
 
 def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
                    hbar_c: float, n_nodes: int, measure: str, factor: float,
-                   k0: float, density) -> tuple[float, float]:
+                   k0: float, node_density=None,
+                   rho_density=None) -> tuple[float, float]:
     """radius_box/radius_sphere for the ground state of first zero k0, energy
-    E0 = factor m_c c^2 (hbar k0/(m_c c size))^(2 alpha) and density(u, size,
-    t, G) at the node triples t of the nodes u, G = sum_t |u|^(2 alpha).  Only
-    the sorted triples i <= j <= k are summed (about n_nodes^3/6 points), as
-    all of it is symmetric in the node indices."""
-    if not math.isfinite(sigma_mass):
-        raise ValueError(f"sigma mass must be finite: {sigma_mass:g}")
-    if not 0.0 < hbar_c < math.inf:  # nan included
-        raise ValueError(f"hbar_c must be finite and positive: {hbar_c:g}")
+    E0 = factor m_c c^2 (hbar k0/(m_c c size))^(2 alpha) and density
+    p_i p_j p_k f, p = node_density(k0 u/size) at the nodes u, f =
+    rho_density((k0/size)^(2 alpha) G), G = R_i + R_j + R_k, R = |u|^(2 alpha)
+    (1 when None), summed over the sorted triples i <= j <= k (about
+    n_nodes^3/6 points): all of it is symmetric in the node indices."""
     constituents = 2.0 * quarks.m_d_c2 + quarks.m_c_c2
     e0 = sigma_mass - constituents
     if e0 < 0:
@@ -507,17 +515,26 @@ def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     X = (e0 / (factor * mc2)) ** (1.0 / (2.0 * alpha))
     size = hbar_c * k0 / (mc2 * X)
     u, w = _octant_nodes(alpha, size, n_nodes, measure)
+    if node_density is not None:
+        w = w * node_density(k0 * u / size)
     R = np.abs(u) ** (2.0 * alpha)
-    # sorted triples i <= j <= k: for each pair j <= k, i runs over 0..j
-    j, k = np.triu_indices(n_nodes)
-    i = np.arange((j + 1).sum()) - np.repeat(np.cumsum(j + 1) - j - 1, j + 1)
-    j, k = np.repeat(j, j + 1), np.repeat(k, j + 1)
-    G = R[i] + R[j] + R[k]
-    # each sorted triple stands for its 6, 3 or 1 distinct permutations
-    W = w[i] * w[j] * w[k] * np.array([6.0, 3.0, 1.0])[(i == j) * 1 + (j == k)]
-    W *= density(u, size, (i, j, k), G)
+    # slab k: the first (k + 1)(k + 2)/2 pairs i <= j, ordered by j, with node
+    # k appended; a triple stands for its 6, 3 or 1 distinct permutations, 6
+    # or 3 (i < j, i = j) while j < k, then 3 or 1 on the pairs j = k
+    j, i = np.tril_indices(n_nodes)
+    pair_R, pair_w, diag = R[i] + R[j], w[i] * w[j], i == j
+    below, top = pair_w * np.where(diag, 3.0, 6.0), pair_w * np.where(diag, 1.0, 3.0)
+    G, W = np.empty((2, n_nodes * (n_nodes + 1) * (n_nodes + 2) // 6))
+    for k in range(n_nodes):
+        d, m = k * (k + 1) // 2, (k + 1) * (k + 2) // 2  # pairs j < k, j <= k
+        s = k * m // 3  # triples in the slabs before k
+        np.add(pair_R[:m], R[k], out=G[s:s + m])
+        np.multiply(below[:d], w[k], out=W[s:s + d])
+        np.multiply(top[d:m], w[k], out=W[s + d:s + m])
+    if rho_density is not None:
+        W *= rho_density((k0 / size) ** (2.0 * alpha) * G)
     prefactor = (hbar_c / mc2) ** (1.0 - alpha) / gamma(1.0 + alpha)
-    return size, prefactor * float(W @ np.sqrt(G)) / float(W.sum())
+    return size, prefactor * float(W @ np.sqrt(G, out=G)) / float(W.sum())
 
 
 def radius_box(sigma_mass: float, quarks: QuarkMasses, alpha: float,
@@ -536,14 +553,11 @@ def radius_box(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     Equality with the constituent sum is flagged by (inf, inf); below it,
     NegativeZeroPoint is raised.
     """
+    _check_radius_args(sigma_mass, hbar_c, n_nodes, measure)
     k0 = find_zeros("cos", alpha, 1, 8.0, xtol=1e-12)[0] * HALF_PI
-
-    def density(u, a, t, G):  # psi_i^2 psi_j^2 psi_k^2
-        p = frac_cos(alpha, k0 * u / a) ** 2
-        return p[t[0]] * p[t[1]] * p[t[2]]
-
+    # the density psi_i^2 psi_j^2 psi_k^2 is separable: psi^2 at the nodes
     return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, measure,
-                          1.5, k0, density)
+                          1.5, k0, lambda x: frac_cos(alpha, x) ** 2)
 
 
 def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
@@ -557,14 +571,11 @@ def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     radius_box.  g depends on the coordinates only through
     rho = sum |x_i|^(2 alpha), so L_z g = J^2 g = 0 holds by construction.
     """
+    _check_radius_args(sigma_mass, hbar_c, n_nodes, measure)
     ground = radial_ground(3, alpha)
-    k_sph = ground.first_zero
-
-    def density(u, r0, t, G):  # g(rho)^2
-        return ground.g_of_rho((k_sph / r0) ** (2.0 * alpha) * G) ** 2
-
     return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, measure,
-                          0.5, k_sph, density)
+                          0.5, ground.first_zero,
+                          rho_density=lambda rho: ground.g_of_rho(rho) ** 2)
 
 
 # ----------------------------------------------------------------------------

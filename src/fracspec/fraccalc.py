@@ -300,12 +300,26 @@ def _grow(tab: _RatioTable, zabs: float, floor: float, rel: float) -> bool:
     return True
 
 
+_HORNER_BLOCK = 65536  # 65 terms over 357,760 points: 11-13 ms; at 8,192: 12-17
+
+
 def _horner(coeffs, z):
-    """sum_n coeffs[n] * z**n in plain double by Horner's rule."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
+    """sum_n coeffs[n] * z**n in plain double by Horner's rule.  An array with
+    an axis is summed in place (acc *= z; acc += c: the roundings of
+    acc * z + c) over blocks of _HORNER_BLOCK points that stay in cache."""
+    if not (isinstance(z, np.ndarray) and z.ndim):
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = acc * z + c
+        return acc
+    flat, out = z.reshape(-1), np.empty(z.size)
+    for s in range(0, z.size, _HORNER_BLOCK):
+        zb, acc = flat[s:s + _HORNER_BLOCK], out[s:s + _HORNER_BLOCK]
+        acc.fill(coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc *= zb
+            acc += c
+    return out.reshape(z.shape)
 
 
 def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):

@@ -2,7 +2,7 @@
 
 Three sub-criteria are known to be unattainable because the published
 numbers are internally inconsistent with the published formulas (full
-analysis in the project notes):
+analysis in LEDGER.md):
 
 * criterion 3 for the alpha-optimized parameter rows: the published mass
   table was generated at more alpha digits than printed; at the printed
@@ -110,7 +110,7 @@ def test_criterion3_exact_alpha_row(bundled_dataset):
 
 def test_criterion3_published_masses_at_printed_alpha(bundled_dataset):
     """KNOWN RED: published masses are only reproducible with alpha digits
-    beyond the printed three decimals (analysis in the project notes)."""
+    beyond the printed three decimals (analysis in LEDGER.md)."""
     worst = 0.0
     for i, row in enumerate(TABLE2_ROWS):
         for (j, m), vals in TABLE3_PRINTED.items():
@@ -126,7 +126,7 @@ def test_criterion3_published_masses_at_printed_alpha(bundled_dataset):
            f"c1 {m50_c1:.2f} vs 4957.54, c2 {m50_c2:.2f} vs 4969.07")
     assert ok, (
         f"published mass table not reproducible at printed-alpha precision "
-        f"(worst deviation {worst:.2f} MeV; see notes/decisions ledger)"
+        f"(worst deviation {worst:.2f} MeV; see LEDGER.md)"
     )
 
 
@@ -203,8 +203,22 @@ def test_criterion6_radial_first_zero_published_value():
            ok, f"computed {got:.5f}*(pi/2)")
     assert ok, (
         f"first zero of the printed recurrence is {got:.5f}*(pi/2), "
-        f"not 3.1652*(pi/2); see notes/decisions ledger"
+        f"not 3.1652*(pi/2); see LEDGER.md"
     )
+
+
+def test_criterion6_published_zero_is_reached_at_alpha_0_71129():
+    """The published 3.1652*(pi/2) is the first zero of the printed radial
+    recurrence at alpha = 0.71129, not at 2/3 (LEDGER.md)."""
+    lo, hi = 0.70, 0.72  # the first zero falls with alpha: 3.2719, 3.0891
+    while hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        if radial_ground(3, mid).first_zero_scaled > 3.1652:
+            lo = mid
+        else:
+            hi = mid
+    assert report("criterion 6: first zero 3.1652*(pi/2) reached at alpha "
+                  "0.71129", abs(lo - 0.71129) <= 1e-4, f"alpha = {lo:.6f}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +250,7 @@ def test_criterion7_sphere_published_values():
            f"|{r:.4f} - {r_box:.4f}| = {abs(r - r_box):.4f}")
     assert r0_ok and r_ok and agree_ok, (
         "sphere chain cannot reproduce the published values from the "
-        "published formulas; see notes/decisions ledger"
+        "published formulas; see LEDGER.md"
     )
 
 

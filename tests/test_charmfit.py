@@ -504,11 +504,16 @@ def test_radius_sphere_alpha_one_classical():
 
 
 def _sphere_brute_force(r0, alpha, n_nodes, measure):
-    """<r> of radius_sphere summed over all n_nodes^3 octant nodes."""
+    """<r> of radius_sphere summed over all n_nodes^3 octant nodes.  Each G
+    adds its R values in sorted index order, as the cubature does: near the
+    cube's far corner the alternating series of g has a condition number of
+    about 7e7 (alpha 0.55), so G's last-bit rounding alone moves <r> by up to
+    3e-13."""
     ground = radial_ground(3, alpha)
     u, w = charmfit._octant_nodes(alpha, r0, n_nodes, measure)
     R = np.abs(u) ** (2.0 * alpha)
-    G = R[:, None, None] + R[None, :, None] + R[None, None, :]
+    i, j, k = np.sort(np.indices((n_nodes,) * 3), axis=0)
+    G = R[i] + R[j] + R[k]
     P = ground.g_of_rho((ground.first_zero / r0) ** (2.0 * alpha) * G)
     W3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
     ratio = float((W3 * P * P * np.sqrt(G)).sum() / (W3 * P * P).sum())
@@ -544,6 +549,16 @@ def test_sphere_cubature_matches_brute_force(fn, alpha, n_nodes, measure):
     assert r == pytest.approx(brute(size, alpha, n_nodes, measure), rel=1e-13)
 
 
+@settings(deadline=None, max_examples=40)
+@given(alpha=st.floats(0.55, 1.5), n_nodes=st.integers(1, 24),
+       measure=st.sampled_from(["plain", "rl"]), sigma=st.floats(2440.0, 2470.0))
+def test_cubatures_match_brute_force_everywhere(alpha, n_nodes, measure, sigma):
+    for fn, brute in ((radius_box, _box_brute_force),
+                      (radius_sphere, _sphere_brute_force)):
+        size, r = fn(sigma, QUARKS, alpha, n_nodes=n_nodes, measure=measure)
+        assert r == pytest.approx(brute(size, alpha, n_nodes, measure), rel=1e-13)
+
+
 @pytest.mark.parametrize("fn", [radius_box, radius_sphere])
 def test_radius_scales_to_a_tiny_well(fn):
     # <r> ~ a^alpha at fixed shape: E0 = 1e300 MeV shrinks the well to
@@ -555,14 +570,31 @@ def test_radius_scales_to_a_tiny_well(fn):
     assert r_tiny / a_tiny**alpha == pytest.approx(r / a**alpha, rel=1e-12)
 
 
-@pytest.mark.parametrize("sigma, hbar_c", [
-    (math.inf, 197.327), (-math.inf, 197.327), (math.nan, 197.327),
-    (2452.2, -1.0), (2452.2, math.nan), (2452.2, math.inf),
+@pytest.mark.parametrize("sigma, hbar_c, bad", [
+    *(pytest.param(s, h, {}, id=f"{s}-{h}") for s, h in (
+        (math.inf, 197.327), (-math.inf, 197.327), (math.nan, 197.327),
+        (2452.2, -1.0), (2452.2, math.nan), (2452.2, math.inf))),
+    *(pytest.param(2452.2, 197.327, {"n_nodes": n}, id=f"n_nodes={n!r}")
+      for n in (0, -3, 2.5, True)),
+    *(pytest.param(2452.2, 197.327, {"measure": m}, id=f"measure={m!r}")
+      for m in ("riemann", "", None)),
 ])
-def test_radius_rejects_bad_sigma_and_hbar_c(sigma, hbar_c):
+def test_radius_rejects_bad_sigma_and_hbar_c(sigma, hbar_c, bad, monkeypatch):
+    # every argument is checked, by name, before either root search runs
+    def search(*args, **kwargs):
+        raise AssertionError("root search ran before the arguments were checked")
+
+    monkeypatch.setattr(charmfit, "find_zeros", search)
+    monkeypatch.setattr(charmfit, "radial_ground", search)
+    name = next(iter(bad), "hbar_c" if sigma == 2452.2 else "sigma")
     for fn in (radius_box, radius_sphere):
-        with pytest.raises(ValueError):
-            fn(sigma, QUARKS, 2.0 / 3.0, hbar_c)
+        with pytest.raises(ValueError, match=name):
+            fn(sigma, QUARKS, 2.0 / 3.0, hbar_c, **bad)
+
+
+def test_radius_accepts_numpy_integer_nodes():
+    got = radius_box(2452.2, QUARKS, 2.0 / 3.0, n_nodes=np.int64(12))
+    assert got == radius_box(2452.2, QUARKS, 2.0 / 3.0, n_nodes=12)
 
 
 def test_radius_quadrature_stability():

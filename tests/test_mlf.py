@@ -220,6 +220,29 @@ def test_ml_sum_within_returned_bound(monkeypatch):
     assert branches == {"_horner", "dd_horner"}
 
 
+def _plain_horner(coeffs, z):
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+_B = fraccalc._HORNER_BLOCK
+
+
+@pytest.mark.parametrize("size", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 5])
+def test_blocked_horner_is_bitwise_the_plain_loop(size):
+    rng = np.random.default_rng(size)
+    coeffs = rng.standard_normal(40).tolist()
+    z = rng.uniform(-1.5, 1.5, size)
+    for zs in (z, z.reshape(-1, 1)):
+        got, want = fraccalc._horner(coeffs, zs), _plain_horner(coeffs, zs)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    got = fraccalc._horner(coeffs, 0.7)
+    assert type(got) is float and got == _plain_horner(coeffs, 0.7)
+
+
 @settings(deadline=None, max_examples=30)
 @given(zs=st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=12))
 def test_double_double_sum_of_one_point_equals_its_array_sum(zs):
