@@ -35,8 +35,8 @@ from importlib import resources
 import numpy as np
 
 from .angular import C_MODELS, c_value, euler_eigenvalue
-from .fraccalc import (HBARC_MEV_FM, _check_alpha, _gauss_legendre, frac_cos,
-                       gamma, rl_nodes)
+from .fraccalc import (HBARC_MEV_FM, _check_alpha, _check_positive,
+                       _gauss_legendre, frac_cos, gamma, rl_nodes)
 from .spectra import find_zeros, radial_ground, HALF_PI
 
 __all__ = [
@@ -152,8 +152,7 @@ class QuarkMasses:
     m_c_c2: float = 1400.0
 
     def __post_init__(self):
-        if not (0 < self.m_d_c2 < math.inf and 0 < self.m_c_c2 < math.inf):
-            raise ValueError("quark masses must be finite and positive")
+        _check_positive("QuarkMasses", m_d_c2=self.m_d_c2, m_c_c2=self.m_c_c2)
 
 
 def _read_input(path) -> str:
@@ -391,8 +390,7 @@ def fit(dataset, alpha, c_model: str = "c0", scan_step: float = 0.001,
     objective that is not a diagnostic key, or a scan_step that is not
     finite and positive, raises ValueError for either kind of alpha.
     """
-    if not 0.0 < scan_step < math.inf:  # nan included
-        raise ValueError(f"scan_step must be finite and positive: {scan_step:g}")
+    _check_positive("fit", scan_step=scan_step)
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {', '.join(_OBJECTIVES)}, "
                          f"got {objective!r}")
@@ -474,8 +472,7 @@ def _check_radius_args(sigma_mass, hbar_c, n_nodes, measure) -> None:
     """The radius functions' arguments, checked before any root search."""
     if not math.isfinite(sigma_mass):
         raise ValueError(f"sigma mass must be finite: {sigma_mass:g}")
-    if not 0.0 < hbar_c < math.inf:  # nan included
-        raise ValueError(f"hbar_c must be finite and positive: {hbar_c:g}")
+    _check_positive("radius", hbar_c=hbar_c)
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1 or n_nodes is True:
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
     if measure not in ("plain", "rl"):

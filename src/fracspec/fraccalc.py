@@ -407,8 +407,8 @@ def _coerce(x):
     return float(x)
 
 
-def _check_ml_parameters(fn: str, alpha: float, beta: float) -> None:
-    for name, v in (("alpha", alpha), ("beta", beta)):
+def _check_positive(fn: str, **values: float) -> None:
+    for name, v in values.items():
         if not 0.0 < v < math.inf:  # nan included
             raise ValueError(f"{fn} requires a finite {name} > 0, got {v:g}")
 
@@ -420,14 +420,14 @@ def mittag_leffler(alpha: float, beta: float, z, tol: float = 1e-9):
     <= tol, including the rounding to double, is certified by the
     compensated-summation budget; PrecisionLoss is raised otherwise.
     """
-    _check_ml_parameters("mittag_leffler", alpha, beta)
+    _check_positive("mittag_leffler", alpha=alpha, beta=beta)
     return _ml_sum(alpha, beta, _coerce(z), tol)[0]
 
 
 def domain_of_validity(alpha: float, beta: float, tol: float) -> float:
     """Largest |z| (negative axis, the cancelling direction) for which the
     summation budget certifies absolute tolerance tol."""
-    _check_ml_parameters("domain_of_validity", alpha, beta)
+    _check_positive("domain_of_validity", alpha=alpha, beta=beta)
     if math.isinf(tol):
         return math.inf
 
@@ -513,8 +513,7 @@ class AlphaContext:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.hbar_c <= 0 or self.mc2 <= 0:
-            raise ValueError("hbar_c and mc2 must be positive")
+        _check_positive("AlphaContext", hbar_c=self.hbar_c, mc2=self.mc2)
 
 
 # ----------------------------------------------------------------------------
@@ -627,8 +626,7 @@ def rl_nodes(alpha: float, a: float, n: int):
     removed and Gauss-Legendre applies to a smooth integrand.
     """
     _check_alpha(alpha)
-    if a <= 0:
-        raise ValueError("endpoint a must be positive")
+    _check_positive("rl_nodes", a=a)
     xs, ws = _gauss_legendre(n)
     smax = a**alpha
     s = 0.5 * smax * (xs + 1.0)
@@ -652,83 +650,92 @@ _GL_NODES = np.concatenate([_GL32[0], _GL16[0]])
 
 
 def frac_integral(f, alpha: float, a: float, tol: float = 1e-8,
-                  max_panels: int = 4096) -> float:
+                  max_panels: int = 4096):
     """Riemann-Liouville integral (1/Gamma(a)) int_0^a (a-u)^(a-1) f(u) du.
 
-    f must accept numpy arrays.  Adaptive Gauss-Legendre bisection on the
+    f(u) has u's shape (a float result) or (k, len(u)): k integrands on one
+    panel set (k results).  Adaptive Gauss-Legendre bisection on the
     substituted integrand, one level (depth) at a time: one call of f
     evaluates the 32- and 16-point rules on every open panel.  A panel is
-    accepted when they differ by <= 0.5 tol max(scale, |v32|) or 1e-16
-    scale (scale: |accepted| + sum of |v32| over the open panels), else
-    bisected; relative error ~tol for smooth f.  Raises QuadratureFailure
-    when a panel fails at depth 28 or a split would start with max_panels
-    panels evaluated.
+    accepted when in every row they differ by <= 0.5 tol max(scale, |v32|)
+    or 1e-16 scale (scale: the row's |accepted| + sum of |v32| over the open
+    panels), else bisected; relative error ~tol for smooth f.  Raises
+    ValueError unless a and tol are finite and positive and f(u) is so
+    shaped, QuadratureFailure when a panel fails at depth 28 or a split
+    would start with max_panels panels evaluated.
     """
     _check_alpha(alpha)
-    if a <= 0:
-        raise ValueError("endpoint a must be positive")
+    _check_positive("frac_integral", a=a, tol=tol)
     norm, inv_alpha = 1.0 / gamma(alpha + 1.0), 1.0 / alpha
     lo, hi = np.zeros(1), np.full(1, a**alpha)
     acc, scale, n_panels, depth = 0.0, 1e-300, 1, 0
     while True:
         h, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         s = (mid[:, None] + h[:, None] * _GL_NODES).ravel()
-        u = np.clip(a - s**inv_alpha, 0.0, a)
-        vals = norm * np.asarray(f(u), float).reshape(len(h), -1)
-        v32 = h * (vals[:, :32] @ _GL32[1])
-        e = np.abs(v32 - h * (vals[:, 32:] @ _GL16[1]))
-        scale = max(scale, abs(acc) + float(np.abs(v32).sum()))
+        v = _values(f, np.clip(a - s**inv_alpha, 0.0, a))
+        vals = norm * v.reshape(-1, len(h), len(_GL_NODES))  # rows, panels, 48
+        v32 = h * (vals[..., :32] @ _GL32[1])
+        e = np.abs(v32 - h * (vals[..., 32:] @ _GL16[1]))
+        # fmax like max(): a nan row sum leaves the scale as it was
+        scale = np.fmax(scale, np.abs(acc) + np.abs(v32).sum(1, keepdims=True))
         ok = ((e <= tol * np.maximum(scale, np.abs(v32)) * 0.5)
-              | (e <= 1e-16 * scale))
-        acc += float(v32[ok].sum())
+              | (e <= 1e-16 * scale)).all(axis=0)
+        acc += v32[:, ok].sum(1, keepdims=True)
         n_split = len(ok) - int(np.count_nonzero(ok))
         if not n_split:
-            return acc
+            return acc[:, 0] if v.ndim == 2 else float(acc[0, 0])
         if depth >= 28 or n_panels + 2 * n_split - 2 >= max_panels:
             raise QuadratureFailure(
-                f"adaptive refinement stalled at depth {depth}: {n_split} "
-                f"panels fail (worst err {e[~ok].max():g}), {n_panels} evaluated"
-            )
+                f"adaptive refinement stalled at depth {depth}: {n_split} panels"
+                f" fail (worst err {e[:, ~ok].max():g}), {n_panels} evaluated")
         n_panels += 2 * n_split
         lo, mid, hi = lo[~ok], mid[~ok], hi[~ok]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         depth += 1
 
 
-def sym_integral(f, alpha: float, a: float, tol: float = 1e-8) -> float:
+def _values(f, u):
+    v = np.asarray(f(u), float)
+    if v.ndim not in (1, 2) or v.shape[-1] != len(u):
+        raise ValueError(f"integrand returned shape {v.shape}, expected "
+                         f"({len(u)},) or (k, {len(u)})")
+    return v
+
+
+def sym_integral(f, alpha: float, a: float, tol: float = 1e-8):
     """Integral over the symmetric interval [-a, a] of the du^alpha measure:
     the endpoint-anchored RL integral of f(u) + f(-u).
 
     Odd integrands vanish identically; even integrands get twice their
     one-sided RL integral.  (The measure convention only enters expectation
     values through ratios, where the constant cancels.)  f is called once
-    per refinement level, on u and -u together.
+    per refinement level, on u and -u together, a stacked f row by row.
     """
 
     def even_part(u):
-        v = np.asarray(f(np.concatenate([u, -u])), float)
-        return v[:len(u)] + v[len(u):]
+        v = _values(f, np.concatenate([u, -u]))
+        return v[..., :len(u)] + v[..., len(u):]
 
     return frac_integral(even_part, alpha, a, tol=tol)
 
 
+def _rows(u, f, g, op=None):
+    """f(u) g(u), stacked under f(u) O(u) g(u) if op; g unused if g == f."""
+    fu = np.asarray(f(u), float)
+    p = fu * (fu if g == f else np.asarray(g(u), float))
+    return p if op is None else np.stack([p * np.asarray(op(u), float), p])
+
+
 def scalar_product(f, g, alpha: float, a: float, tol: float = 1e-8) -> float:
-    """<f|g> over [-a, a] under du^alpha (real-valued functions)."""
-    return sym_integral(lambda u: np.asarray(f(u), float) * np.asarray(g(u), float),
-                        alpha, a, tol=tol)
+    """Real <f|g> over [-a, a] under du^alpha; g is called only if g != f."""
+    return sym_integral(lambda u: _rows(u, f, g), alpha, a, tol=tol)
 
 
 def expectation(op, f, g, alpha: float, a: float, tol: float = 1e-8) -> float:
-    """<f|O|g>/<f|g> with O a pointwise map u -> factor, over [-a, a].
-
-    Raises DegenerateNorm when the normalisation is too small to divide by.
-    """
-    num = sym_integral(
-        lambda u: np.asarray(f(u), float) * np.asarray(op(u), float)
-        * np.asarray(g(u), float),
-        alpha, a, tol=tol,
-    )
-    den = scalar_product(f, g, alpha, a, tol=tol)
+    """<f|O|g>/<f|g> with O a pointwise map u -> factor, over [-a, a]: two
+    rows of one sym_integral (one panel set); g is called only if g != f.
+    Raises DegenerateNorm when <f|g> is too small to divide by."""
+    num, den = sym_integral(lambda u: _rows(u, f, g, op), alpha, a, tol=tol)
     if abs(den) < 1e-12 * max(abs(num), 1.0):
         raise DegenerateNorm(f"<f|g> = {den:g} below tolerance")
-    return num / den
+    return float(num / den)

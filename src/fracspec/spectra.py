@@ -21,6 +21,7 @@ from .fraccalc import (
     HALF_PI,
     PrecisionLoss,
     _check_alpha,
+    _check_positive,
     _horner,
     _table,
     _trig,
@@ -144,8 +145,7 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
     _check_alpha(alpha)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not x_max > 0:  # nan included
-        raise ValueError(f"x_max must be positive: {x_max:g}")
+    _check_positive("find_zeros", x_max=x_max)
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
     odd = kind == "sin"
@@ -238,8 +238,7 @@ def well_states_1d(alpha: float, count: int, a: float,
     Returns fewer states when the zero set is exhausted (finite for
     1/2 < alpha < 1); raises NoZeros when there are none at all.
     """
-    if a <= 0:
-        raise ValueError("half-width a must be positive")
+    _check_positive("well_states_1d", a=a)
     x_max = 2.0 * count + 20.0
     tagged, _ = _interleaved_roots(alpha, count, x_max)
     return [WellState(alpha=alpha, n=n, parity=parity, k0=k0, a=a,
@@ -335,8 +334,7 @@ def spherical_ground_energy(N: int, alpha: float, r0: float,
                             ctx: AlphaContext) -> float:
     """Ground-state energy of the infinite spherical well,
     e0 = (1/2) mc^2 (hbar k0_sph / (mc r0))^(2 alpha)."""
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    _check_positive("spherical_ground_energy", r0=r0)
     return free_energy(alpha, radial_ground(N, alpha).first_zero / r0, ctx)
 
 
@@ -358,8 +356,7 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     when the estimated tail weight exceeds 1e-6.
     """
     _check_alpha(alpha)
-    if not T > 0:  # nan included
-        raise ValueError(f"T must be positive: {T:g}")
+    _check_positive("equivalent_potential", T=T)
     grid = np.asarray(grid, float)
     if not np.isfinite(grid).all():
         raise ValueError("grid points must be finite")

@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracspec import charmfit, fraccalc
 from fracspec.fraccalc import (
@@ -185,15 +187,55 @@ def test_rl_nodes_match_adaptive():
         frac_integral(f, alpha, a), rel=1e-9)
 
 
+def _quadratures(f):
+    """Every quadrature entry point as a function of (a, tol), integrand f."""
+    return {
+        "frac_integral": lambda a, tol: frac_integral(f, 0.7, a, tol=tol),
+        "sym_integral": lambda a, tol: sym_integral(f, 0.7, a, tol=tol),
+        "scalar_product": lambda a, tol: scalar_product(f, f, 0.7, a, tol=tol),
+        "expectation": lambda a, tol: expectation(f, f, f, 0.7, a, tol=tol),
+    }
+
+
 def test_integral_invalid_endpoint():
-    with pytest.raises(ValueError):
-        frac_integral(lambda u: u, 0.7, -1.0)
+    # rejected, by name, before any integrand call (nan used to evaluate
+    # 4,095 panels, inf to warn)
+    f, seen = _counted(np.cos)
+    for a in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        for run in _quadratures(f).values():
+            with pytest.raises(ValueError, match="finite a > 0"):
+                run(a, 1e-8)
+        with pytest.raises(ValueError, match="finite a > 0"):
+            rl_nodes(0.7, a, 4)
+    assert seen[0] == 0
+
+
+def test_integral_invalid_tol():
+    f, seen = _counted(np.cos)
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        for run in _quadratures(f).values():
+            with pytest.raises(ValueError, match="finite tol > 0"):
+                run(1.0, tol)
+    assert seen[0] == 0
+
+
+@pytest.mark.parametrize("integral", [frac_integral, sym_integral])
+def test_integrand_shape_is_named(integral):
+    for f, shape in ((lambda u: 1.0, r"\(\)"),
+                     (lambda u: np.ones(3), r"\(3,\)"),
+                     (lambda u: u[:-1], r"\(\d+,\)"),
+                     (lambda u: np.ones((1, 2, len(u))), r"\(1, 2, \d+\)")):
+        with pytest.raises(ValueError, match=rf"shape {shape}, expected "
+                                             r"\((\d+),\) or \(k, \1\)"):
+            integral(f, 0.7, 1.0)
 
 
 def test_integral_stall_raises():
-    # oscillation far beyond any sane panel budget
-    with pytest.raises(QuadratureFailure):
-        frac_integral(lambda u: np.cos(5e7 * u), 0.7, 1.0, max_panels=512)
+    # oscillation far beyond any sane panel budget, alone or in a stack
+    for f in (lambda u: np.cos(5e7 * u),
+              lambda u: np.stack([np.cos(u), np.cos(5e7 * u)])):
+        with pytest.raises(QuadratureFailure):
+            frac_integral(f, 0.7, 1.0, max_panels=512)
 
 
 # --- level-wise refinement against the depth-first loop -----------------------
@@ -353,12 +395,99 @@ def test_expectation_degenerate_norm():
         expectation(lambda u: u, f, g, alpha, 1.0)
 
 
+# --- one pass for norm and expectation value ---------------------------------
+
+
+class _CountedState:
+    """A well state whose psi counts its calls; st.psi == st.psi holds for
+    its bound methods as for WellState's."""
+
+    def __init__(self, alpha, index):
+        from fracspec.spectra import well_states_1d
+
+        self.state = well_states_1d(alpha, 8, 1.0, AlphaContext(alpha))[index]
+        self.calls = 0
+
+    def psi(self, u):
+        self.calls += 1
+        return self.state.psi(u)
+
+
+def _count_levels(monkeypatch):
+    """Route frac_integral through a wrapper counting its integrand calls,
+    one per refinement level: returns [levels]."""
+    levels, real = [0], fraccalc.frac_integral
+
+    def counting(f, *args, **kwargs):
+        def g(u):
+            levels[0] += 1
+            return f(u)
+
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(fraccalc, "frac_integral", counting)
+    return levels
+
+
+@pytest.mark.parametrize("alpha,index", [(0.85, 0), (0.9, 3), (0.95, 6)])
+def test_psi_called_once_per_level(monkeypatch, alpha, index):
+    state = _CountedState(alpha, index)
+    op = lambda u: np.abs(u) ** alpha
+    for run in (lambda: scalar_product(state.psi, state.psi, alpha, 1.0),
+                lambda: expectation(op, state.psi, state.psi, alpha, 1.0)):
+        levels = _count_levels(monkeypatch)
+        state.calls = 0
+        run()
+        assert state.calls == levels[0] > 1
+
+
+def test_scalar_product_of_f_with_itself_is_bitwise_the_product():
+    for alpha, index in ((0.6, 0), (0.8, 4), (0.95, 5), (1.0, 7)):
+        state = _CountedState(alpha, index)
+        g = lambda u: state.state.psi(u)  # not == state.psi: called as well
+        assert scalar_product(state.psi, state.psi, alpha, 1.0) \
+            == sym_integral(lambda u: state.psi(u) * g(u), alpha, 1.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), alpha=st.floats(0.55, 1.0),
+       op=st.sampled_from(["one", "abs_pow", "square"]))
+def test_expectation_matches_two_separate_integrals(data, alpha, op):
+    from fracspec.spectra import well_states_1d
+
+    # state index 0-7: below alpha ~0.75 fewer than 8 states exist
+    states = well_states_1d(alpha, 8, 1.0, AlphaContext(alpha))
+    psi = states[data.draw(st.integers(0, len(states) - 1))].psi
+    o = {"one": np.ones_like, "abs_pow": lambda u: np.abs(u) ** alpha,
+         "square": np.square}[op]
+    num = sym_integral(lambda u: psi(u) * o(u) * psi(u), alpha, 1.0)
+    den = sym_integral(lambda u: psi(u) * psi(u), alpha, 1.0)
+    assert expectation(o, psi, psi, alpha, 1.0) == pytest.approx(num / den,
+                                                                 rel=1e-8)
+
+
+@pytest.mark.parametrize("name,make,alpha,a,sym", QUAD_CASES,
+                         ids=[c[0] for c in QUAD_CASES])
+def test_identical_rows_are_bitwise_the_single_run(name, make, alpha, a, sym):
+    f = make()
+    integral = sym_integral if sym else frac_integral
+    want = integral(f, alpha, a)
+    got = integral(lambda u: np.stack([f(u), f(u)]), alpha, a)
+    assert isinstance(want, float) and got.shape == (2,)
+    assert got[0] == want and got[1] == want
+
+
 def test_alpha_context_validation():
     AlphaContext(alpha=2.0 / 3.0, hbar_c=197.327, mc2=1400.0)
     with pytest.raises(ValueError):
         AlphaContext(alpha=0.0)
     with pytest.raises(ValueError):
         AlphaContext(alpha=0.7, hbar_c=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite hbar_c > 0"):
+            AlphaContext(alpha=0.7, hbar_c=bad)
+        with pytest.raises(ValueError, match="finite mc2 > 0"):
+            AlphaContext(alpha=0.7, mc2=bad)
 
 
 # --- cached Gauss-Legendre node sets -------------------------------------------

@@ -106,6 +106,16 @@ def test_bad_arguments():
         find_zeros("tan", 0.9, 1, 5.0)
     with pytest.raises(ValueError):
         find_zeros("cos", 0.9, 0, 5.0)
+    # lengths and temperatures must be finite and positive, named in the error
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite x_max > 0"):
+            find_zeros("cos", 0.9, 1, bad)
+        with pytest.raises(ValueError, match="finite a > 0"):
+            well_states_1d(0.9, 2, bad, CTX)
+        with pytest.raises(ValueError, match="finite r0 > 0"):
+            spherical_ground_energy(3, 0.9, bad, CTX)
+        with pytest.raises(ValueError, match="finite T > 0"):
+            equivalent_potential(0.9, bad, 4, [0.0])
 
 
 # --- 1D well -----------------------------------------------------------------
