@@ -11,7 +11,6 @@ from .fraccalc import (
     QuadratureFailure,
     DegenerateNorm,
     caputo_derivative,
-    domain_of_validity,
     expectation,
     frac_cos,
     frac_exp,

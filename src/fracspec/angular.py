@@ -29,7 +29,6 @@ from .fraccalc import _check_alpha, gamma, rgamma
 
 __all__ = [
     "C_MODELS",
-    "commutator_c",
     "c_value",
     "euler_eigenvalue",
     "lz_eigenvalue",
@@ -39,25 +38,6 @@ __all__ = [
 ]
 
 C_MODELS = ("c0", "c1", "c2")  # the commutator-constant models above
-
-
-def commutator_c(n: int, alpha: float) -> float:
-    """Raw coordinate-momentum commutator bracket on the monomial set,
-
-        c(n, alpha) = (1/Gamma(1+a)) (Gamma(1+na)/Gamma(1+(n-1)a)
-                                      - Gamma(1+(n+1)a)/Gamma(1+na)).
-
-    That is l(alpha, n) - l(alpha, n+1), except at n = 0, where the printed
-    first term 1/(Gamma(1-a) Gamma(1+a)) is finite but not l(alpha, 0) = 0.
-    The sign tension with c1 = +(1 - ...) at n = 0 is deliberately left
-    unreconciled.  Used for plotting the approximation ladder only.
-    """
-    _check_alpha(alpha)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    t1 = (euler_eigenvalue(alpha, n) if n
-          else rgamma(1.0 - alpha) / gamma(1.0 + alpha))
-    return t1 - euler_eigenvalue(alpha, n + 1)
 
 
 def c_value(variant: str, alpha: float, j: int = 0) -> float:

@@ -35,6 +35,16 @@ from math.gamma at the exact argument, and otherwise in double-double over
 coefficients built in 50-digit arithmetic only as far as that pass reads.
 Zero scans need signs, not values: a chunk is summed in float64, and again
 in double-double only where |value| does not exceed the float bound.
+For 1/2 < alpha <= 1 a call whose every t = |x| is at least t0 takes the
+Hankel-contour inversion of s^(a-1)/(s^a+1) (cos) and s^(alpha-1)/(s^a+1)
+(sin/sign x), a = 2 alpha (F. Mainardi, Chaos Solitons Fractals 7, 1996;
+Gorenflo, Loutchko, Luchko, Fract. Calc. Appl. Anal. 5(4), 2002): the poles
+e^(+-i pi/a) give (2/a) e^(t cos(pi/a)) {cos, sin}(t sin(pi/a)), the cut
+P = sum_{k<K} (-1)^k sin((k+d) a pi) Gamma(l+ak)/(pi t^(l+ak)) + R_K,
+(l, d) = (a, 1), (alpha, 1/2), |R_K| <= Gamma(l+aK)/(pi m t^(l+aK)) as
+|1 + r^a e^(i a pi)| >= m (1 if cos(a pi) >= 0, else |sin(a pi)|); t0 is the
+least t where some K makes that tol/4 (20.4-21.5 at tol 1e-9 for alpha
+>= 0.55).  At alpha = 1, P = 0 and the pair is cos t or sin t.
 
 alpha is restricted to (0, 1.5] in the public fractional API.
 """
@@ -58,7 +68,6 @@ __all__ = [
     "gamma",
     "rgamma",
     "mittag_leffler",
-    "domain_of_validity",
     "frac_exp",
     "frac_cos",
     "frac_sin",
@@ -424,37 +433,6 @@ def mittag_leffler(alpha: float, beta: float, z, tol: float = 1e-9):
     return _ml_sum(alpha, beta, _coerce(z), tol)[0]
 
 
-def domain_of_validity(alpha: float, beta: float, tol: float) -> float:
-    """Largest |z| (negative axis, the cancelling direction) for which the
-    summation budget certifies absolute tolerance tol."""
-    _check_positive("domain_of_validity", alpha=alpha, beta=beta)
-    if math.isinf(tol):
-        return math.inf
-
-    def ok(m: float) -> bool:
-        try:
-            _ml_sum(alpha, beta, -m, tol)
-            return True
-        except PrecisionLoss:
-            return False
-
-    lo, hi = (1.0, 2.0) if ok(1.0) else (0.0, 1.0)  # else bisect (0, 1)
-    while lo and ok(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            return hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-2 * lo:
-            break
-    return lo
-
-
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha <= ALPHA_MAX:
@@ -473,15 +451,64 @@ def frac_sin(alpha: float, x, tol: float = 1e-9):
 
 
 def _trig(alpha: float, x, tol: float, odd: bool, signs: bool = False):
-    """frac_sin (odd) or frac_cos, and the bound _ml_sum returns for its
-    Mittag-Leffler factor; signs=True gives the sign-certified values that
-    zero scans need."""
+    """frac_sin (odd) or frac_cos and its bound (`_far_sum`'s past t0, else
+    _ml_sum's for the ML factor); signs=True: the signs zero scans need."""
     alpha = _check_alpha(alpha)
     x = _coerce(x)
     ax = abs(x)
+    far = _far(alpha, odd, tol) if 0.5 < alpha <= 1.0 else None
+    if far and (got := _far_sum(far, ax, odd)):
+        val, bound = got
+        if not (bound <= tol or signs):
+            raise PrecisionLoss(f"cannot certify abs error {tol:g} for "
+                                f"frac_{'sin' if odd else 'cos'}({alpha:g}) "
+                                f"at |x|={_absmax(ax):g}; bound {bound:g}")
+        return _coerce(np.sign(x) * val if odd else val), bound
     beta = 1.0 + alpha if odd else 1.0
     val, bound = _ml_sum(2.0 * alpha, beta, -ax ** (2.0 * alpha), tol, signs)
     return (_coerce(np.sign(x) * ax**alpha * val) if odd else val), bound
+
+
+@functools.lru_cache(maxsize=1024)
+def _far(alpha: float, odd: bool, tol: float):
+    """(t0, a, l, K, c, g, rem, cos(pi/a), sin(pi/a)) of the large-|x| branch
+    (module docstring) at min(tol, 1), since t^-a overflows as t0 nears 0;
+    None unless 0 < tol < inf.  c_k are the coefficients of P in t^-a,
+    g_k = Gamma(l+ak)/pi >= |c_k|, rem = g_K/m."""
+    if not 0.0 < tol < math.inf:
+        return None
+    a = 2.0 * alpha
+    l, d = (alpha, 0.5) if odd else (a, 1.0)
+    m = 1.0 if math.cos(a * math.pi) >= 0.0 else abs(math.sin(a * math.pi))
+    budget = math.log(0.25 * math.pi * m * min(tol, 1.0))
+    log_t0, K = min(((math.lgamma(l + a * k) - budget) / (l + a * k), k)
+                    for k in range(1, int((_GAMMA_TOP - l) / a) + 1))
+    g = [math.gamma(l + a * k) / math.pi for k in range(K + 1)]
+    c = [(-1) ** k * math.sin((k + d) * a * math.pi) * g[k] for k in range(K)]
+    return (math.exp(log_t0), a, l, K, c, g[:K], g[K] / m * (1.0 + 1e-12),
+            math.cos(math.pi / a), math.sin(math.pi / a))
+
+
+def _far_sum(far, t, odd: bool):
+    """P(t) + pair and its bound, None unless every t lies in [t0, inf) (an
+    array's first element is compared first).  Bound: R_K at min t, rounding
+    of P (coefficients within 1e-12 g_k: gamma's argument < 1e-13, the
+    sine's < 2e-13; (4K + 8) u for Horner and powers of t), of the pair
+    (angle and exponent round by a few u t) and of the value."""
+    t0, a, l, K, c, g, rem, cos_pa, sin_pa = far
+    arr = isinstance(t, np.ndarray)
+    if arr and not (t.size and t0 <= t.flat[0]):
+        return None
+    lo, hi = (float(t.min()), float(t.max())) if arr else (t, t)
+    if not t0 <= lo <= hi < math.inf:
+        return None
+    val = (_horner(c, t**-a) * t**-l + (2.0 / a) * np.exp(t * cos_pa)
+           * (np.sin if odd else np.cos)(t * sin_pa))
+    amp = (2.0 / a) * math.exp(max(lo * cos_pa, hi * cos_pa))
+    bound = (rem * lo ** -(l + a * K) + (40.0 * hi + 9.0) * _ROUND_UNIT * amp
+             + (1e-12 + (4 * K + 8) * _ROUND_UNIT) * _horner(g, lo**-a) * lo**-l
+             + _ROUND_UNIT * _absmax(val))
+    return val, bound
 
 
 def frac_exp(alpha: float, x, tol: float = 1e-9):

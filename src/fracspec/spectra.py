@@ -153,8 +153,7 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
     roots: list[float] = []
     chunk = 400  # scan points per vector evaluation
     x0 = SCAN_STEP
-    prev_x = None
-    prev_v = None
+    prev_x = prev_v = None
     while x0 <= x_max and len(roots) < count:
         xs = x0 + SCAN_STEP * np.arange(chunk)
         xs = xs[xs <= x_max + 0.5 * SCAN_STEP]

@@ -9,33 +9,11 @@ import pytest
 from fracspec.angular import (
     TABLE1_PRINTED,
     c_value,
-    commutator_c,
     euler_eigenvalue,
     j2_eigenvalue,
     lz_eigenvalue,
     table1_report,
 )
-
-
-# --- commutator bracket -------------------------------------------------------
-
-
-def test_bracket_at_origin_alpha_one():
-    # printed bracket evaluates to -1 at n=0 in the alpha->1 limit
-    assert commutator_c(0, 1.0) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_bracket_alpha_to_one_any_n():
-    for n in (0, 1, 2, 5, 9, 200):
-        assert commutator_c(n, 1.0 - 1e-6) == pytest.approx(-1.0, abs=1e-4)
-
-
-def test_bracket_smooth_in_n():
-    vals = [commutator_c(n, 0.6) for n in range(12)]
-    diffs = np.abs(np.diff(vals))
-    assert diffs.max() < 0.5
-    # decaying variation with n, as in the plotted ladder
-    assert diffs[-1] < diffs[0]
 
 
 # --- commutator-constant models --------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from fracspec import charmfit, cli
 from fracspec.cli import main
-from fracspec.fraccalc import PrecisionLoss, domain_of_validity, frac_cos
+from fracspec.fraccalc import PrecisionLoss, frac_cos
 
 
 def run(args):
@@ -63,9 +63,10 @@ def test_special_domain_exceeded(tmp_path, capsys):
               "--out", str(out)])
     assert rc == 2
     assert not out.exists()
-    # the message names the certified reach |x| <= (z bound)^(1/2)
-    bound = domain_of_validity(2.0, 1.0, 1e-9) ** 0.5
-    assert f"|x| <= {bound:g}" in json.loads(capsys.readouterr().err)["error"]
+    # the message carries the sum's own: the largest |z| and the bound reached
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("DomainExceeded")
+    assert "at |z|=250000; bound reached" in err
 
 
 def test_special_domain_below_one(tmp_path):
@@ -231,7 +232,7 @@ def test_radius_bad_input(tmp_path):
      "--x-max", "25", "--step", "1"],
     ["special", "--name", "mlf", "--alpha", "1.0", "--x-min", "-2",
      "--x-max", "30", "--step", "1"],
-    # alpha > 1: cos grows on the negative axis, inside domain_of_validity
+    # alpha > 1: cos grows on the negative axis past what rounds within tol
     ["special", "--name", "cos", "--alpha", "1.5", "--x-min", "0",
      "--x-max", "34", "--step", "0.5"],
     # a directory where a file is expected: IsADirectoryError, an OSError
@@ -305,19 +306,59 @@ def test_bad_input_is_a_json_error(tmp_path, capsys, args):
 
 
 def test_scan_past_the_amplitude_range_warns_nothing(tmp_path, capsys):
-    # past the amplitude range the scan values reach ~1e160; stderr must
+    # past the amplitude range the scan values grow huge; stderr must
     # still be one JSON object, with no numpy warning ahead of it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run(["zeros", "--x-max", "500", "--alpha-min", "0.6",
-                  "--alpha-max", "0.6", "--out", str(tmp_path / "z.csv")])
+        rc = run(["zeros", "--x-max", "500", "--alpha-min", "1.2",
+                  "--alpha-max", "1.2", "--count", "400",
+                  "--out", str(tmp_path / "z.csv")])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"].startswith("ValueError")
 
 
+def test_scan_to_500_at_alpha_0_6_is_certified(tmp_path, capsys):
+    # the large-argument branch covers the scan: one cos root, no sin root
+    out = tmp_path / "z.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["zeros", "--x-max", "500", "--alpha-min", "0.6",
+                  "--alpha-max", "0.6", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1:] == [
+        "0.600000,cos,0,1.396881", "0.600000,sin,,no_zeros"]
+
+
+@pytest.mark.parametrize("args", [
+    ["special", "--name", "cos", "--alpha", "0.8", "--step", "inf"],
+    ["zeros", "--alpha-step", "inf"],
+])
+def test_infinite_grid_step_names_the_option(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    assert run(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == f"ValueError: {args[-2]} must be finite and positive: inf"
+
+
+def test_potential_past_the_finite_spectrum_is_cut_off(tmp_path, capsys):
+    # alpha 0.8 has 7 states; the last weight at T = 12 is far above 1e-8
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["potential", "--alpha", "0.8", "--temperature", "12",
+                  "--n-states", "18", "--grid-half-width", "3",
+                  "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("CutoffTooSmall: cutoff weight 5.10e-02")
+
+
 @pytest.mark.parametrize("args", [
     # beyond the certified range: PrecisionLoss, raised before any artifact
-    ["potential", "--alpha", "0.8", "--temperature", "12", "--n-states", "18",
+    ["potential", "--alpha", "0.95", "--temperature", "12", "--n-states", "18",
      "--grid-half-width", "3"],
     ["potential", "--alpha", "0.9", "--temperature", "12", "--n-states", "18",
      "--grid-half-width", "3"],

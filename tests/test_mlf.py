@@ -28,7 +28,6 @@ from fracspec.fraccalc import (
     _positive_series,
     _table,
     _trig,
-    domain_of_validity,
     frac_cos,
     frac_exp,
     frac_sin,
@@ -85,34 +84,15 @@ def test_vector_matches_scalar():
                                   abs=1e-12)
 
 
-def test_domain_of_validity_classical():
-    assert domain_of_validity(1.0, 1.0, 1e-9) >= 30.0
-
-
-def test_domain_of_validity_four_thirds():
-    assert domain_of_validity(4.0 / 3.0, 1.0, 1e-9) >= 50.0
-
-
-def test_domain_below_one_is_bisected():
-    # E_{0.1,1} certifies up to |z| ~ 0.945 (fails at 0.95), short of |z| = 1
-    bound = domain_of_validity(0.1, 1.0, 1e-9)
-    assert 0.93 <= bound < 0.95
-    mittag_leffler(0.1, 1.0, -bound, tol=1e-9)  # certifies, no PrecisionLoss
-
-
-def test_domain_unbounded_for_infinite_tol():
-    assert domain_of_validity(1.0, 1.0, math.inf) == math.inf
-
-
 def test_precision_loss_raised_beyond_domain():
-    bound = domain_of_validity(1.0, 1.0, 1e-9)
+    # E_{1,1}(-z) = e^-z certifies 1e-9 up to |z| of about 48.25
+    mittag_leffler(1.0, 1.0, -48.0, tol=1e-9)
     with pytest.raises(PrecisionLoss):
-        mittag_leffler(1.0, 1.0, -4.0 * bound, tol=1e-9)
+        mittag_leffler(1.0, 1.0, -4.0 * 48.25, tol=1e-9)
 
 
 def test_relaxed_tolerance_extends_reach():
-    bound9 = domain_of_validity(1.0, 1.0, 1e-9)
-    z = -1.2 * bound9
+    z = -1.2 * 48.25
     with pytest.raises(PrecisionLoss):
         mittag_leffler(1.0, 1.0, z, tol=1e-9)
     got = mittag_leffler(1.0, 1.0, z, tol=1e-3)
@@ -411,8 +391,82 @@ def test_non_finite_parameter_is_named(alpha, beta):
     name = "beta" if math.isfinite(alpha) else "alpha"
     with pytest.raises(ValueError, match=f"finite {name} > 0"):
         mittag_leffler(alpha, beta, 0.5)
-    with pytest.raises(ValueError, match=f"finite {name} > 0"):
-        domain_of_validity(alpha, beta, 1e-9)
+
+
+# --- large-argument branch (1/2 < alpha <= 1) ------------------------------------
+
+
+def _trig_mp(alpha: float, odd: bool, x: float):
+    """frac_sin (odd) or frac_cos at x from the series in mpmath, 120 digits
+    carried past the cancellation of its terms (the largest near e^|x|)."""
+    with mp.workdps(120 + int(abs(x) / 2.3)):
+        a, t = mp.mpf(alpha), abs(mp.mpf(x))
+        if odd:
+            return mp.sign(x) * t**a * ml_series_mp(2 * a, 1 + a, -t ** (2 * a))
+        return ml_series_mp(2 * a, mp.mpf(1), -t ** (2 * a))
+
+
+@settings(deadline=None, max_examples=40)
+@given(alpha=st.floats(0.5, 1.0, exclude_min=True), odd=st.booleans(),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-11]), u=st.floats(0.0, 1.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+@example(alpha=1.0, odd=False, tol=1e-11, u=1.0, sign=1.0)
+@example(alpha=0.8, odd=True, tol=1e-6, u=0.0, sign=-1.0)  # series certifies
+@example(alpha=0.51, odd=False, tol=1e-9, u=0.0, sign=1.0)  # m = 0.063
+def test_large_argument_branch_within_its_bound(alpha, odd, tol, u, sign):
+    # |x| in [t0, 200], against the series in mpmath; where the series
+    # certifies too, the two agree within 2 tol
+    t0 = fraccalc._far(alpha, odd, tol)[0]
+    if t0 > 200.0:
+        reject()
+    x = sign * (t0 + u * (200.0 - t0))
+    val, bound = _trig(alpha, x, tol, odd)
+    assert abs(val - _trig_mp(alpha, odd, x)) <= bound <= tol
+    try:
+        ml, _ = _ml_sum(2.0 * alpha, 1.0 + alpha if odd else 1.0,
+                        -abs(x) ** (2.0 * alpha), tol)
+    except PrecisionLoss:
+        return
+    assert abs(val - (sign * abs(x) ** alpha * ml if odd else ml)) <= 2.0 * tol
+
+
+def test_only_calls_wholly_past_t0_take_the_branch(monkeypatch):
+    t0 = fraccalc._far(0.8, False, 1e-9)[0]
+    calls = []
+    real = fraccalc._ml_sum
+    monkeypatch.setattr(fraccalc, "_ml_sum",
+                        lambda *args: calls.append(args) or real(*args))
+    frac_cos(0.8, 1.5 * t0)
+    frac_cos(0.8, np.array([-2.0 * t0, t0]))
+    assert not calls
+    frac_cos(0.8, np.array([2.0 * t0, 0.99 * t0]))
+    frac_cos(0.8, 0.99 * t0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("tol", [1e10, 1e300])
+def test_a_loose_tolerance_keeps_t0_away_from_zero(tol):
+    # t0 of tol = 1 (about 1.42 at alpha 0.8): below it the series sums,
+    # where t^-a of the branch would overflow
+    assert fraccalc._far(0.8, False, tol)[0] == fraccalc._far(0.8, False, 1.0)[0]
+    vals = frac_cos(0.8, np.array([1e-203, 1e-3]), tol)
+    assert vals == pytest.approx([1.0, 1.0], abs=1e-3)
+
+
+@pytest.mark.parametrize("kind, first", [("cos", 1), ("sin", 2)])
+def test_classical_roots_exact_out_to_200(kind, first):
+    scan = find_zeros(kind, 1.0, 100, 200.0)
+    assert scan.complete
+    exact = first + 2.0 * np.arange(100)
+    assert np.max(np.abs(np.array(scan.roots) - exact)) <= 1e-9
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, [25.0, math.inf],
+                               [math.nan, 25.0], [25.0, math.nan]])
+@pytest.mark.parametrize("fn", [frac_cos, frac_sin])
+def test_large_argument_branch_refuses_non_finite(fn, x):
+    with pytest.raises(PrecisionLoss):
+        fn(0.8, x)
 
 
 # --- coefficient tables ----------------------------------------------------------

@@ -378,10 +378,23 @@ def test_root_on_a_scan_point_is_bracketed_once(vs, want):
 
 
 def test_scan_beyond_the_amplitude_range_raises_without_warning():
+    # alpha > 1 has no large-argument branch: the series runs out of range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="representable"):
-            find_zeros("cos", 0.6, 6, 500.0)
+            find_zeros("cos", 1.2, 400, 500.0)
+
+
+def test_scan_to_500_at_alpha_0_6_finds_the_one_root():
+    # the large-argument branch certifies the whole scan: one cos root, and
+    # no sign change from x = 13 to 500
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = find_zeros("cos", 0.6, 6, 500.0)
+        with pytest.raises(NoZeros):
+            find_zeros("sin", 0.6, 6, 500.0)
+    assert scan.roots == pytest.approx((1.39688,), abs=1e-5)
+    assert not scan.complete
 
 
 def test_find_zeros_keeps_a_root_on_a_scan_point(monkeypatch):
