@@ -457,7 +457,9 @@ def _trig(alpha: float, x, tol: float, odd: bool, signs: bool = False):
     x = _coerce(x)
     ax = abs(x)
     far = _far(alpha, odd, tol) if 0.5 < alpha <= 1.0 else None
-    if far and (got := _far_sum(far, ax, odd)):
+    # most calls below t0 stop at their first |x|
+    first = far and (ax if type(ax) is float else ax.size and ax.item(0))
+    if far and far[0] <= first and (got := _far_sum(far, ax, odd)):
         val, bound = got
         if not (bound <= tol or signs):
             raise PrecisionLoss(f"cannot certify abs error {tol:g} for "
@@ -490,16 +492,14 @@ def _far(alpha: float, odd: bool, tol: float):
 
 
 def _far_sum(far, t, odd: bool):
-    """P(t) + pair and its bound, None unless every t lies in [t0, inf) (an
-    array's first element is compared first).  Bound: R_K at min t, rounding
-    of P (coefficients within 1e-12 g_k: gamma's argument < 1e-13, the
-    sine's < 2e-13; (4K + 8) u for Horner and powers of t), of the pair
-    (angle and exponent round by a few u t) and of the value."""
+    """P(t) + pair and its bound, None unless every t lies in [t0, inf).
+    The bound: R_K at min t, rounding of P (coefficients within 1e-12 g_k:
+    gamma's argument < 1e-13, the sine's < 2e-13; (4K + 8) u for Horner and
+    powers of t), of the pair (angle and exponent round by a few u t) and
+    of the value."""
     t0, a, l, K, c, g, rem, cos_pa, sin_pa = far
-    arr = isinstance(t, np.ndarray)
-    if arr and not (t.size and t0 <= t.flat[0]):
-        return None
-    lo, hi = (float(t.min()), float(t.max())) if arr else (t, t)
+    lo, hi = ((float(t.min()), float(t.max())) if isinstance(t, np.ndarray)
+              else (t, t))
     if not t0 <= lo <= hi < math.inf:
         return None
     val = (_horner(c, t**-a) * t**-l + (2.0 / a) * np.exp(t * cos_pa)
