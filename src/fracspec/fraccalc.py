@@ -456,10 +456,10 @@ def _trig(alpha: float, x, tol: float, odd: bool, signs: bool = False):
     alpha = _check_alpha(alpha)
     x = _coerce(x)
     ax = abs(x)
-    far = _far(alpha, odd, tol) if 0.5 < alpha <= 1.0 else None
     # most calls below t0 stop at their first |x|
-    first = far and (ax if type(ax) is float else ax.size and ax.item(0))
-    if far and far[0] <= first and (got := _far_sum(far, ax, odd)):
+    if (0.5 < alpha <= 1.0 and (far := _far(alpha, odd, tol))
+            and far[0] <= (ax if type(ax) is float else ax.size and ax.item(0))
+            and (got := _far_sum(far, ax, odd))):
         val, bound = got
         if not (bound <= tol or signs):
             raise PrecisionLoss(f"cannot certify abs error {tol:g} for "
