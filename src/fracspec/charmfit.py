@@ -18,9 +18,7 @@ Radius expectation values integrate over the positive octant cube with the
 ordinary volume element; the fractional structure enters through the wave
 functions and the radius operator
 r = (hbar/mc)^(1-alpha) (1/Gamma(1+alpha)) sqrt(sum_i x_i^(2 alpha)).
-That convention reproduces the published box value (0.32 fm); the
-endpoint-anchored fractional measure is also available for comparison via
-measure="rl".  Both coincide at alpha = 1.
+That convention reproduces the published box value (0.32 fm).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 
 from .angular import C_MODELS, c_value, euler_eigenvalue
 from .fraccalc import (HBARC_MEV_FM, _check_alpha, _check_positive,
-                       _gauss_legendre, frac_cos, gamma, rl_nodes)
+                       _gauss_legendre, frac_cos, gamma)
 from .spectra import find_zeros, radial_ground, HALF_PI
 
 __all__ = [
@@ -325,6 +323,7 @@ class FitResult:
 
 _OBJECTIVES = ("dm_m0_rms", "dm_m0_abs", "dm_all_rms", "dm_all_abs",
                "dm_published_rms", "dm_published_abs")
+_OBJECTIVE = "dm_published_abs"  # what the alpha scan minimises
 
 
 def _metrics(states, res) -> dict:
@@ -372,28 +371,25 @@ def _solve(states, alphas, c_model: str):
     return p, _masses(A, p) - y
 
 
-def fit(dataset, alpha, c_model: str = "c0", scan_step: float = 0.001,
-        objective: str = "dm_published_abs") -> FitResult:
+def fit(dataset, alpha, c_model: str = "c0",
+        scan_step: float = 0.001) -> FitResult:
     """Least-squares fit of the mass formula.
 
     With a numeric `alpha` the model is linear in the six parameters and one
-    least-squares solve suffices.  With alpha="scan" the objective (one of
-    the diagnostic keys; the published tables correspond to the
-    mean-absolute deviation excluding <33>) is minimised on a grid over
+    least-squares solve suffices.  With alpha="scan" the objective
+    dm_published_abs (the mean-absolute deviation excluding <33>, the
+    convention of the published tables) is minimised on a grid over
     [0.60, 0.72] with step scan_step, then refined by golden section to 1e-4;
     ties break toward smaller alpha.  The grid is one batch (one design
     tensor over alpha, one batched QR solve); each golden-section probe is a
     batch of one.  RankDeficient is raised rather than a minimum-norm answer
     when the states cannot fix all six parameters at some alpha solved: a
     parameter without a supporting state, fewer than six states, or a design
-    matrix at which lstsq's rcond=None would drop a singular value.  An
-    objective that is not a diagnostic key, or a scan_step that is not
-    finite and positive, raises ValueError for either kind of alpha.
+    matrix at which lstsq's rcond=None would drop a singular value.  A
+    scan_step that is not finite and positive raises ValueError for either
+    kind of alpha.
     """
     _check_positive("fit", scan_step=scan_step)
-    if objective not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {', '.join(_OBJECTIVES)}, "
-                         f"got {objective!r}")
     states = sorted(dataset, key=lambda s: (s.j, s.m))
     if not states:
         raise ValueError("empty dataset")
@@ -403,14 +399,14 @@ def fit(dataset, alpha, c_model: str = "c0", scan_step: float = 0.001,
         params = FitParams(*[float(v) for v in p[0]], alpha=a, c_model=c_model)
         residuals = {(s.j, s.m): float(r) for s, r in zip(states, res[0])}
         diag = {**{k: float(v[0]) for k, v in _metrics(states, res).items()},
-                "alpha": a, "c_model": c_model, "objective": objective}
+                "alpha": a, "c_model": c_model, "objective": _OBJECTIVE}
         return FitResult(params=params, residuals=residuals, diagnostics=diag)
 
     if alpha != "scan":
         return result_at(float(alpha))
 
     def obj(alphas) -> np.ndarray:
-        return _metrics(states, _solve(states, alphas, c_model)[1])[objective]
+        return _metrics(states, _solve(states, alphas, c_model)[1])[_OBJECTIVE]
 
     grid = np.arange(0.60, 0.72 + 0.5 * scan_step, scan_step)
     i = int(np.argmin(obj(grid)))  # the first (smallest alpha) on ties
@@ -468,31 +464,17 @@ def predict(p: FitParams, j: int, m: int, dataset=None,
 # ----------------------------------------------------------------------------
 
 
-def _check_radius_args(sigma_mass, hbar_c, n_nodes, measure) -> None:
+def _check_radius_args(sigma_mass, hbar_c, n_nodes) -> None:
     """The radius functions' arguments, checked before any root search."""
     if not math.isfinite(sigma_mass):
         raise ValueError(f"sigma mass must be finite: {sigma_mass:g}")
     _check_positive("radius", hbar_c=hbar_c)
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1 or n_nodes is True:
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
-    if measure not in ("plain", "rl"):
-        raise ValueError(f"measure must be 'plain' or 'rl', got {measure!r}")
-
-
-def _octant_nodes(alpha: float, a: float, n: int, measure: str):
-    """Nodes on [0, a] and their weights scaled to sum 1: every use is a
-    ratio, and unscaled weights (~a) underflow in the triple products of a
-    well below about 1e-103 fm."""
-    if measure == "rl":
-        u, w = rl_nodes(alpha, a, n)
-    else:
-        xs, w = _gauss_legendre(n)
-        u = 0.5 * a * (xs + 1.0)
-    return u, w / w.sum()
 
 
 def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
-                   hbar_c: float, n_nodes: int, measure: str, factor: float,
+                   hbar_c: float, n_nodes: int, factor: float,
                    k0: float, node_density=None,
                    rho_density=None) -> tuple[float, float]:
     """radius_box/radius_sphere for the ground state of first zero k0, energy
@@ -511,7 +493,9 @@ def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     mc2 = quarks.m_c_c2
     X = (e0 / (factor * mc2)) ** (1.0 / (2.0 * alpha))
     size = hbar_c * k0 / (mc2 * X)
-    u, w = _octant_nodes(alpha, size, n_nodes, measure)
+    # Gauss-Legendre on [0, size], weights scaled to sum 1 (every use is a ratio)
+    xs, w = _gauss_legendre(n_nodes)
+    u, w = 0.5 * size * (xs + 1.0), w / w.sum()
     if node_density is not None:
         w = w * node_density(k0 * u / size)
     R = np.abs(u) ** (2.0 * alpha)
@@ -535,31 +519,29 @@ def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
 
 
 def radius_box(sigma_mass: float, quarks: QuarkMasses, alpha: float,
-               hbar_c: float = HBARC_MEV_FM, n_nodes: int = 64,
-               measure: str = "plain") -> tuple[float, float]:
+               hbar_c: float = HBARC_MEV_FM,
+               n_nodes: int = 64) -> tuple[float, float]:
     """(half-width a, <r>) in fm for the composite in a cubic box.
 
     The zero-point energy E0 = sigma - (2 m_d + m_c) c^2 fixes a through
     E0 = (3/2) m_c c^2 (hbar k0 / (m_c c a))^(2 alpha) with k0 the first
     cos zero and hbar c = hbar_c (MeV fm); <r> is the ground-state
-    expectation of the fractional radius operator over [0, a]^3 (ordinary
-    volume element by default, which is the convention behind the published
-    value; measure="rl" switches to the endpoint-anchored fractional
-    measure).
+    expectation of the fractional radius operator over [0, a]^3 with the
+    ordinary volume element, the convention behind the published value.
 
     Equality with the constituent sum is flagged by (inf, inf); below it,
     NegativeZeroPoint is raised.
     """
-    _check_radius_args(sigma_mass, hbar_c, n_nodes, measure)
+    _check_radius_args(sigma_mass, hbar_c, n_nodes)
     k0 = find_zeros("cos", alpha, 1, 8.0, xtol=1e-12)[0] * HALF_PI
     # the density psi_i^2 psi_j^2 psi_k^2 is separable: psi^2 at the nodes
-    return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, measure,
-                          1.5, k0, lambda x: frac_cos(alpha, x) ** 2)
+    return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, 1.5, k0,
+                          lambda x: frac_cos(alpha, x) ** 2)
 
 
 def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
-                  hbar_c: float = HBARC_MEV_FM, n_nodes: int = 64,
-                  measure: str = "plain") -> tuple[float, float]:
+                  hbar_c: float = HBARC_MEV_FM,
+                  n_nodes: int = 64) -> tuple[float, float]:
     """(r0, <r>) in fm for the composite in a spherical well.
 
     r0 comes from E0 = (1/2) m_c c^2 (hbar k_sph/(m_c c r0))^(2 alpha) with
@@ -568,10 +550,10 @@ def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     radius_box.  g depends on the coordinates only through
     rho = sum |x_i|^(2 alpha), so L_z g = J^2 g = 0 holds by construction.
     """
-    _check_radius_args(sigma_mass, hbar_c, n_nodes, measure)
+    _check_radius_args(sigma_mass, hbar_c, n_nodes)
     ground = radial_ground(3, alpha)
-    return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, measure,
-                          0.5, ground.first_zero,
+    return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, 0.5,
+                          ground.first_zero,
                           rho_density=lambda rho: ground.g_of_rho(rho) ** 2)
 
 
@@ -614,22 +596,18 @@ _TABLE3_SYMBOLS = {
 }
 
 
-def table3_report(param_rows=TABLE2_ROWS, dataset=None) -> list[dict]:
+def table3_report(dataset=None) -> list[dict]:
     """Mass table: for every <jm> (including the unobserved <50>) and every
-    parameter row, the model mass, the deviation from experiment, and the
-    deviation from the published theoretical value.
+    TABLE2_ROWS parameter row, the model mass, the deviation from
+    experiment, and the deviation from the published theoretical value.
 
     The published table was evidently generated at more alpha digits than
     printed: at the printed 3-decimal alpha the c1/c2 and 0.681 columns
     drift by several MeV at high j.  Each row dict therefore also carries
     `m_th_refined` computed at the best alpha within +-0.003 of the
     printed one (pure diagnostic; the plain m_th is the faithful
-    evaluation).  param_rows must match the printed columns one to one.
+    evaluation).
     """
-    n_printed = len(next(iter(TABLE3_PRINTED.values())))
-    if len(param_rows) != n_printed:
-        raise ValueError(f"table3_report compares {n_printed} parameter rows "
-                         f"with the printed columns, got {len(param_rows)}")
     if dataset is None:
         dataset = default_dataset()
     by_jm = _states_by_jm(dataset)
@@ -638,7 +616,7 @@ def table3_report(param_rows=TABLE2_ROWS, dataset=None) -> list[dict]:
     # evidently computed at ~0.680, 0.649 at ~0.6496); first best on ties
     # one batch per parameter row: the printed alpha, then the window
     at_printed, refined = [], []
-    for i, p in enumerate(param_rows):
+    for i, p in enumerate(TABLE2_ROWS):
         alphas = np.concatenate([[p.alpha], np.linspace(
             p.alpha - 0.003, p.alpha + 0.003, 241)])
         masses = _masses(_design_matrix(jm_list, alphas, p.c_model), p.vector())
@@ -649,7 +627,7 @@ def table3_report(param_rows=TABLE2_ROWS, dataset=None) -> list[dict]:
     for r, (j, m) in enumerate(jm_list):
         row = {"j": j, "m": m, "symbol": _TABLE3_SYMBOLS.get((j, m), ""),
                "m_exp": by_jm[(j, m)].mass_exp if (j, m) in by_jm else None}
-        for i, p in enumerate(param_rows):
+        for i in range(len(TABLE2_ROWS)):
             mth = float(at_printed[i][r])
             label = f"set{i}"
             row[f"{label}_m_th"] = mth

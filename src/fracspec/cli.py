@@ -83,6 +83,9 @@ def _load_config(path: str | None) -> dict:
     cfg = json.loads(charmfit._read_input(path))
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: expected a top-level JSON object")
+    unknown = sorted(set(cfg) - {"quark_masses", "hbar_c"})
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}")
     return cfg
 
 
@@ -108,6 +111,8 @@ def _dataset(args) -> list:
 def cmd_special(args) -> int:
     if not 0.0 < args.step < math.inf:  # nan, and inf that np.arange rejects
         raise ValueError(f"--step must be finite and positive: {args.step:g}")
+    if args.beta is not None and args.name != "mlf":
+        raise ValueError(f"--beta applies to --name mlf only, not {args.name}")
     xs = np.arange(args.x_min, args.x_max + 0.5 * args.step, args.step)
     if args.name == "mlf":
         beta = args.beta if args.beta is not None else 1.0
@@ -167,12 +172,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg = _load_config(args.config)
-    c_model = args.c_model or cfg.get("c_model", "c0")
-    alpha = args.alpha if args.alpha is not None else cfg.get("alpha", "scan")
-    ds = _dataset(args)
-    result = charmfit.fit(ds, alpha if alpha == "scan"
-                          else _number(alpha, "alpha"), c_model)
+    result = charmfit.fit(_dataset(args), args.alpha if args.alpha == "scan"
+                          else float(args.alpha), args.c_model)
     _write_atomic(args.out, result.to_json() + "\n")
     return EXIT_OK
 
@@ -233,19 +234,16 @@ def cmd_predict(args) -> int:
 def cmd_radius(args) -> int:
     cfg = _load_config(args.config)
     qm = cfg.get("quark_masses", {})
-    if not isinstance(qm, dict):
-        raise ValueError("config quark_masses must be a JSON object")
-    quarks = charmfit.QuarkMasses(
-        m_d_c2=_number(qm.get("m_d_c2", 300.0), "m_d_c2"),
-        m_c_c2=_number(qm.get("m_c_c2", 1400.0), "m_c_c2"),
-    )
-    alpha = _number(args.alpha if args.alpha is not None
-                    else cfg.get("alpha", 2.0 / 3.0), "alpha")
+    if not isinstance(qm, dict) or not set(qm) <= {"m_d_c2", "m_c_c2"}:
+        raise ValueError("config quark_masses must be a JSON object with "
+                         "keys among m_d_c2, m_c_c2")
+    quarks = charmfit.QuarkMasses(**{k: _number(v, k) for k, v in qm.items()})
     hbar_c = _number(cfg.get("hbar_c", charmfit.HBARC_MEV_FM), "hbar_c")
-    a_fm, r_box = charmfit.radius_box(args.sigma_mass, quarks, alpha, hbar_c)
-    r0_fm, r_sph = charmfit.radius_sphere(args.sigma_mass, quarks, alpha,
+    a_fm, r_box = charmfit.radius_box(args.sigma_mass, quarks, args.alpha,
+                                      hbar_c)
+    r0_fm, r_sph = charmfit.radius_sphere(args.sigma_mass, quarks, args.alpha,
                                           hbar_c)
-    payload = {"sigma_mass_mev": args.sigma_mass, "alpha": alpha,
+    payload = {"sigma_mass_mev": args.sigma_mass, "alpha": args.alpha,
                "a_fm": a_fm, "r_mean_box_fm": r_box,
                "r0_fm": r0_fm, "r_mean_sphere_fm": r_sph}
     _write_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -332,11 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _command(sub, "fit", cmd_fit, "least-squares mass-formula fit",
                   "fit.json")
-    sp.add_argument("--alpha", default=None,
+    sp.add_argument("--alpha", default="scan",
                     help="fixed alpha value or 'scan'")
-    sp.add_argument("--c-model", choices=angular.C_MODELS, default=None)
+    sp.add_argument("--c-model", choices=angular.C_MODELS, default="c0")
     sp.add_argument("--dataset", default=None)
-    sp.add_argument("--config", default=None)
 
     sp = _command(sub, "masses", cmd_masses,
                   "mass table for the published parameter sets", "masses.csv")
@@ -352,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _command(sub, "radius", cmd_radius, "box and sphere size estimates",
                   "radius.json")
     sp.add_argument("--sigma-mass", type=float, default=2452.2)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--config", default=None)
+    sp.add_argument("--alpha", type=float, default=2.0 / 3.0)
+    sp.add_argument("--config", default=None,
+                    help="JSON object with quark_masses and/or hbar_c")
 
     sp = _command(sub, "potential", cmd_potential,
                   "equivalent-potential dataset", "potential.csv")

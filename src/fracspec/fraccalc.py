@@ -554,24 +554,24 @@ DEFAULT_TERMS = 64
 class FracSeries:
     """f(x) = sum_n coeffs[n] * sign(kx)^n * |kx|^(n*alpha).
 
-    parity is 'even' (odd-index coefficients vanish), 'odd' (even-index
-    vanish) or 'none'.  The truncation order is len(coeffs).
+    The truncation order is len(coeffs).
     """
 
     alpha: float
     coeffs: tuple = ()
-    parity: str = "none"
     k: float = 1.0
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.parity not in ("even", "odd", "none"):
-            raise ValueError("parity must be 'even', 'odd' or 'none'")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.parity == "even" and any(c != 0.0 for c in self.coeffs[1::2]):
-            raise ValueError("even series has nonzero odd coefficients")
-        if self.parity == "odd" and any(c != 0.0 for c in self.coeffs[0::2]):
-            raise ValueError("odd series has nonzero even coefficients")
+
+    @property
+    def parity(self) -> str:
+        """'even' when the odd-index coefficients vanish (a constant too),
+        else 'odd' when the even-index ones do, else 'none'."""
+        if not any(self.coeffs[1::2]):
+            return "even"
+        return "none" if any(self.coeffs[0::2]) else "odd"
 
     # -- constructors ---------------------------------------------------------
 
@@ -581,7 +581,7 @@ class FracSeries:
         _check_alpha(alpha)
         g = _recip_gammas(alpha, terms)
         c = [0.0 if m % 2 else (-1) ** (m // 2) * g[m] for m in range(terms)]
-        return cls(alpha=alpha, coeffs=tuple(c), parity="even", k=k)
+        return cls(alpha=alpha, coeffs=tuple(c), k=k)
 
     @classmethod
     def sine(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
@@ -589,22 +589,20 @@ class FracSeries:
         _check_alpha(alpha)
         g = _recip_gammas(alpha, terms)
         c = [(-1) ** (m // 2) * g[m] if m % 2 else 0.0 for m in range(terms)]
-        return cls(alpha=alpha, coeffs=tuple(c), parity="odd", k=k)
+        return cls(alpha=alpha, coeffs=tuple(c), k=k)
 
     @classmethod
     def exponential(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
         """Series of exp(alpha, chi(kx))."""
         _check_alpha(alpha)
-        return cls(alpha=alpha, coeffs=tuple(_recip_gammas(alpha, terms)),
-                   parity="none", k=k)
+        return cls(alpha=alpha, coeffs=tuple(_recip_gammas(alpha, terms)), k=k)
 
     @classmethod
     def monomial(cls, alpha: float, n: int, k: float = 1.0):
         """chi^n(kx) = sign(kx)^n |kx|^(n alpha)."""
         c = [0.0] * (n + 1)
         c[n] = 1.0
-        parity = "even" if n % 2 == 0 else "odd"
-        return cls(alpha=alpha, coeffs=tuple(c), parity=parity, k=k)
+        return cls(alpha=alpha, coeffs=tuple(c), k=k)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -616,16 +614,13 @@ class FracSeries:
         # a zero top coefficient gives a constant series the shape of chi
         return _coerce(_horner(self.coeffs + (0.0,), chi))
 
-    def __call__(self, x):
-        return self.eval(x)
-
 
 def caputo_derivative(series: FracSeries) -> FracSeries:
     """Sign-extended Caputo derivative of a chi-power series.
 
     Coefficient map b_n = a_{n+1} * Gamma(1+(n+1)a)/Gamma(1+na), with the
-    overall factor sign(k)|k|^alpha folded into the coefficients, and the
-    parity flipped.  The derivative of a constant series is the zero series.
+    overall factor sign(k)|k|^alpha folded into the coefficients (so the
+    parity flips).  The derivative of a constant series is the zero series.
     """
     a = series.alpha
     k = series.k
@@ -637,8 +632,7 @@ def caputo_derivative(series: FracSeries) -> FracSeries:
         tab = _table(a, 1.0)
         tab.extend(len(src) - 2)
         out = tuple(scale * c * r for c, r in zip(src[1:], tab.ratio))
-    parity = {"even": "odd", "odd": "even", "none": "none"}[series.parity]
-    return FracSeries(alpha=a, coeffs=out, parity=parity, k=k)
+    return FracSeries(alpha=a, coeffs=out, k=k)
 
 
 # ----------------------------------------------------------------------------
@@ -676,8 +670,10 @@ _GL32, _GL16 = _gauss_legendre(32), _gauss_legendre(16)
 _GL_NODES = np.concatenate([_GL32[0], _GL16[0]])
 
 
-def frac_integral(f, alpha: float, a: float, tol: float = 1e-8,
-                  max_panels: int = 4096):
+MAX_PANELS = 4096  # frac_integral's panel budget
+
+
+def frac_integral(f, alpha: float, a: float, tol: float = 1e-8):
     """Riemann-Liouville integral (1/Gamma(a)) int_0^a (a-u)^(a-1) f(u) du.
 
     f(u) has u's shape (a float result) or (k, len(u)): k integrands on one
@@ -689,7 +685,7 @@ def frac_integral(f, alpha: float, a: float, tol: float = 1e-8,
     panels), else bisected; relative error ~tol for smooth f.  Raises
     ValueError unless a and tol are finite and positive and f(u) is so
     shaped, QuadratureFailure when a panel fails at depth 28 or a split
-    would start with max_panels panels evaluated.
+    would start with MAX_PANELS panels evaluated.
     """
     _check_alpha(alpha)
     _check_positive("frac_integral", a=a, tol=tol)
@@ -711,7 +707,7 @@ def frac_integral(f, alpha: float, a: float, tol: float = 1e-8,
         n_split = len(ok) - int(np.count_nonzero(ok))
         if not n_split:
             return acc[:, 0] if v.ndim == 2 else float(acc[0, 0])
-        if depth >= 28 or n_panels + 2 * n_split - 2 >= max_panels:
+        if depth >= 28 or n_panels + 2 * n_split - 2 >= MAX_PANELS:
             raise QuadratureFailure(
                 f"adaptive refinement stalled at depth {depth}: {n_split} panels"
                 f" fail (worst err {e[:, ~ok].max():g}), {n_panels} evaluated")

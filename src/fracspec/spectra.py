@@ -237,6 +237,8 @@ def well_states_1d(alpha: float, count: int, a: float,
     Returns fewer states when the zero set is exhausted (finite for
     1/2 < alpha < 1); raises NoZeros when there are none at all.
     """
+    if count < 1:
+        raise ValueError(f"well_states_1d requires count >= 1: {count}")
     _check_positive("well_states_1d", a=a)
     x_max = 2.0 * count + 20.0
     tagged, _ = _interleaved_roots(alpha, count, x_max)
@@ -249,14 +251,18 @@ def well_energy_nd(alpha: float, indices: list[int], half_widths: list[float],
                    ctx: AlphaContext) -> float:
     """Separable N-dimensional well energy
     (1/2) mc^2 (hbar/mc)^(2 alpha) sum_i |k0_{n_i}/a_i|^(2 alpha)."""
-    if len(indices) != len(half_widths):
-        raise ValueError("indices and half_widths must have equal length")
+    if len(indices) != len(half_widths) or len(indices) == 0:
+        raise ValueError("indices and half_widths must be non-empty and of "
+                         "equal length")
+    for n in indices:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"well_energy_nd indices must be integers >= 0: {n!r}")
+    _check_positive("well_energy_nd", **{f"half_widths[{i}]": a
+                                         for i, a in enumerate(half_widths)})
     nmax = max(indices)
     tagged, complete = _interleaved_roots(alpha, nmax + 1, 2.0 * (nmax + 1) + 20.0)
     if not complete:
         raise NoZeros(f"only {len(tagged)} well states exist at alpha={alpha:g}")
-    if any(a <= 0 for a in half_widths):
-        raise ValueError("half-widths must be positive")
     return sum(free_energy(alpha, tagged[n][0] / a, ctx)
                for n, a in zip(indices, half_widths))
 
@@ -356,14 +362,16 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     """
     _check_alpha(alpha)
     _check_positive("equivalent_potential", T=T)
+    if n_states < 1:
+        raise ValueError(f"equivalent_potential requires n_states >= 1: {n_states}")
     grid = np.asarray(grid, float)
     if not np.isfinite(grid).all():
         raise ValueError("grid points must be finite")
     tagged, complete = _interleaved_roots(alpha, n_states + 1,
                                           2.0 * n_states + 30.0,
                                           eval_tol=1e-6)
-    unit = AlphaContext(alpha, hbar_c=1.0, mc2=1.0)
-    weights = [math.exp(-free_energy(alpha, k, unit) / T) for k, _ in tagged]
+    # free_energy at hbar = m = c = 1: E = k^(2 alpha)/2
+    weights = [math.exp(-0.5 * k ** (2.0 * alpha) / T) for k, _ in tagged]
     # tail estimate: geometric continuation from the first excluded state;
     # none when the spectrum is exhausted (finite zero set)
     tail = 0.0

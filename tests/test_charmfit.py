@@ -200,12 +200,6 @@ def test_fit_scan_minimizer(bundled_dataset):
     assert res.params.alpha == pytest.approx(0.681, abs=0.005)
 
 
-def test_fit_unknown_objective_rejected(bundled_dataset):
-    for alpha in ("scan", 0.681):
-        with pytest.raises(ValueError, match="dm_published_abs"):
-            fit(bundled_dataset, alpha, "c0", objective="rms")
-
-
 def test_fit_scan_other_models_near_published(bundled_dataset):
     assert fit(bundled_dataset, "scan", "c1").params.alpha == pytest.approx(
         0.647, abs=0.005)
@@ -474,9 +468,6 @@ def test_radius_box_alpha_one_oracle():
     # value 0.58688 +- 0.0003 (2e6 samples, seed 42)
     a, r = radius_box(2452.2, QUARKS, 1.0)
     assert r / a == pytest.approx(0.58688, abs=1e-3)
-    # plain and fractional measures coincide at alpha = 1
-    a2, r2 = radius_box(2452.2, QUARKS, 1.0, measure="rl")
-    assert r2 == pytest.approx(r, rel=1e-9)
 
 
 def test_radius_mean_inside_box():
@@ -503,14 +494,21 @@ def test_radius_sphere_alpha_one_classical():
     assert r0 == pytest.approx(expected_r0, rel=1e-9)
 
 
-def _sphere_brute_force(r0, alpha, n_nodes, measure):
+def _octant_gauss_legendre(size, n_nodes):
+    """n_nodes-point Gauss-Legendre nodes and weights on [0, size], straight
+    from numpy: the references share no node code with the cubature."""
+    xs, ws = np.polynomial.legendre.leggauss(n_nodes)
+    return 0.5 * size * (xs + 1.0), ws
+
+
+def _sphere_brute_force(r0, alpha, n_nodes):
     """<r> of radius_sphere summed over all n_nodes^3 octant nodes.  Each G
     adds its R values in sorted index order, as the cubature does: near the
     cube's far corner the alternating series of g has a condition number of
     about 7e7 (alpha 0.55), so G's last-bit rounding alone moves <r> by up to
     3e-13."""
     ground = radial_ground(3, alpha)
-    u, w = charmfit._octant_nodes(alpha, r0, n_nodes, measure)
+    u, w = _octant_gauss_legendre(r0, n_nodes)
     R = np.abs(u) ** (2.0 * alpha)
     i, j, k = np.sort(np.indices((n_nodes,) * 3), axis=0)
     G = R[i] + R[j] + R[k]
@@ -521,11 +519,11 @@ def _sphere_brute_force(r0, alpha, n_nodes, measure):
             / math.gamma(1.0 + alpha) * ratio)
 
 
-def _box_brute_force(a, alpha, n_nodes, measure):
+def _box_brute_force(a, alpha, n_nodes):
     """<r> of radius_box by one einsum over all n_nodes^3 octant nodes of
     the separable density psi_i^2 psi_j^2 psi_k^2."""
     k0 = find_zeros("cos", alpha, 1, 8.0, xtol=1e-12)[0] * HALF_PI
-    u, w = charmfit._octant_nodes(alpha, a, n_nodes, measure)
+    u, w = _octant_gauss_legendre(a, n_nodes)
     psi = frac_cos(alpha, k0 * u / a)
     W = w * psi * psi
     R = np.abs(u) ** (2.0 * alpha)
@@ -536,27 +534,28 @@ def _box_brute_force(a, alpha, n_nodes, measure):
             / math.gamma(1.0 + alpha) * ratio)
 
 
-# ids alpha-n_nodes-measure, with a "box-" prefix for the box cases
-@pytest.mark.parametrize("fn, alpha, n_nodes, measure", [
-    pytest.param(fn, alpha, n, m, id=("box-" if fn is radius_box else "")
-                 + f"{alpha}-{n}-{m}")
+# ids alpha-n_nodes-plain (the ordinary volume element), with a "box-"
+# prefix for the box cases
+@pytest.mark.parametrize("fn, alpha, n_nodes", [
+    pytest.param(fn, alpha, n, id=("box-" if fn is radius_box else "")
+                 + f"{alpha}-{n}-plain")
     for fn in (radius_sphere, radius_box) for alpha in (2.0 / 3.0, 1.0)
-    for n in (7, 16) for m in ("plain", "rl")
+    for n in (7, 16)
 ])
-def test_sphere_cubature_matches_brute_force(fn, alpha, n_nodes, measure):
-    size, r = fn(2452.2, QUARKS, alpha, n_nodes=n_nodes, measure=measure)
+def test_sphere_cubature_matches_brute_force(fn, alpha, n_nodes):
+    size, r = fn(2452.2, QUARKS, alpha, n_nodes=n_nodes)
     brute = _box_brute_force if fn is radius_box else _sphere_brute_force
-    assert r == pytest.approx(brute(size, alpha, n_nodes, measure), rel=1e-13)
+    assert r == pytest.approx(brute(size, alpha, n_nodes), rel=1e-13)
 
 
 @settings(deadline=None, max_examples=40)
 @given(alpha=st.floats(0.55, 1.5), n_nodes=st.integers(1, 24),
-       measure=st.sampled_from(["plain", "rl"]), sigma=st.floats(2440.0, 2470.0))
-def test_cubatures_match_brute_force_everywhere(alpha, n_nodes, measure, sigma):
+       sigma=st.floats(2440.0, 2470.0))
+def test_cubatures_match_brute_force_everywhere(alpha, n_nodes, sigma):
     for fn, brute in ((radius_box, _box_brute_force),
                       (radius_sphere, _sphere_brute_force)):
-        size, r = fn(sigma, QUARKS, alpha, n_nodes=n_nodes, measure=measure)
-        assert r == pytest.approx(brute(size, alpha, n_nodes, measure), rel=1e-13)
+        size, r = fn(sigma, QUARKS, alpha, n_nodes=n_nodes)
+        assert r == pytest.approx(brute(size, alpha, n_nodes), rel=1e-13)
 
 
 @pytest.mark.parametrize("fn", [radius_box, radius_sphere])
@@ -576,8 +575,6 @@ def test_radius_scales_to_a_tiny_well(fn):
         (2452.2, -1.0), (2452.2, math.nan), (2452.2, math.inf))),
     *(pytest.param(2452.2, 197.327, {"n_nodes": n}, id=f"n_nodes={n!r}")
       for n in (0, -3, 2.5, True)),
-    *(pytest.param(2452.2, 197.327, {"measure": m}, id=f"measure={m!r}")
-      for m in ("riemann", "", None)),
 ])
 def test_radius_rejects_bad_sigma_and_hbar_c(sigma, hbar_c, bad, monkeypatch):
     # every argument is checked, by name, before either root search runs
@@ -613,13 +610,6 @@ def test_table3_report_shape(bundled_dataset):
     assert (5, 0) in jm
     r50 = next(r for r in rows if (r["j"], r["m"]) == (5, 0))
     assert r50["m_exp"] is None
-
-
-@pytest.mark.parametrize("n_rows", [3, 5])
-def test_table3_report_row_count_rejected(bundled_dataset, n_rows):
-    rows = (list(TABLE2_ROWS) * 2)[:n_rows]
-    with pytest.raises(ValueError, match="4 parameter rows"):
-        table3_report(rows, dataset=bundled_dataset)
 
 
 def test_table3_exact_alpha_row_reproduced(bundled_dataset):

@@ -238,7 +238,7 @@ def test_radius_bad_input(tmp_path):
     # a directory where a file is expected: IsADirectoryError, an OSError
     ["fit", "--alpha", "0.68", "--dataset", "DIR"],
     ["masses", "--dataset", "DIR"],
-    ["fit", "--config", "DIR"],
+    ["radius", "--config", "DIR"],
     # nan passes a `<= 0` guard
     ["potential", "--alpha", "0.9", "--temperature", "nan", "--n-states", "5"],
     ["radius", "--sigma-mass", "nan"],
@@ -262,13 +262,19 @@ def test_radius_bad_input(tmp_path):
     ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:j=1.7"],
     ["radius", "--config", 'CONFIG:{"quark_masses": {"m_c_c2": NaN}}'],
     ["radius", "--config", 'CONFIG:{"quark_masses": {"m_d_c2": Infinity}}'],
-    # a config of the wrong shape
-    ["fit", "--alpha", "0.68", "--config", "CONFIG:[1, 2]"],
+    # a config of the wrong shape, or with a key radius does not read
     ["radius", "--config", "CONFIG:[1, 2]"],
     ["radius", "--config", 'CONFIG:{"quark_masses": 5}'],
-    ["fit", "--config", 'CONFIG:{"alpha": [0.7]}'],
     ["radius", "--config", 'CONFIG:{"alpha": [0.7]}'],
     ["radius", "--config", 'CONFIG:{"hbar_c": null}'],
+    ["radius", "--config", 'CONFIG:{"alpha": 0.7}'],
+    ["radius", "--config", 'CONFIG:{"hbar_c": 190.0, "c_model": "c1"}'],
+    ["radius", "--config", 'CONFIG:{"quark_masses": {"m_u_c2": 300}}'],
+    # a state count below one
+    ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "0"],
+    ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "-1"],
+    # --beta where it has no meaning
+    ["special", "--name", "cos", "--alpha", "0.8", "--beta", "5"],
     # fewer states than the six parameters, each parameter supported
     ["fit", "--alpha", "0.68", "--dataset", "FIVE_STATES"],
     # a non-finite Mittag-Leffler parameter
@@ -463,9 +469,17 @@ def test_factorcheck_artifact(tmp_path):
     assert p["triple_product"]["pass"] is True
 
 
-def test_config_file(tmp_path):
+def test_config_file(tmp_path, capsys):
+    # LEDGER.md criterion 7: hbar_c = 189.9 MeV fm brings r0 to the
+    # published 1.08 fm; the other published values still fail (exit 1)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 0.681, "c_model": "c0"}))
-    out = tmp_path / "fit.json"
-    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["params"]["alpha"] == 0.681
+    cfg.write_text(json.dumps({"hbar_c": 189.9}))
+    out = tmp_path / "radius.json"
+    assert run(["radius", "--config", str(cfg), "--out", str(out)]) == 1
+    assert round(json.loads(out.read_text())["r0_fm"], 4) == 1.0800
+    # a key radius does not read is bad input, named in the error
+    cfg.write_text(json.dumps({"hbar_c": 189.9, "alpha": 0.7}))
+    capsys.readouterr()
+    assert run(["radius", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config key(s) alpha" in json.loads(
+        capsys.readouterr().err)["error"]

@@ -172,6 +172,38 @@ def test_nd_classical_value():
     assert e == pytest.approx(expected, rel=1e-9)
 
 
+def _no_root_search(*args, **kwargs):
+    raise AssertionError("root search ran before the arguments were checked")
+
+
+@pytest.mark.parametrize("indices, half_widths, name", [
+    ([-1, 1], [1.0, 1.0], "indices"),
+    ([0, 1.0], [1.0, 1.0], "indices"),
+    ([True], [1.0], "indices"),
+    ([], [], "non-empty"),
+    ([0, 1], [1.0], "equal length"),
+    ([0, 1], [1.0, math.nan], r"half_widths\[1\]"),
+    ([0], [0.0], r"half_widths\[0\]"),
+    ([0], [math.inf], r"half_widths\[0\]"),
+], ids=["negative-index", "float-index", "bool-index", "empty", "unequal",
+        "nan-width", "zero-width", "inf-width"])
+def test_nd_bad_arguments_fail_before_the_root_search(monkeypatch, indices,
+                                                      half_widths, name):
+    # a negative index would read the root list from its end
+    monkeypatch.setattr(spectra, "find_zeros", _no_root_search)
+    with pytest.raises(ValueError, match=name):
+        well_energy_nd(0.9, indices, half_widths, CTX)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_state_count_below_one_fails_before_the_root_search(monkeypatch, n):
+    monkeypatch.setattr(spectra, "find_zeros", _no_root_search)
+    with pytest.raises(ValueError, match="count >= 1"):
+        well_states_1d(0.9, n, 1.0, CTX)
+    with pytest.raises(ValueError, match="n_states >= 1"):
+        equivalent_potential(0.9, 3.0, n, [0.0])
+
+
 def test_nd_charm_box_consistency():
     # the <00> composite: zero point from the solved box half-width restores
     # the composite mass
