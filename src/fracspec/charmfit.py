@@ -33,9 +33,9 @@ from importlib import resources
 import numpy as np
 
 from .angular import C_MODELS, c_value, euler_eigenvalue
-from .fraccalc import (HBARC_MEV_FM, _check_alpha, _check_positive,
-                       _gauss_legendre, frac_cos, gamma)
-from .spectra import find_zeros, radial_ground, HALF_PI
+from .fraccalc import (HBARC_MEV_FM, _check_alpha, _check_int,
+                       _check_positive, _gauss_legendre, frac_cos, gamma)
+from .spectra import _refine, find_zeros, radial_ground, HALF_PI
 
 __all__ = [
     "ParseError",
@@ -236,8 +236,8 @@ def mass_model(p: FitParams, j: int, m: int) -> float:
 
 
 def alpha_from_multiplet(m0: float, m1: float, m2: float) -> float:
-    """Solve L_z(alpha, 2) = (m2 - m0)/(m1 - m0) for alpha by bisection on
-    the bracket [0.4, 1.4].
+    """Solve L_z(alpha, 2) = (m2 - m0)/(m1 - m0) for alpha to 1e-12 on the
+    bracket [0.4, 1.4] by the root refiner of `spectra`.
 
     The ratio l(alpha, 2) = Gamma(1+2a)/Gamma(1+a)^2 is strictly increasing
     on the bracket; OutOfRange is raised when the target is unattainable.
@@ -245,24 +245,12 @@ def alpha_from_multiplet(m0: float, m1: float, m2: float) -> float:
     if m1 == m0:
         raise ValueError("m1 must differ from m0")
     target = (m2 - m0) / (m1 - m0)
-    lo, hi = 0.4, 1.4
-    f_lo = euler_eigenvalue(lo, 2) - target
-    f_hi = euler_eigenvalue(hi, 2) - target
+    f = lambda alpha: euler_eigenvalue(alpha, 2) - target
+    f_lo, f_hi = f(0.4), f(1.4)
     if f_lo * f_hi > 0:
-        raise OutOfRange(
-            f"ratio {target:.4f} outside [{euler_eigenvalue(lo, 2):.4f}, "
-            f"{euler_eigenvalue(hi, 2):.4f}] attainable on the bracket"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (euler_eigenvalue(mid, 2) - target) * f_lo <= 0:
-            hi = mid
-        else:
-            lo = mid
-            f_lo = euler_eigenvalue(lo, 2) - target
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+        raise OutOfRange(f"ratio {target:.4f} outside [{f_lo + target:.4f}, "
+                         f"{f_hi + target:.4f}] attainable on the bracket")
+    return _refine(f, 0.4, 1.4, f_lo, f_hi, 1e-12)
 
 
 def two_state_solve(eta_c: float, chi0: float, alpha: float) -> tuple[float, float]:
@@ -433,30 +421,31 @@ def predict(p: FitParams, j: int, m: int, dataset=None,
             with_interval: bool = False):
     """Mass prediction at an unfitted (j, m).
 
-    Plain call: mass_model(p, j, m).  For the <33> state with
-    with_interval=True and a dataset supplying <30>/<32>, the linear
-    L_z-ratio interpolation
+    Plain call: mass_model(p, j, m).  with_interval=True, only with a
+    dataset supplying <30>/<32> and only for <33> (else ValueError), takes
+    the linear L_z-ratio interpolation
 
         m33 = m30 + [l(alpha,3)/l(alpha,2)] (m32 - m30)
 
-    is used instead, and the experimental errors are propagated through it;
-    returns (value, propagated_error).
+    instead, and propagates the experimental errors through it; returns
+    (value, propagated_error).
     """
-    if with_interval and (j, m) == (3, 3):
-        if dataset is None:
-            raise ValueError("interval prediction for <33> needs a dataset")
-        by = _states_by_jm(dataset)
-        try:
-            s30, s32 = by[(3, 0)], by[(3, 2)]
-        except KeyError as e:
-            raise ValueError("dataset must contain <30> and <32>") from e
-        ratio = euler_eigenvalue(p.alpha, 3) / euler_eigenvalue(p.alpha, 2)
-        val = s30.mass_exp + ratio * (s32.mass_exp - s30.mass_exp)
-        e30 = s30.mass_err or 0.0
-        e32 = s32.mass_err or 0.0
-        err = math.hypot((1.0 - ratio) * e30, ratio * e32)
-        return val, err
-    return mass_model(p, j, m)
+    if not with_interval and dataset is None:
+        return mass_model(p, j, m)
+    if not (with_interval and dataset is not None and (j, m) == (3, 3)):
+        raise ValueError("predict takes with_interval=True and a dataset "
+                         f"together, for <33> only; got <{j}{m}>")
+    by = _states_by_jm(dataset)
+    try:
+        s30, s32 = by[(3, 0)], by[(3, 2)]
+    except KeyError as e:
+        raise ValueError("dataset must contain <30> and <32>") from e
+    ratio = euler_eigenvalue(p.alpha, 3) / euler_eigenvalue(p.alpha, 2)
+    val = s30.mass_exp + ratio * (s32.mass_exp - s30.mass_exp)
+    e30 = s30.mass_err or 0.0
+    e32 = s32.mass_err or 0.0
+    err = math.hypot((1.0 - ratio) * e30, ratio * e32)
+    return val, err
 
 
 # ----------------------------------------------------------------------------
@@ -469,8 +458,7 @@ def _check_radius_args(sigma_mass, hbar_c, n_nodes) -> None:
     if not math.isfinite(sigma_mass):
         raise ValueError(f"sigma mass must be finite: {sigma_mass:g}")
     _check_positive("radius", hbar_c=hbar_c)
-    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1 or n_nodes is True:
-        raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
+    _check_int("radius", 1, n_nodes=n_nodes)
 
 
 def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,

@@ -109,8 +109,10 @@ def _dataset(args) -> list:
 
 
 def cmd_special(args) -> int:
-    if not 0.0 < args.step < math.inf:  # nan, and inf that np.arange rejects
-        raise ValueError(f"--step must be finite and positive: {args.step:g}")
+    # nan fails too; np.arange rejects an inf step, an inf --tol certifies nothing
+    for option, v in (("--step", args.step), ("--tol", args.tol)):
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{option} must be finite and positive: {v:g}")
     if args.beta is not None and args.name != "mlf":
         raise ValueError(f"--beta applies to --name mlf only, not {args.name}")
     xs = np.arange(args.x_min, args.x_max + 0.5 * args.step, args.step)

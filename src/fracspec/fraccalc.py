@@ -13,7 +13,7 @@ is represented by `FracSeries`.  The fractional trig/exponential functions are
 
     fcos(alpha, x) = E_{2a,1}(-|x|^(2a))
     fsin(alpha, x) = sign(x) |x|^a E_{2a,1+a}(-|x|^(2a))
-    fexp(alpha, x) = E_{2a,1}(|x|^(2a)) + sign(x) |x|^a E_{2a,1+a}(|x|^(2a))
+    fexp(alpha, x) = E_{a,1}(sign(x) |x|^a)
 
 with E the (generalized) Mittag-Leffler function.  The integral over the
 fractional measure du^alpha on [0, a] is the Riemann-Liouville integral
@@ -227,6 +227,7 @@ def _table(alpha: float, beta: float) -> _RatioTable:
 
 def _recip_gammas(alpha: float, n: int) -> array:
     """1/Gamma(alpha k + 1) for k < n, from one sized table build."""
+    _check_int("FracSeries", 1, terms=n)
     tab = _table(alpha, 1.0)
     tab.extend(n - 1)
     return tab.hi[:n]
@@ -422,6 +423,12 @@ def _check_positive(fn: str, **values: float) -> None:
             raise ValueError(f"{fn} requires a finite {name} > 0, got {v:g}")
 
 
+def _check_int(fn: str, least: int, **values) -> None:
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            raise ValueError(f"{fn} requires an integer {name} >= {least}, got {v!r}")
+
+
 def mittag_leffler(alpha: float, beta: float, z, tol: float = 1e-9):
     """Generalized Mittag-Leffler E_{alpha,beta}(z) = sum z^n/Gamma(alpha n+beta).
 
@@ -512,14 +519,10 @@ def _far_sum(far, t, odd: bool):
 
 
 def frac_exp(alpha: float, x, tol: float = 1e-9):
-    """exp(alpha, chi(x)): even ML part plus sign(x) times the odd part."""
+    """exp(alpha, chi(x)) = E_{alpha,1}(sign(x)|x|^alpha), one certified sum."""
     alpha = _check_alpha(alpha)
     x = _coerce(x)
-    ax = abs(x)
-    z = ax ** (2.0 * alpha)
-    even, _ = _ml_sum(2.0 * alpha, 1.0, z, tol)
-    odd, _ = _ml_sum(2.0 * alpha, 1.0 + alpha, z, tol)
-    return _coerce(even + np.sign(x) * ax**alpha * odd)
+    return _ml_sum(alpha, 1.0, _coerce(np.sign(x) * abs(x) ** alpha), tol)[0]
 
 
 # ----------------------------------------------------------------------------
@@ -600,6 +603,7 @@ class FracSeries:
     @classmethod
     def monomial(cls, alpha: float, n: int, k: float = 1.0):
         """chi^n(kx) = sign(kx)^n |kx|^(n alpha)."""
+        _check_int("FracSeries.monomial", 0, n=n)
         c = [0.0] * (n + 1)
         c[n] = 1.0
         return cls(alpha=alpha, coeffs=tuple(c), k=k)

@@ -21,6 +21,7 @@ from .fraccalc import (
     HALF_PI,
     PrecisionLoss,
     _check_alpha,
+    _check_int,
     _check_positive,
     _horner,
     _table,
@@ -143,8 +144,7 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
     on.  Raises ValueError past the representable amplitude range.
     """
     _check_alpha(alpha)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_int("find_zeros", 1, count=count)
     _check_positive("find_zeros", x_max=x_max)
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
@@ -237,8 +237,7 @@ def well_states_1d(alpha: float, count: int, a: float,
     Returns fewer states when the zero set is exhausted (finite for
     1/2 < alpha < 1); raises NoZeros when there are none at all.
     """
-    if count < 1:
-        raise ValueError(f"well_states_1d requires count >= 1: {count}")
+    _check_int("well_states_1d", 1, count=count)
     _check_positive("well_states_1d", a=a)
     x_max = 2.0 * count + 20.0
     tagged, _ = _interleaved_roots(alpha, count, x_max)
@@ -254,16 +253,14 @@ def well_energy_nd(alpha: float, indices: list[int], half_widths: list[float],
     if len(indices) != len(half_widths) or len(indices) == 0:
         raise ValueError("indices and half_widths must be non-empty and of "
                          "equal length")
-    for n in indices:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"well_energy_nd indices must be integers >= 0: {n!r}")
+    _check_int("well_energy_nd", 0, **{f"indices[{i}]": n
+                                       for i, n in enumerate(indices)})
     _check_positive("well_energy_nd", **{f"half_widths[{i}]": a
                                          for i, a in enumerate(half_widths)})
-    nmax = max(indices)
-    tagged, complete = _interleaved_roots(alpha, nmax + 1, 2.0 * (nmax + 1) + 20.0)
-    if not complete:
-        raise NoZeros(f"only {len(tagged)} well states exist at alpha={alpha:g}")
-    return sum(free_energy(alpha, tagged[n][0] / a, ctx)
+    states = well_states_1d(alpha, max(indices) + 1, 1.0, ctx)
+    if len(states) <= max(indices):
+        raise NoZeros(f"only {len(states)} well states exist at alpha={alpha:g}")
+    return sum(free_energy(alpha, states[n].k0 / a, ctx)
                for n, a in zip(indices, half_widths))
 
 
@@ -362,8 +359,7 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     """
     _check_alpha(alpha)
     _check_positive("equivalent_potential", T=T)
-    if n_states < 1:
-        raise ValueError(f"equivalent_potential requires n_states >= 1: {n_states}")
+    _check_int("equivalent_potential", 1, n_states=n_states)
     grid = np.asarray(grid, float)
     if not np.isfinite(grid).all():
         raise ValueError("grid points must be finite")

@@ -22,14 +22,12 @@ rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "PHASES",
-    "MatrixPoly",
     "ALPHA_T",
     "ALPHA_I",
     "build_sigma",
@@ -93,50 +91,29 @@ def clifford_check(tol: float = 1e-12) -> list[dict]:
     return reports
 
 
-@dataclass(frozen=True)
-class MatrixPoly:
-    """Polynomial in the four commuting derivative symbols with 9x9 matrix
-    coefficients.  Keys are integer factor counts (n_t, n_1, n_2, n_3); the
-    number of constant (C-type) factors is nfactors - sum(key).  Scalars
-    a, b, c are implied by the counts and never folded into the matrices.
-    """
-
-    terms: dict
-    nfactors: int
-
-    def __matmul__(self, other: "MatrixPoly") -> "MatrixPoly":
-        out: dict = {}
-        for k1, m1 in self.terms.items():
-            for k2, m2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                prod = m1 @ m2
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return MatrixPoly(terms=out, nfactors=self.nfactors + other.nfactors)
-
-    def coefficient(self, key) -> np.ndarray:
-        return self.terms.get(tuple(key), np.zeros((9, 9), dtype=complex))
-
-    def scalar_counts(self, key) -> tuple[int, int, int]:
-        """(n_a, n_b, n_c) implied by a monomial key."""
-        nt = key[0]
-        nb = key[1] + key[2] + key[3]
-        return nt, nb, self.nfactors - nt - nb
+def _mul(p: dict, q: dict) -> dict:
+    """Product of polynomials {(n_t, n_1, n_2, n_3): 9x9 matrix} in the
+    commuting derivative symbols; scalars a, b, c stay implied by the counts."""
+    out: dict = {}
+    for k1, m1 in p.items():
+        for k2, m2 in q.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            prod = m1 @ m2
+            out[key] = out[key] + prod if key in out else prod
+    return out
 
 
-def _factor(A: np.ndarray, Bs: list[np.ndarray], C: np.ndarray) -> MatrixPoly:
+def _factor(A: np.ndarray, Bs: list[np.ndarray], C: np.ndarray) -> dict:
     terms = {(1, 0, 0, 0): A, (0, 0, 0, 0): C}
     for i, B in enumerate(Bs):
         key = [0, 0, 0, 0]
         key[1 + i] = 1
         terms[tuple(key)] = B
-    return MatrixPoly(terms=terms, nfactors=1)
+    return terms
 
 
-def build_factors() -> tuple[MatrixPoly, MatrixPoly, MatrixPoly]:
-    """The three first-order factors R, R', R'' as matrix polynomials.
+def build_factors() -> tuple[dict, dict, dict]:
+    """The three first-order factors R, R', R'' as `_mul` polynomials.
 
     A-family: (gamma^0 - x_k 1_9)/sqrt(3); B-family: gamma^i for every
     factor; C-family: x_k 1_3 (x) E_kk (units fixed internally).
@@ -160,7 +137,7 @@ def triple_product_check(tol: float = 1e-12) -> dict:
     2 alpha_t = 1 and 3 alpha_i = 2 are exact by rational arithmetic.
     """
     R, Rp, Rpp = build_factors()
-    P = R @ Rp @ Rpp
+    P = _mul(_mul(R, Rp), Rpp)
     eye9 = np.eye(9)
     expected = {
         (2, 0, 0, 0): eye9,  # scalar a^2 c = -i hbar
@@ -170,15 +147,16 @@ def triple_product_check(tol: float = 1e-12) -> dict:
     }
     checks = []
     worst = 0.0
-    for key in sorted(P.terms):
-        mat = P.terms[key]
+    for key in sorted(P):
+        mat = P[key]
         target = expected.get(key, None)
         dev = float(np.max(np.abs(mat - (target if target is not None else 0.0))))
         worst = max(worst, dev)
-        na, nb, nc = P.scalar_counts(key)
+        # one scalar per factor: a per d_t, b per d_i, c per constant factor
+        na, nb = key[0], sum(key[1:])
         checks.append({
             "monomial": {"n_t": key[0], "n_x": list(key[1:])},
-            "scalar_powers": {"a": na, "b": nb, "c": nc},
+            "scalar_powers": {"a": na, "b": nb, "c": 3 - na - nb},
             "expected": "identity" if target is not None else "zero",
             "max_abs_deviation": dev,
             "pass": dev <= tol,
@@ -217,12 +195,12 @@ def s2_structure(tol: float = 1e-12) -> dict:
     reported.
     """
     R, Rp, _ = build_factors()
-    P2 = R @ Rp
-    A, Ap = R.coefficient((1, 0, 0, 0)), Rp.coefficient((1, 0, 0, 0))
+    P2 = _mul(R, Rp)
+    A, Ap = R[(1, 0, 0, 0)], Rp[(1, 0, 0, 0)]
     _, gi = build_gamma()
 
     # time part: coefficient of d_t^(2 alpha_t) = d_t, scaled by c
-    time_mat = A_SQUARED * C_SCALAR * P2.coefficient((2, 0, 0, 0))
+    time_mat = A_SQUARED * C_SCALAR * P2[(2, 0, 0, 0)]
     time_target = -1j * (A @ Ap)
     time_dev = float(np.max(np.abs(time_mat - time_target)))
 
@@ -234,7 +212,7 @@ def s2_structure(tol: float = 1e-12) -> dict:
             key = [0, 0, 0, 0]
             key[1 + i] += 1
             key[1 + j] += 1
-            mat = P2.coefficient(tuple(key))
+            mat = P2[tuple(key)]
             if i == j:
                 target = gi[i] @ gi[i]
             else:
@@ -242,11 +220,9 @@ def s2_structure(tol: float = 1e-12) -> dict:
             space_dev = max(space_dev, float(np.max(np.abs(mat - target))))
 
     b2c = B_SCALAR**2 * C_SCALAR
-    remainder_keys = [k for k in P2.terms
-                      if k not in ((2, 0, 0, 0),)
-                      and sum(k[1:]) != 2]
+    remainder_keys = [k for k in P2 if k != (2, 0, 0, 0) and sum(k[1:]) != 2]
     remainder_norm = max(
-        (float(np.max(np.abs(P2.terms[k]))) for k in remainder_keys),
+        (float(np.max(np.abs(P2[k]))) for k in remainder_keys),
         default=0.0,
     )
     return {

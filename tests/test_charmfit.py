@@ -440,6 +440,18 @@ def test_predict_ground_is_offset():
     assert predict(p, 0, 0) == pytest.approx(p.m0c2)
 
 
+@pytest.mark.parametrize("kwargs", [{"dataset": "bundled"},
+                                    {"with_interval": True}],
+                         ids=["dataset-alone", "interval-alone"])
+def test_predict_refuses_what_it_would_ignore(bundled_dataset, kwargs):
+    # the <50> prediction has no interval: the dataset went unread, and
+    # with_interval=True returned a bare float where callers unpack a pair
+    if "dataset" in kwargs:
+        kwargs = {"dataset": bundled_dataset}
+    with pytest.raises(ValueError, match="with_interval=True and a dataset"):
+        predict(TABLE2_ROWS[1], 5, 0, **kwargs)
+
+
 def test_mass_model_monotone_in_j():
     p = TABLE2_ROWS[1]
     masses = [mass_model(p, j, 0) - (p.delta_tau if j == 3 else 0.0)

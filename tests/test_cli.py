@@ -280,6 +280,9 @@ def test_radius_bad_input(tmp_path):
     # a non-finite Mittag-Leffler parameter
     ["special", "--name", "mlf", "--alpha", "1", "--beta", "inf"],
     ["special", "--name", "mlf", "--alpha", "nan"],
+    # a tolerance no sum can certify
+    ["special", "--name", "cos", "--alpha", "0.8", "--tol", "0"],
+    ["special", "--name", "cos", "--alpha", "0.8", "--tol", "nan"],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     bundled = json.loads(resources.files("fracspec.data")
@@ -346,6 +349,17 @@ def test_infinite_grid_step_names_the_option(tmp_path, capsys, args):
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == f"ValueError: {args[-2]} must be finite and positive: inf"
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+def test_bad_tolerance_names_the_option(tmp_path, capsys, tol):
+    # not the x range, which a bad tolerance used to be blamed on
+    out = tmp_path / "out.csv"
+    assert run(["special", "--name", "cos", "--alpha", "0.8", "--tol", tol,
+                "--out", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == f"ValueError: --tol must be finite and positive: {tol}"
 
 
 def test_potential_past_the_finite_spectrum_is_cut_off(tmp_path, capsys):

@@ -147,6 +147,17 @@ def test_series_validation():
         FracSeries(alpha=2.0, coeffs=(1.0,))
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: FracSeries.monomial(0.7, -1), "n"),
+    (lambda: FracSeries.monomial(0.7, 0.5), "n"),
+    (lambda: FracSeries.cosine(0.7, terms=-1), "terms"),
+], ids=["negative-n", "fractional-n", "negative-terms"])
+def test_series_counts_are_checked(make, name):
+    # an IndexError, a TypeError and an empty series before they were
+    with pytest.raises(ValueError, match=f"integer {name} >= "):
+        make()
+
+
 # --- fractional integral ------------------------------------------------------
 
 

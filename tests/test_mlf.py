@@ -125,6 +125,27 @@ def test_frac_exp_frozen_oracle_value():
                                                      abs=1e-9)
 
 
+@settings(deadline=None, max_examples=60)
+@given(alpha=st.floats(0.5, 1.5), x=st.floats(-30.0, 12.0),
+       tol=st.sampled_from([1e-6, 1e-9]))
+@example(alpha=0.8, x=-30.0, tol=1e-9)
+def test_frac_exp_within_tol_of_the_series(alpha, x, tol):
+    # the certificate covers the sum at the rounded argument z; the
+    # reference takes that z and the exact alpha n, not fl(alpha n)
+    try:
+        got = frac_exp(alpha, x, tol)
+    except PrecisionLoss:
+        reject()
+    z = math.copysign(abs(x) ** alpha, x)
+    with mp.workdps(60):
+        want = ml_series_mp(mp.mpf(alpha), mp.mpf(1), mp.mpf(z))
+    assert abs(got - want) <= tol
+
+
+def test_frac_exp_deep_negative_axis():
+    assert abs(frac_exp(1.0, -25.0) - math.exp(-25.0)) <= 1e-12
+
+
 @pytest.mark.parametrize("x", [0.5, 2.0])
 def test_frac_trig_classical(x):
     assert frac_cos(1.0, x) == pytest.approx(math.cos(x), abs=1e-9)
@@ -144,8 +165,8 @@ def test_classical_limit_collapse_on_range():
     assert np.max(np.abs(frac_cos(1.0, xs) - np.cos(xs))) < 1e-9
     assert np.max(np.abs(frac_sin(1.0, xs) - np.sin(xs))) < 1e-9
     # exp spans nine decades on the range; 1e-9 relative above 1, absolute
-    # below (the deep-negative tail is an even/odd cancellation of O(e^|x|)
-    # parts, bounded by the certified budget, not by machine-relative)
+    # below (the deep-negative tail is an alternating sum whose terms reach
+    # O(e^|x|), bounded by the certified budget, not by machine-relative)
     err = np.abs(frac_exp(1.0, xs) - np.exp(xs))
     assert np.max(err / np.maximum(np.exp(xs), 1.0)) < 1e-9
 

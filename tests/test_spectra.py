@@ -204,6 +204,19 @@ def test_state_count_below_one_fails_before_the_root_search(monkeypatch, n):
         equivalent_potential(0.9, 3.0, n, [0.0])
 
 
+@pytest.mark.parametrize("n", [2.5, True], ids=["fractional", "bool"])
+def test_state_count_must_be_an_integer(monkeypatch, n):
+    # count 2.5 made find_zeros return two roots and well_states_1d raise a
+    # TypeError from a slice; True passed as a count of one
+    with pytest.raises(ValueError, match="integer count >= 1"):
+        find_zeros("cos", 0.9, n, 8.0)
+    monkeypatch.setattr(spectra, "find_zeros", _no_root_search)
+    with pytest.raises(ValueError, match="integer count >= 1"):
+        well_states_1d(0.9, n, 1.0, CTX)
+    with pytest.raises(ValueError, match="integer n_states >= 1"):
+        equivalent_potential(0.9, 3.0, n, [0.0])
+
+
 def test_nd_charm_box_consistency():
     # the <00> composite: zero point from the solved box half-width restores
     # the composite mass

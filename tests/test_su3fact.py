@@ -63,8 +63,7 @@ def test_a_family_sum():
     # A + A' + A'' = sqrt(3) gamma^0 since the phases sum to zero
     R, Rp, Rpp = build_factors()
     g0, _ = build_gamma()
-    s = (R.coefficient((1, 0, 0, 0)) + Rp.coefficient((1, 0, 0, 0))
-         + Rpp.coefficient((1, 0, 0, 0)))
+    s = R[(1, 0, 0, 0)] + Rp[(1, 0, 0, 0)] + Rpp[(1, 0, 0, 0)]
     assert np.allclose(s, np.sqrt(3.0) * g0, atol=1e-13)
 
 
@@ -75,14 +74,12 @@ def test_b_matrices_are_gammas():
         for i in range(3):
             key = [0, 0, 0, 0]
             key[1 + i] = 1
-            assert np.allclose(poly.coefficient(tuple(key)), gi[i],
-                               atol=1e-15)
+            assert np.allclose(poly[tuple(key)], gi[i], atol=1e-15)
 
 
 def test_c_family_diagonal_blocks():
     R, Rp, Rpp = build_factors()
-    s = (R.coefficient((0, 0, 0, 0)) + Rp.coefficient((0, 0, 0, 0))
-         + Rpp.coefficient((0, 0, 0, 0)))
+    s = R[(0, 0, 0, 0)] + Rp[(0, 0, 0, 0)] + Rpp[(0, 0, 0, 0)]
     # one nonzero phase per 3x3 block row; the sum is diagonal unit-modulus
     assert np.allclose(s, np.diag(np.diag(s)), atol=1e-15)
     assert np.allclose(np.abs(np.diag(s)), 1.0, atol=1e-14)
