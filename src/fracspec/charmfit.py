@@ -242,6 +242,8 @@ def alpha_from_multiplet(m0: float, m1: float, m2: float) -> float:
     The ratio l(alpha, 2) = Gamma(1+2a)/Gamma(1+a)^2 is strictly increasing
     on the bracket; OutOfRange is raised when the target is unattainable.
     """
+    if not all(map(math.isfinite, (m0, m1, m2))):
+        raise ValueError(f"masses m0, m1, m2 must be finite: {m0}, {m1}, {m2}")
     if m1 == m0:
         raise ValueError("m1 must differ from m0")
     target = (m2 - m0) / (m1 - m0)
@@ -367,15 +369,16 @@ def fit(dataset, alpha, c_model: str = "c0",
     least-squares solve suffices.  With alpha="scan" the objective
     dm_published_abs (the mean-absolute deviation excluding <33>, the
     convention of the published tables) is minimised on a grid over
-    [0.60, 0.72] with step scan_step, then refined by golden section to 1e-4;
-    ties break toward smaller alpha.  The grid is one batch (one design
-    tensor over alpha, one batched QR solve); each golden-section probe is a
-    batch of one.  RankDeficient is raised rather than a minimum-norm answer
-    when the states cannot fix all six parameters at some alpha solved: a
-    parameter without a supporting state, fewer than six states, or a design
-    matrix at which lstsq's rcond=None would drop a singular value.  A
-    scan_step that is not finite and positive raises ValueError for either
-    kind of alpha.
+    [0.60, 0.72] with step scan_step, then on a grid of step 1e-5 over the
+    bracket [grid[i-1], grid[i+1]] of the coarse minimum, its points rounded
+    to 6 decimals; ties break toward smaller alpha.  Each grid is one batch
+    (one design tensor over alpha, one batched QR solve), and no search
+    assumes the kinked objective unimodal.  RankDeficient is raised rather
+    than a minimum-norm answer when the states cannot fix all six parameters
+    at some alpha solved: a parameter without a supporting state, fewer than
+    six states, or a design matrix at which lstsq's rcond=None would drop a
+    singular value.  A scan_step that is not finite and positive raises
+    ValueError for either kind of alpha.
     """
     _check_positive("fit", scan_step=scan_step)
     states = sorted(dataset, key=lambda s: (s.j, s.m))
@@ -393,28 +396,12 @@ def fit(dataset, alpha, c_model: str = "c0",
     if alpha != "scan":
         return result_at(float(alpha))
 
-    def obj(alphas) -> np.ndarray:
-        return _metrics(states, _solve(states, alphas, c_model)[1])[_OBJECTIVE]
-
+    obj = lambda a: _metrics(states, _solve(states, a, c_model)[1])[_OBJECTIVE]
     grid = np.arange(0.60, 0.72 + 0.5 * scan_step, scan_step)
     i = int(np.argmin(obj(grid)))  # the first (smallest alpha) on ties
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = obj([c])[0], obj([d])[0]
-    while b - a > 1e-4:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = obj([c])[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = obj([d])[0]
-    return result_at(round(0.5 * (a + b), 6))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    fine = np.round(np.arange(lo, hi + 0.5e-5, 1e-5), 6)  # the second grid
+    return result_at(float(fine[np.argmin(obj(fine))]))
 
 
 def predict(p: FitParams, j: int, m: int, dataset=None,

@@ -108,14 +108,26 @@ def _dataset(args) -> list:
 # ----------------------------------------------------------------------------
 
 
+def _grid(args, lo: str, hi: str, step: str) -> np.ndarray:
+    """The grid of options lo to hi by step (e.g. "--x-min"), clipped at hi
+    so that rounding never steps past it; ends finite, lo <= hi, step > 0."""
+    a, b, h = (getattr(args, o[2:].replace("-", "_")) for o in (lo, hi, step))
+    for option, v in ((lo, a), (hi, b)):
+        if not math.isfinite(v):
+            raise ValueError(f"{option} must be finite: {v:g}")
+    if a > b:
+        raise ValueError(f"{lo} {a:g} exceeds {hi} {b:g}")
+    if not 0.0 < h < math.inf:  # nan fails too
+        raise ValueError(f"{step} must be finite and positive: {h:g}")
+    return np.minimum(np.arange(a, b + 0.5 * h, h), b)
+
+
 def cmd_special(args) -> int:
-    # nan fails too; np.arange rejects an inf step, an inf --tol certifies nothing
-    for option, v in (("--step", args.step), ("--tol", args.tol)):
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"{option} must be finite and positive: {v:g}")
+    if not 0.0 < args.tol < math.inf:  # an inf --tol certifies nothing
+        raise ValueError(f"--tol must be finite and positive: {args.tol:g}")
     if args.beta is not None and args.name != "mlf":
         raise ValueError(f"--beta applies to --name mlf only, not {args.name}")
-    xs = np.arange(args.x_min, args.x_max + 0.5 * args.step, args.step)
+    xs = _grid(args, "--x-min", "--x-max", "--step")
     if args.name == "mlf":
         beta = args.beta if args.beta is not None else 1.0
         fn = lambda alpha, x, tol: mittag_leffler(alpha, beta, x, tol=tol)
@@ -137,13 +149,7 @@ def cmd_special(args) -> int:
 
 def cmd_zeros(args) -> int:
     rows = []
-    if not 0.0 < args.alpha_step < math.inf:
-        raise ValueError(f"--alpha-step must be finite and positive: {args.alpha_step:g}")
-    # clipped, so that rounding in the grid never steps past --alpha-max
-    alphas = np.minimum(np.arange(args.alpha_min,
-                                  args.alpha_max + 0.5 * args.alpha_step,
-                                  args.alpha_step), args.alpha_max)
-    for a in alphas:
+    for a in _grid(args, "--alpha-min", "--alpha-max", "--alpha-step"):
         for kind in ("cos", "sin"):
             try:
                 scan = spectra.find_zeros(kind, float(a), args.count,

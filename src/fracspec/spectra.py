@@ -213,19 +213,16 @@ class WellState:
 def _interleaved_roots(alpha: float, count: int, x_max: float,
                        eval_tol: float = 1e-9):
     """Combined, sorted cos/sin roots with parity labels (cos first at
-    alpha near 1).  Returns (list of (k0_unscaled, parity), complete)."""
+    alpha near 1), as a list of (k0_unscaled, parity)."""
     want = count // 2 + 2
-    rc = find_zeros("cos", alpha, want, x_max, eval_tol=eval_tol)
+    tagged = [(r * HALF_PI, "even") for r in
+              find_zeros("cos", alpha, want, x_max, eval_tol=eval_tol)]
     try:
-        rs = find_zeros("sin", alpha, want, x_max, eval_tol=eval_tol)
-        sin_roots = list(rs.roots)
+        tagged += [(r * HALF_PI, "odd") for r in
+                   find_zeros("sin", alpha, want, x_max, eval_tol=eval_tol)]
     except NoZeros:
-        sin_roots = []
-    tagged = [(r * HALF_PI, "even") for r in rc.roots]
-    tagged += [(r * HALF_PI, "odd") for r in sin_roots]
-    tagged.sort()
-    complete = len(tagged) >= count
-    return tagged[:count], complete
+        pass
+    return sorted(tagged)[:count]
 
 
 def well_states_1d(alpha: float, count: int, a: float,
@@ -240,7 +237,7 @@ def well_states_1d(alpha: float, count: int, a: float,
     _check_int("well_states_1d", 1, count=count)
     _check_positive("well_states_1d", a=a)
     x_max = 2.0 * count + 20.0
-    tagged, _ = _interleaved_roots(alpha, count, x_max)
+    tagged = _interleaved_roots(alpha, count, x_max)
     return [WellState(alpha=alpha, n=n, parity=parity, k0=k0, a=a,
                       energy=free_energy(alpha, k0 / a, ctx))
             for n, (k0, parity) in enumerate(tagged)]
@@ -361,11 +358,11 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     _check_positive("equivalent_potential", T=T)
     _check_int("equivalent_potential", 1, n_states=n_states)
     grid = np.asarray(grid, float)
-    if not np.isfinite(grid).all():
-        raise ValueError("grid points must be finite")
-    tagged, complete = _interleaved_roots(alpha, n_states + 1,
-                                          2.0 * n_states + 30.0,
-                                          eval_tol=1e-6)
+    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
+        raise ValueError(f"grid must be a finite, non-empty 1-D array: "
+                         f"shape {grid.shape}")
+    tagged = _interleaved_roots(alpha, n_states + 1, 2.0 * n_states + 30.0,
+                                eval_tol=1e-6)
     # free_energy at hbar = m = c = 1: E = k^(2 alpha)/2
     weights = [math.exp(-0.5 * k ** (2.0 * alpha) / T) for k, _ in tagged]
     # tail estimate: geometric continuation from the first excluded state;

@@ -147,6 +147,16 @@ def test_alpha_out_of_range():
         alpha_from_multiplet(3000.0, 3100.0, 3500.0)  # ratio 5 unattainable
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_alpha_from_non_finite_masses_raises(position, bad):
+    # a NaN target made the bracket test false, and the refiner returned 0.4
+    masses = [3415.2, 3510.6, 3556.3]
+    masses[position] = bad
+    with pytest.raises(ValueError, match="masses m0, m1, m2 must be finite"):
+        alpha_from_multiplet(*masses)
+
+
 # --- two-state solve ------------------------------------------------------------------
 
 
@@ -367,8 +377,9 @@ def test_batched_masses_equal_mass_model():
 
 def _lstsq_scan(states, c_model, step, lo=0.60, hi=0.72):
     """Reference scan: one scalar design matrix and one np.linalg.lstsq per
-    alpha, the published mean-absolute objective, the same grid and golden
-    section as fit()."""
+    alpha, the published mean-absolute objective, the same two grids as
+    fit(): step `step` over [lo, hi], then step 1e-5 over the bracket of the
+    coarse minimum, rounded to 6 decimals, the first minimum on ties."""
     y = np.array([s.mass_exp for s in states])
     published = np.array([(s.j, s.m) != (3, 3) for s in states])
 
@@ -380,25 +391,15 @@ def _lstsq_scan(states, c_model, step, lo=0.60, hi=0.72):
         p = np.linalg.lstsq(A, y, rcond=None)[0]
         return p, A @ p - y
 
-    def obj(a):
-        return float(np.mean(np.abs(solve(a)[1][published])))
+    def first_min(grid):
+        return int(np.argmin([np.mean(np.abs(solve(float(a))[1][published]))
+                              for a in grid]))
 
     grid = np.arange(lo, hi + 0.5 * step, step)
-    i = int(np.argmin([obj(float(a)) for a in grid]))
-    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = obj(c), obj(d)
-    while b - a > 1e-4:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = obj(d)
-    best = round(0.5 * (a + b), 6)
+    i = first_min(grid)
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    fine = np.round(np.arange(a, b + 0.5e-5, 1e-5), 6)
+    best = float(fine[first_min(fine)])
     return best, solve(best)[0]
 
 
@@ -412,6 +413,24 @@ def test_scan_optimum_matches_lstsq_loop(bundled_dataset, c_model, step):
     got = [res.params.m0c2, res.params.kappa, res.params.B1, res.params.B2,
            res.params.B3, res.params.delta_tau]
     np.testing.assert_allclose(got, p_ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("c_model", ["c0", "c1", "c2"])
+def test_scan_optimum_does_not_depend_on_the_step(bundled_dataset, c_model):
+    # golden section on the kinked mean-absolute objective gave c0 0.68109,
+    # 0.681131 and 0.681115 at these three steps
+    states = sorted(bundled_dataset, key=lambda s: (s.j, s.m))
+    fits = [fit(bundled_dataset, "scan", c_model, scan_step=step)
+            for step in (1e-3, 3e-4, 1e-4)]
+    alpha = fits[0].params.alpha
+    assert [f.params.alpha for f in fits] == [alpha] * 3
+    # a minimum on the 1e-5 grid: no larger than at either neighbour
+    near = [round(alpha + d, 6) for d in (0.0, -1e-5, 1e-5)]
+    obj = charmfit._metrics(states, charmfit._solve(states, near, c_model)[1])
+    at, below, above = obj["dm_published_abs"]
+    assert at <= below and at <= above
+    # the scan result is the fixed-alpha fit at that alpha, key for key
+    assert fit(bundled_dataset, alpha, c_model) == fits[0]
 
 
 # --- predictions ---------------------------------------------------------------------

@@ -283,6 +283,14 @@ def test_radius_bad_input(tmp_path):
     # a tolerance no sum can certify
     ["special", "--name", "cos", "--alpha", "0.8", "--tol", "0"],
     ["special", "--name", "cos", "--alpha", "0.8", "--tol", "nan"],
+    # an empty grid
+    ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "10",
+     "--grid-points", "0"],
+    # a range end that is not finite, or a reversed range
+    ["special", "--name", "sin", "--alpha", "0.9", "--x-min", "nan"],
+    ["special", "--name", "cos", "--alpha", "0.9", "--x-min", "5",
+     "--x-max", "1"],
+    ["zeros", "--alpha-min", "1.3", "--alpha-max", "1.2"],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     bundled = json.loads(resources.files("fracspec.data")
@@ -349,6 +357,39 @@ def test_infinite_grid_step_names_the_option(tmp_path, capsys, args):
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == f"ValueError: {args[-2]} must be finite and positive: inf"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["special", "--name", "sin", "--alpha", "0.9", "--x-min", "nan"],
+     "--x-min must be finite: nan"),
+    (["special", "--name", "sin", "--alpha", "0.9", "--x-max=-inf"],
+     "--x-max must be finite: -inf"),
+    (["special", "--name", "cos", "--alpha", "0.9", "--x-min", "5",
+      "--x-max", "1"], "--x-min 5 exceeds --x-max 1"),
+    (["zeros", "--alpha-min", "1.3", "--alpha-max", "1.2"],
+     "--alpha-min 1.3 exceeds --alpha-max 1.2"),
+    (["zeros", "--alpha-max", "inf"], "--alpha-max must be finite: inf"),
+    (["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "10",
+      "--grid-points", "0"],
+     "grid must be a finite, non-empty 1-D array: shape (0,)"),
+])
+def test_bad_range_names_the_option(tmp_path, capsys, args, message):
+    # a reversed range wrote a header-only artifact, a nan end or an empty
+    # grid failed with a numpy message that named no option
+    out = tmp_path / "out.csv"
+    assert run(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"ValueError: {message}")
+
+
+def test_special_grid_ends_at_x_max(tmp_path):
+    # the grid is clipped at --x-max, as the zeros grid is at --alpha-max
+    out = tmp_path / "cos.json"
+    assert run(["special", "--name", "cos", "--alpha", "0.8", "--format",
+                "json", "--out", str(out)]) == 0
+    xs = [r["x"] for r in json.loads(out.read_text())]
+    assert (len(xs), xs[0], xs[-1]) == (401, -10.0, 10.0)
 
 
 @pytest.mark.parametrize("tol", ["0", "nan", "inf"])

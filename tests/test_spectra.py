@@ -204,6 +204,18 @@ def test_state_count_below_one_fails_before_the_root_search(monkeypatch, n):
         equivalent_potential(0.9, 3.0, n, [0.0])
 
 
+@pytest.mark.parametrize("grid", [[], [[0.1, 0.2], [0.3, 0.4]], 0.5,
+                                  [0.0, math.nan], [math.inf]],
+                         ids=["empty", "2-D", "scalar", "nan", "inf"])
+def test_grid_must_be_finite_1d_and_non_empty(monkeypatch, grid):
+    # an empty grid raised numpy's reduction error after the root search,
+    # and a 2-D one returned nested lists
+    monkeypatch.setattr(spectra, "find_zeros", _no_root_search)
+    with pytest.raises(ValueError, match="grid must be a finite, non-empty "
+                                         "1-D array"):
+        equivalent_potential(0.9, 3.0, 10, grid)
+
+
 @pytest.mark.parametrize("n", [2.5, True], ids=["fractional", "bool"])
 def test_state_count_must_be_an_integer(monkeypatch, n):
     # count 2.5 made find_zeros return two roots and well_states_1d raise a
