@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -61,10 +60,7 @@ __all__ = [
     "table3_report",
     "TABLE2_ROWS",
     "TABLE3_PRINTED",
-    "DATA_ENV_VAR",
 ]
-
-DATA_ENV_VAR = "FRACSPEC_DATA"
 
 
 class ParseError(ValueError):
@@ -153,15 +149,6 @@ class QuarkMasses:
         _check_positive("QuarkMasses", m_d_c2=self.m_d_c2, m_c_c2=self.m_c_c2)
 
 
-def _read_input(path) -> str:
-    """The text of an input file; UnreadableFile when it cannot be read."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
-        raise UnreadableFile(f"{path}: {e.strerror or e}") from e
-
-
 def load_dataset(path) -> list[CharmState]:
     """Load a JSON list of {name, j, m, mass_mev, err_mev} records.
 
@@ -169,7 +156,11 @@ def load_dataset(path) -> list[CharmState]:
     UnreadableFile when the file cannot be read, ParseError with position
     info on malformed input and DuplicateState on a repeated (j, m) label.
     """
-    text = _read_input(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise UnreadableFile(f"{path}: {e.strerror or e}") from e
     if not text.strip():
         return []
     try:
@@ -207,10 +198,7 @@ def load_dataset(path) -> list[CharmState]:
 
 
 def default_dataset() -> list[CharmState]:
-    """Bundled dataset; overridable through the FRACSPEC_DATA env var."""
-    override = os.environ.get(DATA_ENV_VAR)
-    if override:
-        return load_dataset(override)
+    """The bundled dataset."""
     with resources.as_file(
         resources.files("fracspec.data") / "charmonium.json"
     ) as p:

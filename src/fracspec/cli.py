@@ -5,8 +5,6 @@ Exit codes: 0 artifact written and the command's consistency checks passed;
 1 artifact written but a check failed (details in the artifact / stderr
 JSON); 2 bad input or an unreadable input file.  Any other error (an
 uncertifiable sum, a disk error) exits 1, with a JSON error on stderr.
-
-FRACSPEC_DATA overrides the bundled dataset path.
 """
 
 from __future__ import annotations
@@ -75,26 +73,6 @@ def _fail(message: str, **extra) -> int:
     payload = {"error": message, **extra}
     print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
     return EXIT_CHECK_FAILED
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    cfg = json.loads(charmfit._read_input(path))
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: expected a top-level JSON object")
-    unknown = sorted(set(cfg) - {"quark_masses", "hbar_c"})
-    if unknown:
-        raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}")
-    return cfg
-
-
-def _number(value, what: str) -> float:
-    """value as a float; a JSON list, object or null is bad input."""
-    try:
-        return float(value)
-    except TypeError as e:
-        raise ValueError(f"{what} must be a number, got {value!r}") from e
 
 
 def _dataset(args) -> list:
@@ -240,17 +218,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_radius(args) -> int:
-    cfg = _load_config(args.config)
-    qm = cfg.get("quark_masses", {})
-    if not isinstance(qm, dict) or not set(qm) <= {"m_d_c2", "m_c_c2"}:
-        raise ValueError("config quark_masses must be a JSON object with "
-                         "keys among m_d_c2, m_c_c2")
-    quarks = charmfit.QuarkMasses(**{k: _number(v, k) for k, v in qm.items()})
-    hbar_c = _number(cfg.get("hbar_c", charmfit.HBARC_MEV_FM), "hbar_c")
+    quarks = charmfit.QuarkMasses(args.m_d_c2, args.m_c_c2)
     a_fm, r_box = charmfit.radius_box(args.sigma_mass, quarks, args.alpha,
-                                      hbar_c)
+                                      args.hbar_c)
     r0_fm, r_sph = charmfit.radius_sphere(args.sigma_mass, quarks, args.alpha,
-                                          hbar_c)
+                                          args.hbar_c)
     payload = {"sigma_mass_mev": args.sigma_mass, "alpha": args.alpha,
                "a_fm": a_fm, "r_mean_box_fm": r_box,
                "r0_fm": r0_fm, "r_mean_sphere_fm": r_sph}
@@ -263,6 +235,9 @@ def cmd_radius(args) -> int:
 
 
 def cmd_potential(args) -> int:
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1: "
+                         f"{args.grid_points}")
     with np.errstate(invalid="ignore"):  # an inf width: rejected below
         grid = np.linspace(-args.grid_half_width, args.grid_half_width,
                            args.grid_points)
@@ -358,8 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
                   "radius.json")
     sp.add_argument("--sigma-mass", type=float, default=2452.2)
     sp.add_argument("--alpha", type=float, default=2.0 / 3.0)
-    sp.add_argument("--config", default=None,
-                    help="JSON object with quark_masses and/or hbar_c")
+    sp.add_argument("--m-d-c2", type=float,
+                    default=charmfit.QuarkMasses.m_d_c2,
+                    help="d-quark rest energy (MeV)")
+    sp.add_argument("--m-c-c2", type=float,
+                    default=charmfit.QuarkMasses.m_c_c2,
+                    help="c-quark rest energy (MeV)")
+    sp.add_argument("--hbar-c", type=float, default=charmfit.HBARC_MEV_FM,
+                    help="hbar c (MeV fm)")
 
     sp = _command(sub, "potential", cmd_potential,
                   "equivalent-potential dataset", "potential.csv")

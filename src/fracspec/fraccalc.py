@@ -225,14 +225,6 @@ def _table(alpha: float, beta: float) -> _RatioTable:
     return tab
 
 
-def _recip_gammas(alpha: float, n: int) -> array:
-    """1/Gamma(alpha k + 1) for k < n, from one sized table build."""
-    _check_int("FracSeries", 1, terms=n)
-    tab = _table(alpha, 1.0)
-    tab.extend(n - 1)
-    return tab.hi[:n]
-
-
 # ----------------------------------------------------------------------------
 # Mittag-Leffler summation.
 # ----------------------------------------------------------------------------
@@ -579,26 +571,32 @@ class FracSeries:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _ml(cls, alpha: float, k: float, terms: int, parity):
+        """The exp series (parity None), or its even (0) or odd (1) terms
+        with alternating signs: coefficients 1/Gamma(alpha m + 1) from one
+        sized table build."""
+        _check_alpha(alpha)
+        _check_int("FracSeries", 1, terms=terms)
+        tab = _table(alpha, 1.0)
+        tab.extend(terms - 1)
+        c = [g if parity is None else (-1) ** (m // 2) * g if m % 2 == parity
+             else 0.0 for m, g in enumerate(tab.hi[:terms])]
+        return cls(alpha=alpha, coeffs=tuple(c), k=k)
+
+    @classmethod
     def cosine(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
         """Series of cos(alpha, kx) in the chi-power basis."""
-        _check_alpha(alpha)
-        g = _recip_gammas(alpha, terms)
-        c = [0.0 if m % 2 else (-1) ** (m // 2) * g[m] for m in range(terms)]
-        return cls(alpha=alpha, coeffs=tuple(c), k=k)
+        return cls._ml(alpha, k, terms, 0)
 
     @classmethod
     def sine(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
         """Series of sin(alpha, kx)."""
-        _check_alpha(alpha)
-        g = _recip_gammas(alpha, terms)
-        c = [(-1) ** (m // 2) * g[m] if m % 2 else 0.0 for m in range(terms)]
-        return cls(alpha=alpha, coeffs=tuple(c), k=k)
+        return cls._ml(alpha, k, terms, 1)
 
     @classmethod
     def exponential(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
         """Series of exp(alpha, chi(kx))."""
-        _check_alpha(alpha)
-        return cls(alpha=alpha, coeffs=tuple(_recip_gammas(alpha, terms)), k=k)
+        return cls._ml(alpha, k, terms, None)
 
     @classmethod
     def monomial(cls, alpha: float, n: int, k: float = 1.0):

@@ -157,8 +157,6 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
     while x0 <= x_max and len(roots) < count:
         xs = x0 + SCAN_STEP * np.arange(chunk)
         xs = xs[xs <= x_max + 0.5 * SCAN_STEP]
-        if len(xs) == 0:
-            break
         try:
             vs, reached = _trig(alpha, HALF_PI * xs, eval_tol, odd, signs=True)
         except PrecisionLoss:

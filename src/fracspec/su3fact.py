@@ -41,6 +41,8 @@ __all__ = [
 ALPHA_T = Fraction(1, 2)
 ALPHA_I = Fraction(2, 3)
 
+TOL = 1e-12  # largest absolute deviation a check passes with
+
 # scalar combinations with hbar = m = c = 1
 A_SQUARED = -1j          # a^2 = -i hbar (1/mc^2)^(1/3)
 B_SCALAR = -0.5 ** (1.0 / 3.0)   # b = -(hbar^2 / 2m)^(1/3), real
@@ -72,7 +74,7 @@ def build_gamma() -> tuple[np.ndarray, list[np.ndarray]]:
     return g0, gi
 
 
-def clifford_check(tol: float = 1e-12) -> list[dict]:
+def clifford_check() -> list[dict]:
     """Verify sum over all permutations of sigma^i sigma^j sigma^k
     = 6 delta^{ijk} 1_3 for all 27 index triples: one report
     {check_name, max_abs_deviation, pass} per triple."""
@@ -87,7 +89,7 @@ def clifford_check(tol: float = 1e-12) -> list[dict]:
         target = 6.0 * np.eye(3) if i == j == k else np.zeros((3, 3))
         dev = float(np.max(np.abs(acc - target)))
         reports.append({"check_name": f"clifford_{i + 1}{j + 1}{k + 1}",
-                        "max_abs_deviation": dev, "pass": dev <= tol})
+                        "max_abs_deviation": dev, "pass": dev <= TOL})
     return reports
 
 
@@ -128,7 +130,7 @@ def build_factors() -> tuple[dict, dict, dict]:
     return tuple(_factor(A_fam[k], gi, C_fam[k]) for k in range(3))
 
 
-def triple_product_check(tol: float = 1e-12) -> dict:
+def triple_product_check() -> dict:
     """Expand R R' R'' and verify it collapses to the two claimed monomials.
 
     Expected: the d_t^(2 alpha_t) coefficient and each d_i^(3 alpha_i)
@@ -159,7 +161,7 @@ def triple_product_check(tol: float = 1e-12) -> dict:
             "scalar_powers": {"a": na, "b": nb, "c": 3 - na - nb},
             "expected": "identity" if target is not None else "zero",
             "max_abs_deviation": dev,
-            "pass": dev <= tol,
+            "pass": dev <= TOL,
         })
     exp_t = 2 * ALPHA_T
     exp_i = 3 * ALPHA_I
@@ -185,7 +187,7 @@ def triple_product_check(tol: float = 1e-12) -> dict:
 S2_SPACE_PRINTED = -0.5 * 0.5 ** (1.0 / 3.0)
 
 
-def s2_structure(tol: float = 1e-12) -> dict:
+def s2_structure() -> dict:
     """Coefficient structure of the twofold-iterated operator c R R'.
 
     Extracts the d_t coefficient (should be -i hbar A A' entrywise), the
@@ -228,22 +230,22 @@ def s2_structure(tol: float = 1e-12) -> dict:
     return {
         "time_coefficient": {
             "max_abs_deviation": time_dev,
-            "pass": time_dev <= tol,
+            "pass": time_dev <= TOL,
         },
         "space_matrices": {
             "max_abs_deviation": space_dev,
-            "pass": space_dev <= tol,
+            "pass": space_dev <= TOL,
         },
         "space_scalar": {
             "derived_b2c": b2c,
             "printed": S2_SPACE_PRINTED,
             "deviation": b2c - S2_SPACE_PRINTED,
-            "matches_printed": abs(b2c - S2_SPACE_PRINTED) <= tol,
+            "matches_printed": abs(b2c - S2_SPACE_PRINTED) <= TOL,
         },
         "remainder": {
             "max_abs_entry": remainder_norm,
-            "nonzero": remainder_norm > tol,
+            "nonzero": remainder_norm > TOL,
         },
-        "pass": time_dev <= tol and space_dev <= tol
-                and remainder_norm > tol,
+        "pass": time_dev <= TOL and space_dev <= TOL
+                and remainder_norm > TOL,
     }

@@ -260,9 +260,9 @@ def test_criterion7_sphere_published_values():
 
 
 def test_criterion8_factorization():
-    cliff = su3fact.clifford_check(tol=1e-12)
+    cliff = su3fact.clifford_check()
     cliff_ok = len(cliff) == 27 and all(c["pass"] for c in cliff)
-    triple = su3fact.triple_product_check(tol=1e-12)
+    triple = su3fact.triple_product_check()
     assert report("criterion 8: 27 extended-Clifford triples <= 1e-12",
                   cliff_ok,
                   f"worst {max(c['max_abs_deviation'] for c in cliff):.2e}")

@@ -23,7 +23,6 @@ from fracspec.charmfit import (
     RankDeficient,
     TABLE2_ROWS,
     alpha_from_multiplet,
-    default_dataset,
     fit,
     load_dataset,
     mass_model,
@@ -90,15 +89,6 @@ def test_non_integer_label_rejected(tmp_path, field, value):
     p.write_text(json.dumps([rec]))
     with pytest.raises(ParseError):
         load_dataset(p)
-
-
-def test_env_override(tmp_path, monkeypatch):
-    p = tmp_path / "alt.json"
-    p.write_text(json.dumps([{"name": "only", "j": 1, "m": 0,
-                              "mass_mev": 3000.0}]))
-    monkeypatch.setenv("FRACSPEC_DATA", str(p))
-    ds = default_dataset()
-    assert len(ds) == 1 and ds[0].name == "only"
 
 
 # --- mass model ------------------------------------------------------------------

@@ -238,8 +238,8 @@ def test_radius_bad_input(tmp_path):
     # a directory where a file is expected: IsADirectoryError, an OSError
     ["fit", "--alpha", "0.68", "--dataset", "DIR"],
     ["masses", "--dataset", "DIR"],
-    ["radius", "--config", "DIR"],
     # nan passes a `<= 0` guard
+    ["radius", "--hbar-c", "nan"],
     ["potential", "--alpha", "0.9", "--temperature", "nan", "--n-states", "5"],
     ["radius", "--sigma-mass", "nan"],
     ["radius", "--sigma-mass", "inf"],
@@ -252,24 +252,22 @@ def test_radius_bad_input(tmp_path):
      "--grid-half-width", "nan"],
     ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "40",
      "--grid-half-width", "inf"],
-    # a non-finite mass or error in a dataset (json reads NaN and Infinity),
-    # a non-finite quark mass in a config
+    # a non-finite mass or error in a dataset (json reads NaN and Infinity)
     ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:mass_mev=nan"],
     ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:mass_mev=inf"],
     ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:err_mev=nan"],
     ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:err_mev=-1"],
     # a state label that is not an integer
     ["fit", "--alpha", "0.68", "--dataset", "BUNDLED:j=1.7"],
-    ["radius", "--config", 'CONFIG:{"quark_masses": {"m_c_c2": NaN}}'],
-    ["radius", "--config", 'CONFIG:{"quark_masses": {"m_d_c2": Infinity}}'],
-    # a config of the wrong shape, or with a key radius does not read
-    ["radius", "--config", "CONFIG:[1, 2]"],
-    ["radius", "--config", 'CONFIG:{"quark_masses": 5}'],
-    ["radius", "--config", 'CONFIG:{"alpha": [0.7]}'],
-    ["radius", "--config", 'CONFIG:{"hbar_c": null}'],
-    ["radius", "--config", 'CONFIG:{"alpha": 0.7}'],
-    ["radius", "--config", 'CONFIG:{"hbar_c": 190.0, "c_model": "c1"}'],
-    ["radius", "--config", 'CONFIG:{"quark_masses": {"m_u_c2": 300}}'],
+    # a quark mass or hbar c that is not finite and positive
+    ["radius", "--m-c-c2", "nan"],
+    ["radius", "--m-d-c2", "inf"],
+    ["radius", "--hbar-c", "0"],
+    ["radius", "--m-d-c2", "nan"],
+    ["radius", "--m-d-c2", "0"],
+    ["radius", "--m-c-c2", "inf"],
+    ["radius", "--m-c-c2", "-1400"],
+    ["radius", "--hbar-c", "inf"],
     # a state count below one
     ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "0"],
     ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "-1"],
@@ -283,9 +281,11 @@ def test_radius_bad_input(tmp_path):
     # a tolerance no sum can certify
     ["special", "--name", "cos", "--alpha", "0.8", "--tol", "0"],
     ["special", "--name", "cos", "--alpha", "0.8", "--tol", "nan"],
-    # an empty grid
+    # an empty grid, or a negative point count
     ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "10",
      "--grid-points", "0"],
+    ["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "10",
+     "--grid-points=-1"],
     # a range end that is not finite, or a reversed range
     ["special", "--name", "sin", "--alpha", "0.9", "--x-min", "nan"],
     ["special", "--name", "cos", "--alpha", "0.9", "--x-min", "5",
@@ -310,7 +310,6 @@ def test_bad_input_is_a_json_error(tmp_path, capsys, args):
         if kind == "BUNDLED":  # the bundled dataset with one <00> field set
             key, value = text.split("=")
             text = json.dumps([{**bundled[0], key: float(value)}] + bundled[1:])
-        if kind in ("BUNDLED", "CONFIG"):
             path = tmp_path / f"input{n}.json"
             path.write_text(text)
             args[n] = str(path)
@@ -370,8 +369,9 @@ def test_infinite_grid_step_names_the_option(tmp_path, capsys, args):
      "--alpha-min 1.3 exceeds --alpha-max 1.2"),
     (["zeros", "--alpha-max", "inf"], "--alpha-max must be finite: inf"),
     (["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "10",
-      "--grid-points", "0"],
-     "grid must be a finite, non-empty 1-D array: shape (0,)"),
+      "--grid-points", "0"], "--grid-points must be at least 1: 0"),
+    (["potential", "--alpha", "0.9", "--temperature", "3", "--n-states", "10",
+      "--grid-points=-1"], "--grid-points must be at least 1: -1"),
 ])
 def test_bad_range_names_the_option(tmp_path, capsys, args, message):
     # a reversed range wrote a header-only artifact, a nan end or an empty
@@ -524,17 +524,9 @@ def test_factorcheck_artifact(tmp_path):
     assert p["triple_product"]["pass"] is True
 
 
-def test_config_file(tmp_path, capsys):
+def test_hbar_c_flag(tmp_path):
     # LEDGER.md criterion 7: hbar_c = 189.9 MeV fm brings r0 to the
     # published 1.08 fm; the other published values still fail (exit 1)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"hbar_c": 189.9}))
     out = tmp_path / "radius.json"
-    assert run(["radius", "--config", str(cfg), "--out", str(out)]) == 1
+    assert run(["radius", "--hbar-c", "189.9", "--out", str(out)]) == 1
     assert round(json.loads(out.read_text())["r0_fm"], 4) == 1.0800
-    # a key radius does not read is bad input, named in the error
-    cfg.write_text(json.dumps({"hbar_c": 189.9, "alpha": 0.7}))
-    capsys.readouterr()
-    assert run(["radius", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "unknown config key(s) alpha" in json.loads(
-        capsys.readouterr().err)["error"]

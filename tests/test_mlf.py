@@ -490,6 +490,18 @@ def test_large_argument_branch_refuses_non_finite(fn, x):
         fn(0.8, x)
 
 
+@pytest.mark.parametrize("fn, x", [(frac_cos, 2.5e5),
+                                   (frac_sin, np.array([3e5, 4e5]))])
+def test_large_argument_branch_refuses_past_its_rounding(fn, x):
+    # at alpha = 1 the pair's rounding, about 40 |x| u, passes 1e-9 near
+    # |x| = 2.25e5, so the branch's own bound refuses the call
+    with pytest.raises(PrecisionLoss) as info:
+        fn(1.0, x)
+    message = str(info.value)
+    assert f"{fn.__name__}(1)" in message
+    assert float(message.rsplit("bound ", 1)[1]) > 1e-9
+
+
 # --- coefficient tables ----------------------------------------------------------
 
 
@@ -687,6 +699,17 @@ def test_term_cap_keeps_series_that_stop_in_the_subnormals(zabs):
     with mp.workdps(30):
         ref = float(ml_series_mp(0.1, 1, mp.mpf(zabs)))
     assert mass == pytest.approx(ref, rel=1e-12)
+
+
+def test_term_cap_leaves_a_warm_table_as_it_was():
+    # E_{1,1}(-5000) needs far more than _MAX_TERMS terms: a table warmed at
+    # |z| = 5 is read to its end, then refused without a build
+    mittag_leffler(1.0, 1.0, -5.0)
+    tab = fraccalc._TABLES[1.0, 1.0]
+    sizes = len(tab.ratio), len(tab.hi), len(tab.dhi)
+    with pytest.raises(PrecisionLoss, match="bound reached inf"):
+        mittag_leffler(1.0, 1.0, -5000.0)
+    assert (len(tab.ratio), len(tab.hi), len(tab.dhi)) == sizes
 
 
 def test_term_cap_keeps_a_slow_cosine():

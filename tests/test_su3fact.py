@@ -42,7 +42,7 @@ def test_sigma1_cubed_identity():
 
 
 def test_clifford_all_27_triples():
-    reports = clifford_check(tol=1e-12)
+    reports = clifford_check()
     assert len(reports) == 27
     assert all(r["pass"] for r in reports)
     assert max(r["max_abs_deviation"] for r in reports) <= 1e-12
@@ -86,7 +86,7 @@ def test_c_family_diagonal_blocks():
 
 
 def test_triple_product_collapses():
-    rep = triple_product_check(tol=1e-12)
+    rep = triple_product_check()
     assert rep["pass"]
     assert rep["max_abs_deviation"] <= 1e-12
     mono = {tuple([c["monomial"]["n_t"]] + c["monomial"]["n_x"]): c
@@ -116,7 +116,7 @@ def test_triple_product_surviving_scalars():
 
 
 def test_s2_time_part_and_remainder():
-    rep = s2_structure(tol=1e-12)
+    rep = s2_structure()
     assert rep["time_coefficient"]["pass"]
     assert rep["space_matrices"]["pass"]
     assert rep["remainder"]["nonzero"]
