@@ -290,13 +290,13 @@ class FitResult:
     residuals: dict           # (j, m) -> model - experiment, MeV
     diagnostics: dict         # error metrics, see fit()
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The fit as a JSON-ready dict, residuals keyed "jm"."""
+        return {
             "params": dataclasses.asdict(self.params),
             "residuals": {f"{j}{m}": v for (j, m), v in self.residuals.items()},
             "diagnostics": self.diagnostics,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 _OBJECTIVES = ("dm_m0_rms", "dm_m0_abs", "dm_all_rms", "dm_all_abs",
@@ -445,7 +445,8 @@ def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     p_i p_j p_k f, p = node_density(k0 u/size) at the nodes u, f =
     rho_density((k0/size)^(2 alpha) G), G = R_i + R_j + R_k, R = |u|^(2 alpha)
     (1 when None), summed over the sorted triples i <= j <= k (about
-    n_nodes^3/6 points): all of it is symmetric in the node indices."""
+    n_nodes^3/6 points): all of it is symmetric in the node indices.  Raises
+    ValueError unless size, (k0/size)^(2 alpha) and max G are finite, > 0."""
     constituents = 2.0 * quarks.m_d_c2 + quarks.m_c_c2
     e0 = sigma_mass - constituents
     if e0 < 0:
@@ -454,8 +455,20 @@ def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     if e0 == 0.0:
         return math.inf, math.inf
     mc2 = quarks.m_c_c2
-    X = (e0 / (factor * mc2)) ** (1.0 / (2.0 * alpha))
-    size = hbar_c * k0 / (mc2 * X)
+    size = scale = top = math.inf  # where a power overflows or a divisor is 0
+    try:
+        X = (e0 / (factor * mc2)) ** (1.0 / (2.0 * alpha))
+        size = hbar_c * k0 / (mc2 * X)
+        scale = (k0 / size) ** (2.0 * alpha)
+        top = 3.0 * size ** (2.0 * alpha)  # the largest G
+    except (OverflowError, ZeroDivisionError):
+        pass
+    if not (0.0 < size < math.inf and 0.0 < scale < math.inf
+            and top < math.inf):
+        raise ValueError(
+            f"sigma {sigma_mass:g} MeV, hbar_c {hbar_c:g} MeV fm and quark "
+            f"masses m_d {quarks.m_d_c2:g}, m_c {mc2:g} MeV give a well of "
+            f"size {size:g} fm, whose powers leave the double range")
     # Gauss-Legendre on [0, size], weights scaled to sum 1 (every use is a ratio)
     xs, w = _gauss_legendre(n_nodes)
     u, w = 0.5 * size * (xs + 1.0), w / w.sum()
@@ -476,7 +489,7 @@ def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
         np.multiply(below[:d], w[k], out=W[s:s + d])
         np.multiply(top[d:m], w[k], out=W[s + d:s + m])
     if rho_density is not None:
-        W *= rho_density((k0 / size) ** (2.0 * alpha) * G)
+        W *= rho_density(scale * G)
     prefactor = (hbar_c / mc2) ** (1.0 - alpha) / gamma(1.0 + alpha)
     return size, prefactor * float(W @ np.sqrt(G, out=G)) / float(W.sum())
 
@@ -524,15 +537,14 @@ def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
 # Published parameter sets and the mass table report.
 # ----------------------------------------------------------------------------
 
-# Published optimum parameter rows: alpha, c-model, m0c2, kappa, B1, B2, B3,
-# delta_tau, printed dm_m0, printed dm_all.
+# Published optimum parameter rows: m0c2, kappa, B1, B2, B3, delta_tau,
+# alpha, c-model.
 TABLE2_ROWS = (
     FitParams(2439.33, 274.66, 108.25, 87.00, 263.69, -129.04, 2.0 / 3.0, "c0"),
     FitParams(2451.26, 263.83, 117.98, 93.39, 259.16, -124.48, 0.681, "c0"),
     FitParams(2452.67, 336.16, 119.79, 95.72, 270.19, -129.00, 0.647, "c1"),
     FitParams(2451.90, 367.41, 116.13, 98.37, 269.46, -124.39, 0.649, "c2"),
 )
-TABLE2_PRINTED_DM = ((5.68, 8.98), (1.86, 2.02), (1.14, 1.15), (0.73, 0.79))
 
 # Published theoretical masses per parameter set, rows <jm> incl. the <50>
 # prediction.

@@ -1,5 +1,7 @@
-"""Command-line front end: reproduction runs, fits, predictions and checks,
-each emitting one CSV/JSON artifact with fixed 6-decimal float formatting.
+"""Command-line front end: reproduction runs, fits, predictions and checks.
+Each command returns its artifact and failed check, if any; main writes the
+artifact to --out, a table as CSV with fixed 6-decimal floats (JSON records
+when --out ends in .json) and any other payload as JSON.
 
 Exit codes: 0 artifact written and the command's consistency checks passed;
 1 artifact written but a check failed (details in the artifact / stderr
@@ -58,20 +60,26 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit_table(path: str, header: list[str], rows: list[tuple],
-                fmt: str) -> None:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _write_atomic(path, "\n".join(lines) + "\n")
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write(path: str, artifact) -> None:
+    """A table (header, rows) as CSV, or as JSON records at a .json path;
+    any other payload as JSON."""
+    if isinstance(artifact, tuple):
+        header, rows = artifact
+        if not path.endswith(".json"):
+            return _write_atomic(path, "".join(
+                ",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
+        artifact = [dict(zip(header, row)) for row in rows]
+    _write_atomic(path, json.dumps(artifact, indent=2, sort_keys=True) + "\n")
 
 
-def _fail(message: str, **extra) -> int:
-    payload = {"error": message, **extra}
-    print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
+def _failure(ok: bool, message: str, **extra):
+    """None when a command's check passed, else its stderr report."""
+    return None if ok else {"error": message, **extra}
+
+
+def _fail(error: str, **extra) -> int:
+    print(json.dumps({"error": error, **extra}, indent=2, sort_keys=True),
+          file=sys.stderr)
     return EXIT_CHECK_FAILED
 
 
@@ -100,7 +108,7 @@ def _grid(args, lo: str, hi: str, step: str) -> np.ndarray:
     return np.minimum(np.arange(a, b + 0.5 * h, h), b)
 
 
-def cmd_special(args) -> int:
+def cmd_special(args):
     if not 0.0 < args.tol < math.inf:  # an inf --tol certifies nothing
         raise ValueError(f"--tol must be finite and positive: {args.tol:g}")
     if args.beta is not None and args.name != "mlf":
@@ -120,12 +128,10 @@ def cmd_special(args) -> int:
             f"x in [{args.x_min:g}, {args.x_max:g}] is beyond the certified "
             f"range of {args.name}(alpha={args.alpha:g}) at tol {args.tol:g}: "
             f"{e}") from e
-    rows = [(float(x), float(y)) for x, y in zip(xs, ys)]
-    _emit_table(args.out, ["x", "value"], rows, args.format)
-    return EXIT_OK
+    return (["x", "value"], [(float(x), float(y)) for x, y in zip(xs, ys)]), None
 
 
-def cmd_zeros(args) -> int:
+def cmd_zeros(args):
     rows = []
     for a in _grid(args, "--alpha-min", "--alpha-max", "--alpha-step"):
         for kind in ("cos", "sin"):
@@ -137,55 +143,44 @@ def cmd_zeros(args) -> int:
                 continue
             for i, r in enumerate(scan.roots):
                 rows.append((float(a), kind, i, float(r)))
-    _emit_table(args.out, ["alpha", "kind", "root_index", "root"],
-                rows, args.format)
-    return EXIT_OK
+    return (["alpha", "kind", "root_index", "root"], rows), None
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args):
     rows = angular.table1_report()
     cols = ["n", "lz_1", "lz_23", "lz_068", "j2c0_1", "j2c0_23", "j2c0_068",
             "j2c1_065", "j2c1_065_printed", "j2c1_065_dev",
             "j2c2_065", "j2c2_065_printed", "j2c2_065_dev"]
-    table = [tuple(r[c] for c in cols) for r in rows]
-    _emit_table(args.out, cols, table, args.format)
     clean = ["lz_23", "lz_068", "j2c0_1", "j2c0_23", "j2c0_068"]
     worst = max(abs(r[f"{c}_dev"]) for r in rows for c in clean)
-    if worst > 1e-4:
-        return _fail("reference eigenvalue columns deviate beyond 1e-4",
-                     worst_deviation=worst)
-    return EXIT_OK
+    return (cols, [tuple(r[c] for c in cols) for r in rows]), _failure(
+        worst <= 1e-4, "reference eigenvalue columns deviate beyond 1e-4",
+        worst_deviation=worst)
 
 
-def cmd_fit(args) -> int:
-    result = charmfit.fit(_dataset(args), args.alpha if args.alpha == "scan"
-                          else float(args.alpha), args.c_model)
-    _write_atomic(args.out, result.to_json() + "\n")
-    return EXIT_OK
+def cmd_fit(args):
+    alpha = args.alpha if args.alpha == "scan" else float(args.alpha)
+    return charmfit.fit(_dataset(args), alpha, args.c_model).payload(), None
 
 
-def cmd_masses(args) -> int:
+def cmd_masses(args):
     report = charmfit.table3_report(dataset=_dataset(args))
     cols = ["j", "m", "symbol", "m_exp"]
     for i in range(4):
         cols += [f"set{i}_m_th", f"set{i}_printed", f"set{i}_dev_printed",
                  f"set{i}_dev_refined"]
-    rows = [tuple(r[c] for c in cols) for r in report]
-    _emit_table(args.out, cols, rows, args.format)
-    worst = max(abs(r[f"set{i}_dev_printed"]) for r in report for i in range(4))
-    if worst > 0.5:
-        worst_ref = max(abs(r[f"set{i}_dev_refined"])
-                        for r in report for i in range(4))
-        return _fail(
-            "published masses not reproduced at printed-parameter precision",
-            worst_deviation_mev=worst,
-            worst_deviation_alpha_refined_mev=worst_ref,
-            note="published table used more alpha digits than printed",
-        )
-    return EXIT_OK
+    worst, worst_ref = (max(abs(r[f"set{i}_dev_{d}"])
+                            for r in report for i in range(4))
+                        for d in ("printed", "refined"))
+    return (cols, [tuple(r[c] for c in cols) for r in report]), _failure(
+        worst <= 0.5,
+        "published masses not reproduced at printed-parameter precision",
+        worst_deviation_mev=worst,
+        worst_deviation_alpha_refined_mev=worst_ref,
+        note="published table used more alpha digits than printed")
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args):
     ds = _dataset(args)
     by = {(s.j, s.m): s for s in ds}
     missing = [f"<{j}{m}>" for j, m in ((1, 0), (2, 0), (2, 1), (2, 2))
@@ -208,16 +203,13 @@ def cmd_predict(args) -> int:
     for row, label in ((charmfit.TABLE2_ROWS[2], "c1"),
                        (charmfit.TABLE2_ROWS[3], "c2")):
         preds[f"m50_{label}"] = charmfit.predict(row, 5, 0)
-    _write_atomic(args.out, json.dumps(preds, indent=2, sort_keys=True) + "\n")
-    checks_ok = (abs(m33 - 4268.0) <= 22.0
-                 and abs(m0c2 - 2455.0) <= 3.0
-                 and abs(kappa - 262.4) <= 0.9)
-    if not checks_ok:
-        return _fail("prediction outside the published bands", **preds)
-    return EXIT_OK
+    ok = (abs(m33 - 4268.0) <= 22.0 and abs(m0c2 - 2455.0) <= 3.0
+          and abs(kappa - 262.4) <= 0.9)
+    return preds, _failure(ok, "prediction outside the published bands",
+                           **preds)
 
 
-def cmd_radius(args) -> int:
+def cmd_radius(args):
     quarks = charmfit.QuarkMasses(args.m_d_c2, args.m_c_c2)
     a_fm, r_box = charmfit.radius_box(args.sigma_mass, quarks, args.alpha,
                                       args.hbar_c)
@@ -226,29 +218,24 @@ def cmd_radius(args) -> int:
     payload = {"sigma_mass_mev": args.sigma_mass, "alpha": args.alpha,
                "a_fm": a_fm, "r_mean_box_fm": r_box,
                "r0_fm": r0_fm, "r_mean_sphere_fm": r_sph}
-    _write_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     pub_ok = (abs(a_fm - 0.81) <= 0.01 and abs(r_box - 0.32) <= 0.01
               and abs(r0_fm - 1.08) <= 0.01 and abs(r_sph - 0.33) <= 0.01)
-    if not pub_ok:
-        return _fail("radius chain deviates from the published values", **payload)
-    return EXIT_OK
+    return payload, _failure(
+        pub_ok, "radius chain deviates from the published values", **payload)
 
 
-def cmd_potential(args) -> int:
+def cmd_potential(args):
     if args.grid_points < 1:
         raise ValueError(f"--grid-points must be at least 1: "
                          f"{args.grid_points}")
     with np.errstate(invalid="ignore"):  # an inf width: rejected below
         grid = np.linspace(-args.grid_half_width, args.grid_half_width,
                            args.grid_points)
-    pairs = spectra.equivalent_potential(args.alpha, args.temperature,
-                                         args.n_states, grid)
-    _emit_table(args.out, ["x", "v_over_t"],
-                [(x, v) for x, v in pairs], args.format)
-    return EXIT_OK
+    return (["x", "v_over_t"], spectra.equivalent_potential(
+        args.alpha, args.temperature, args.n_states, grid)), None
 
 
-def cmd_factorcheck(args) -> int:
+def cmd_factorcheck(args):
     clifford = su3fact.clifford_check()
     triple = su3fact.triple_product_check()
     s2 = su3fact.s2_structure()
@@ -259,9 +246,7 @@ def cmd_factorcheck(args) -> int:
         "all_pass": (all(r["pass"] for r in clifford)
                      and triple["pass"] and s2["pass"]),
     }
-    _write_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if payload["all_pass"] else _fail(
-        "factorization checks failed")
+    return payload, _failure(payload["all_pass"], "factorization checks failed")
 
 
 # ----------------------------------------------------------------------------
@@ -270,12 +255,10 @@ def cmd_factorcheck(args) -> int:
 
 
 def _command(sub, name: str, func, help_text: str, default_out: str):
-    """Subcommand running func with --out, and --format for CSV tables."""
+    """Subcommand running func, its artifact written to --out."""
     sp = sub.add_parser(name, help=help_text)
     sp.set_defaults(func=func)
-    sp.add_argument("--out", default=default_out, help="output artifact path")
-    if default_out.endswith(".csv"):
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--out", default=default_out, help="artifact path")
     return sp
 
 
@@ -361,7 +344,8 @@ def main(argv=None) -> int:
     # ValueError: DomainExceeded, PoleError, CutoffTooSmall, charmfit errors
     # (UnreadableFile too); FileNotFoundError: --out in a missing directory
     try:
-        return args.func(args)
+        artifact, failure = args.func(args)
+        _write(args.out, artifact)
     except (ValueError, FileNotFoundError, spectra.NoZeros) as e:
         _fail(f"{type(e).__name__}: {e}")
         return EXIT_BAD_INPUT
@@ -369,6 +353,7 @@ def main(argv=None) -> int:
         frame = traceback.extract_tb(e.__traceback__)[-1]
         return _fail(f"{type(e).__name__}: {e}",
                      where=f"{frame.filename}:{frame.lineno}")
+    return _fail(**failure) if failure else EXIT_OK
 
 
 if __name__ == "__main__":

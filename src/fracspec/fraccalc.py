@@ -673,24 +673,25 @@ _GL_NODES = np.concatenate([_GL32[0], _GL16[0]])
 
 
 MAX_PANELS = 4096  # frac_integral's panel budget
+QUAD_TOL = 1e-8  # frac_integral's relative adaptive target
 
 
-def frac_integral(f, alpha: float, a: float, tol: float = 1e-8):
+def frac_integral(f, alpha: float, a: float):
     """Riemann-Liouville integral (1/Gamma(a)) int_0^a (a-u)^(a-1) f(u) du.
 
     f(u) has u's shape (a float result) or (k, len(u)): k integrands on one
     panel set (k results).  Adaptive Gauss-Legendre bisection on the
     substituted integrand, one level (depth) at a time: one call of f
     evaluates the 32- and 16-point rules on every open panel.  A panel is
-    accepted when in every row they differ by <= 0.5 tol max(scale, |v32|)
-    or 1e-16 scale (scale: the row's |accepted| + sum of |v32| over the open
-    panels), else bisected; relative error ~tol for smooth f.  Raises
-    ValueError unless a and tol are finite and positive and f(u) is so
+    accepted when in every row they differ by <= 0.5 QUAD_TOL max(scale,
+    |v32|) or 1e-16 scale (scale: the row's |accepted| + sum of |v32| over the
+    open panels), else bisected; relative error ~QUAD_TOL for smooth f.
+    Raises ValueError unless a is finite and positive and f(u) is so
     shaped, QuadratureFailure when a panel fails at depth 28 or a split
     would start with MAX_PANELS panels evaluated.
     """
     _check_alpha(alpha)
-    _check_positive("frac_integral", a=a, tol=tol)
+    _check_positive("frac_integral", a=a)
     norm, inv_alpha = 1.0 / gamma(alpha + 1.0), 1.0 / alpha
     lo, hi = np.zeros(1), np.full(1, a**alpha)
     acc, scale, n_panels, depth = 0.0, 1e-300, 1, 0
@@ -703,7 +704,7 @@ def frac_integral(f, alpha: float, a: float, tol: float = 1e-8):
         e = np.abs(v32 - h * (vals[..., 32:] @ _GL16[1]))
         # fmax like max(): a nan row sum leaves the scale as it was
         scale = np.fmax(scale, np.abs(acc) + np.abs(v32).sum(1, keepdims=True))
-        ok = ((e <= tol * np.maximum(scale, np.abs(v32)) * 0.5)
+        ok = ((e <= QUAD_TOL * np.maximum(scale, np.abs(v32)) * 0.5)
               | (e <= 1e-16 * scale)).all(axis=0)
         acc += v32[:, ok].sum(1, keepdims=True)
         n_split = len(ok) - int(np.count_nonzero(ok))
@@ -727,7 +728,7 @@ def _values(f, u):
     return v
 
 
-def sym_integral(f, alpha: float, a: float, tol: float = 1e-8):
+def sym_integral(f, alpha: float, a: float):
     """Integral over the symmetric interval [-a, a] of the du^alpha measure:
     the endpoint-anchored RL integral of f(u) + f(-u).
 
@@ -741,7 +742,7 @@ def sym_integral(f, alpha: float, a: float, tol: float = 1e-8):
         v = _values(f, np.concatenate([u, -u]))
         return v[..., :len(u)] + v[..., len(u):]
 
-    return frac_integral(even_part, alpha, a, tol=tol)
+    return frac_integral(even_part, alpha, a)
 
 
 def _rows(u, f, g, op=None):
@@ -751,16 +752,16 @@ def _rows(u, f, g, op=None):
     return p if op is None else np.stack([p * np.asarray(op(u), float), p])
 
 
-def scalar_product(f, g, alpha: float, a: float, tol: float = 1e-8) -> float:
+def scalar_product(f, g, alpha: float, a: float) -> float:
     """Real <f|g> over [-a, a] under du^alpha; g is called only if g != f."""
-    return sym_integral(lambda u: _rows(u, f, g), alpha, a, tol=tol)
+    return sym_integral(lambda u: _rows(u, f, g), alpha, a)
 
 
-def expectation(op, f, g, alpha: float, a: float, tol: float = 1e-8) -> float:
+def expectation(op, f, g, alpha: float, a: float) -> float:
     """<f|O|g>/<f|g> with O a pointwise map u -> factor, over [-a, a]: two
     rows of one sym_integral (one panel set); g is called only if g != f.
     Raises DegenerateNorm when <f|g> is too small to divide by."""
-    num, den = sym_integral(lambda u: _rows(u, f, g, op), alpha, a, tol=tol)
+    num, den = sym_integral(lambda u: _rows(u, f, g, op), alpha, a)
     if abs(den) < 1e-12 * max(abs(num), 1.0):
         raise DegenerateNorm(f"<f|g> = {den:g} below tolerance")
     return float(num / den)

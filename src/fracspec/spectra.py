@@ -12,7 +12,7 @@ unscaled values k0 = (pi/2) x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,9 +290,9 @@ class RadialGround:
         return self.g_of_rho(np.asarray(z, float) ** (2.0 * self.alpha))
 
     def g_of_rho(self, rho):
-        """g as a function of rho = sum_i |k x_i|^(2 alpha) (Cartesian form)."""
-        signed = [-c if n % 2 else c for n, c in enumerate(self.coeffs)]
-        return _horner(signed, np.asarray(rho, float))
+        """g as a function of rho = sum_i |k x_i|^(2 alpha) (Cartesian form):
+        the positive coefficients summed at -rho."""
+        return _horner(self.coeffs, -np.asarray(rho, float))
 
     @property
     def first_zero_scaled(self) -> float:
@@ -312,9 +312,9 @@ def radial_ground(N: int, alpha: float) -> RadialGround:
     coeffs = [1.0]
     for j in range(1, 65):
         coeffs.append(coeffs[-1] / ((N - 1) * j * eta[0] + eta[j - 1]))
-    ground = RadialGround(N, alpha, tuple(coeffs), first_zero=math.nan)
+    g = lambda z: _horner(coeffs, -np.asarray(z, float) ** (2.0 * alpha))
     xs = np.arange(SCAN_STEP, 20.0 + SCAN_STEP, SCAN_STEP) * HALF_PI
-    vs = ground.g(xs)
+    vs = g(xs)
     idx = _brackets(vs)
     if len(idx) == 0:
         raise NoZeros(
@@ -322,9 +322,9 @@ def radial_ground(N: int, alpha: float) -> RadialGround:
             "(0, 20] (scaled axis)"
         )
     i = idx[0]
-    root = _refine(lambda z: float(ground.g(z)), float(xs[i]),
-                   float(xs[i + 1]), float(vs[i]), float(vs[i + 1]), 1e-12)
-    return replace(ground, first_zero=root)
+    root = _refine(lambda z: float(g(z)), float(xs[i]), float(xs[i + 1]),
+                   float(vs[i]), float(vs[i + 1]), 1e-12)
+    return RadialGround(N, alpha, tuple(coeffs), root)
 
 
 def spherical_ground_energy(N: int, alpha: float, r0: float,

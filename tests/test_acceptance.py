@@ -27,7 +27,6 @@ from fracspec import angular, su3fact
 from fracspec.charmfit import (
     FitParams,
     QuarkMasses,
-    TABLE2_PRINTED_DM,
     TABLE2_ROWS,
     TABLE3_PRINTED,
     alpha_from_multiplet,
@@ -141,7 +140,7 @@ def test_criterion4_fit_recovery(bundled_dataset):
     devs = {a: abs(getattr(res.params, a) - getattr(pub, a))
             for a in ("m0c2", "kappa", "B1", "B2", "B3", "delta_tau")}
     params_ok = max(devs.values()) <= 2.0
-    budget = TABLE2_PRINTED_DM[1][1] + 0.1  # published all-state figure
+    budget = 2.02 + 0.1  # the published all-state dm of this row
     resid_ok = (res.diagnostics["dm_published_abs"] <= budget
                 or res.diagnostics["dm_published_rms"] <= budget)
     scan = fit(bundled_dataset, "scan", "c0")

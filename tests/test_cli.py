@@ -73,8 +73,7 @@ def test_special_domain_below_one(tmp_path):
     # E_{0.1,1} certifies only up to |z| ~ 0.945 < 1, yet covers x <= 0.5
     out = tmp_path / "c005.json"
     assert run(["special", "--name", "cos", "--alpha", "0.05", "--x-min", "0",
-                "--x-max", "0.5", "--step", "0.1", "--format", "json",
-                "--out", str(out)]) == 0
+                "--x-max", "0.5", "--step", "0.1", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())
     xs = [r["x"] for r in rows]
     assert len(xs) == 6
@@ -142,16 +141,33 @@ def test_table1_artifact(tmp_path):
     assert "lz_23" in header and "j2c1_065_dev" in header
 
 
-def test_table1_json_matches_csv(tmp_path):
-    c = tmp_path / "t1.csv"
-    j = tmp_path / "t1.json"
-    assert run(["table1", "--out", str(c)]) == 0
-    assert run(["table1", "--out", str(j), "--format", "json"]) == 0
-    rows = json.loads(j.read_text())
-    line1 = c.read_text().strip().splitlines()[3].split(",")
-    header = c.read_text().strip().splitlines()[0].split(",")
-    for k, v in zip(header, line1):
-        assert float(v) == pytest.approx(float(rows[2][k]), abs=1e-6)
+TABLE_COMMANDS = {
+    "special": ["special", "--name", "cos", "--alpha", "0.9", "--step", "0.5"],
+    "zeros": ["zeros", "--alpha-min", "0.45", "--alpha-max", "1.0",
+              "--alpha-step", "0.55", "--count", "3", "--x-max", "8"],
+    "table1": ["table1"],
+    "masses": ["masses"],
+    "potential": ["potential", "--alpha", "0.9", "--temperature", "3",
+                  "--n-states", "10", "--grid-points", "21"],
+}
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".out"])
+@pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+def test_out_name_picks_the_format(tmp_path, command, suffix):
+    # a .json name gets JSON records, any other name CSV of the same values
+    args = TABLE_COMMANDS[command]
+    j, c = tmp_path / "t.json", tmp_path / f"t{suffix}"
+    assert run(args + ["--out", str(j)]) == run(args + ["--out", str(c)])
+    records = json.loads(j.read_text())
+    header, *lines = [ln.split(",") for ln in c.read_text().splitlines()]
+    assert len(lines) == len(records) > 0
+    for cells, record in zip(lines, records):
+        assert list(record) == sorted(header)
+        for k, cell in zip(header, cells):
+            v = record[k]
+            assert cell == ("" if v is None else f"{v:.6f}"
+                            if isinstance(v, float) else str(v))
 
 
 def test_fit_artifact(tmp_path):
@@ -291,6 +307,12 @@ def test_radius_bad_input(tmp_path):
     ["special", "--name", "cos", "--alpha", "0.9", "--x-min", "5",
      "--x-max", "1"],
     ["zeros", "--alpha-min", "1.3", "--alpha-max", "1.2"],
+    # a well the floating-point range cannot hold: an overflowing or
+    # underflowing (k0/size)^(2 alpha), a size of 0, an overflowing G
+    ["radius", "--hbar-c", "1e-300"],
+    ["radius", "--hbar-c", "1e300"],
+    ["radius", "--sigma-mass", "1e300", "--m-c-c2", "1e-300"],
+    ["radius", "--hbar-c", "1e234"],
 ])
 def test_bad_input_is_a_json_error(tmp_path, capsys, args):
     bundled = json.loads(resources.files("fracspec.data")
@@ -386,8 +408,8 @@ def test_bad_range_names_the_option(tmp_path, capsys, args, message):
 def test_special_grid_ends_at_x_max(tmp_path):
     # the grid is clipped at --x-max, as the zeros grid is at --alpha-max
     out = tmp_path / "cos.json"
-    assert run(["special", "--name", "cos", "--alpha", "0.8", "--format",
-                "json", "--out", str(out)]) == 0
+    assert run(["special", "--name", "cos", "--alpha", "0.8",
+                "--out", str(out)]) == 0
     xs = [r["x"] for r in json.loads(out.read_text())]
     assert (len(xs), xs[0], xs[-1]) == (401, -10.0, 10.0)
 
@@ -479,6 +501,7 @@ def test_unexpected_error_exits_1_with_json_error(tmp_path, capsys,
     ["zeros", "--tol", "1e-3"],
     ["radius", "--format", "json"],
     ["predict", "--format", "csv"],
+    ["table1", "--format", "json"],
 ])
 def test_ignored_flags_are_rejected(tmp_path, capsys, args):
     out = tmp_path / "out"
