@@ -21,8 +21,10 @@ evaluated at the endpoint,
 
     I[f](a) = (1/Gamma(alpha)) int_0^a (a-u)^(alpha-1) f(u) du,
 
-computed after the exact substitution s = (a-u)^alpha which removes the
-endpoint singularity.
+computed after the exact substitution s = (a-u)^alpha, which removes the
+kernel's singularity, and the cubic map s = a^alpha t^2 (3 - 2t), which
+grades the adaptive rule's nodes toward both ends, where u(s) and the
+integrands still have power-type singularities.
 
 Numerical strategy for the Mittag-Leffler sums: the series alternates and can
 cancel 15+ digits at the largest arguments needed for zero scanning.  An
@@ -646,7 +648,10 @@ def rl_nodes(alpha: float, a: float, n: int):
     """Nodes/weights (u_i, w_i) with I^alpha[f](a) ~= sum w_i f(u_i).
 
     Uses the exact substitution s = (a-u)^alpha, so the weight function is
-    removed and Gauss-Legendre applies to a smooth integrand.
+    removed, and Gauss-Legendre in s.  u(s) = a - s^(1/alpha) is not smooth
+    at s = 0, so the rule converges slowly: at n = 128 it differs from
+    frac_integral by up to 3.8e-9 relative on psi^2 of the first eight well
+    states at alpha 0.55-1.
     """
     _check_alpha(alpha)
     _check_positive("rl_nodes", a=a)
@@ -680,26 +685,34 @@ def frac_integral(f, alpha: float, a: float):
     """Riemann-Liouville integral (1/Gamma(a)) int_0^a (a-u)^(a-1) f(u) du.
 
     f(u) has u's shape (a float result) or (k, len(u)): k integrands on one
-    panel set (k results).  Adaptive Gauss-Legendre bisection on the
-    substituted integrand, one level (depth) at a time: one call of f
-    evaluates the 32- and 16-point rules on every open panel.  A panel is
-    accepted when in every row they differ by <= 0.5 QUAD_TOL max(scale,
-    |v32|) or 1e-16 scale (scale: the row's |accepted| + sum of |v32| over the
-    open panels), else bisected; relative error ~QUAD_TOL for smooth f.
-    Raises ValueError unless a is finite and positive and f(u) is so
-    shaped, QuadratureFailure when a panel fails at depth 28 or a split
-    would start with MAX_PANELS panels evaluated.
+    panel set (k results).  The substitution s = (a-u)^alpha removes the
+    kernel but leaves power-type singularities at both ends: u = a -
+    s^(1/alpha) at s = 0, and f's own at u = 0 (|u|^(2 alpha) of psi^2).
+    The cubic map s = a^alpha t^2 (3 - 2t), Jacobian 6 a^alpha t (1 - t),
+    turns an end behaviour x^g into t^(2g+1) at either end (Davis and
+    Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984, 2.9).
+    Adaptive Gauss-Legendre bisection of t in [0, 1], one level (depth) at
+    a time: one call of f evaluates the 32- and 16-point rules on every open
+    panel.  A panel is accepted when in every row they differ by <= 0.5
+    QUAD_TOL max(scale, |v32|) or 1e-16 scale (scale: the row's |accepted| +
+    sum of |v32| over the open panels), else bisected; relative error
+    ~QUAD_TOL.  Raises ValueError unless a is finite and positive and f(u)
+    is so shaped, or at the first level where f(u) is not finite;
+    QuadratureFailure when a panel fails at depth 28 or a split would start
+    with MAX_PANELS panels evaluated.
     """
     _check_alpha(alpha)
     _check_positive("frac_integral", a=a)
-    norm, inv_alpha = 1.0 / gamma(alpha + 1.0), 1.0 / alpha
-    lo, hi = np.zeros(1), np.full(1, a**alpha)
+    smax, inv_alpha = a**alpha, 1.0 / alpha
+    jac = 6.0 * smax / gamma(alpha + 1.0)
+    lo, hi = np.zeros(1), np.ones(1)
     acc, scale, n_panels, depth = 0.0, 1e-300, 1, 0
     while True:
         h, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        s = (mid[:, None] + h[:, None] * _GL_NODES).ravel()
-        v = _values(f, np.clip(a - s**inv_alpha, 0.0, a))
-        vals = norm * v.reshape(-1, len(h), len(_GL_NODES))  # rows, panels, 48
+        t = (mid[:, None] + h[:, None] * _GL_NODES).ravel()
+        s = smax * t * t * (3.0 - 2.0 * t)
+        v = _values(f, np.clip(a - s**inv_alpha, 0.0, a)) * (jac * t * (1.0 - t))
+        vals = v.reshape(-1, len(h), len(_GL_NODES))  # rows, panels, 48
         v32 = h * (vals[..., :32] @ _GL32[1])
         e = np.abs(v32 - h * (vals[..., 32:] @ _GL16[1]))
         # fmax like max(): a nan row sum leaves the scale as it was
@@ -725,6 +738,10 @@ def _values(f, u):
     if v.ndim not in (1, 2) or v.shape[-1] != len(u):
         raise ValueError(f"integrand returned shape {v.shape}, expected "
                          f"({len(u)},) or (k, {len(u)})")
+    bad = v.size - np.count_nonzero(np.isfinite(v))
+    if bad:
+        raise ValueError(f"integrand returned {bad} non-finite values of "
+                         f"{v.size}")
     return v
 
 
