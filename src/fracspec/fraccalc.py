@@ -248,37 +248,37 @@ _MAX_TERMS = 1600
 _PAD = 2  # entries built past the estimated term count
 
 
-def _positive_series(tab: _RatioTable, zabs: float, floor: float,
-                     rel: float = 0.0) -> tuple[int, float, float]:
+def _positive_series(tab: _RatioTable, zabs: float,
+                     floor: float) -> tuple[int, float, float]:
     """Size the series at |z| = zabs from the positive-axis terms
     t_n = zabs^n / Gamma(alpha n + beta), summed in plain double.
 
     |t_n(z)| = t_n(|z|) grows with |z|, so the result bounds every argument
     of modulus <= zabs.  Stops at the first n >= 3 with t_n <= t_{n-1}/2
-    (the tail beyond is then below t_n) and t_n <= max(floor, rel * sum).
+    (the tail beyond is then below t_n) and t_n <= floor.
     Returns (N, sum_{n<=N} t_n, t_N); the sum is inf when it overflows, is
     nan, or needs more than _MAX_TERMS terms.  The table holds coefficient
     N on return; `_grow` builds it when it is too short.
     """
     ratio = tab.ratio
-    if len(ratio) < 2 and not _grow(tab, zabs, floor, rel):
+    if len(ratio) < 2 and not _grow(tab, zabs, floor):
         return _MAX_TERMS + 1, math.inf, math.inf
     t = prev = s = tab.hi[0]
     n = 0
     while True:
-        if n + 1 == len(ratio) and not _grow(tab, zabs, floor, rel):
+        if n + 1 == len(ratio) and not _grow(tab, zabs, floor):
             return _MAX_TERMS + 1, math.inf, math.inf
         t *= zabs / ratio[n]
         s += t
         n += 1
         if not s < math.inf or n > _MAX_TERMS:
             return n, math.inf, t
-        if n >= 3 and t <= 0.5 * prev and (t <= floor or t <= rel * s):
+        if n >= 3 and t <= 0.5 * prev and t <= floor:
             return n, s, t
         prev = t
 
 
-def _grow(tab: _RatioTable, zabs: float, floor: float, rel: float) -> bool:
+def _grow(tab: _RatioTable, zabs: float, floor: float) -> bool:
     """Extend tab in one build to the stopping index of `_positive_series`,
     from log t_k = k log zabs - lgamma(alpha k + beta), plus _PAD.  Returns
     False, building nothing, when the ratio at _MAX_TERMS (the largest: Gamma
@@ -290,14 +290,13 @@ def _grow(tab: _RatioTable, zabs: float, floor: float, rel: float) -> bool:
             and _MAX_TERMS * math.log(zabs) - math.lgamma(m) > -700.0):
         return False
     lz = math.log(zabs) if zabs else -math.inf
-    prev = s = math.exp(-math.lgamma(b))
+    prev = math.exp(-math.lgamma(b))
     for k in range(1, _MAX_TERMS + 2):
         lt = k * lz - math.lgamma(a * k + b)
         if not lt <= 709.0:  # the float sum overflows, or zabs is nan
             break
         t = math.exp(lt)
-        s += t
-        if k >= 3 and t <= 0.5 * prev and (t <= floor or t <= rel * s):
+        if k >= 3 and t <= 0.5 * prev and t <= floor:
             break
         prev = t
     tab.extend(max(k, len(tab.ratio)) + _PAD)
@@ -354,7 +353,8 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     """
     tab = _table(alpha, beta)
     zmax = _absmax(z)
-    n, mass, last = _positive_series(tab, zmax, tol * 1e-3)
+    # a floor below 0 (tol < 0 or nan) stops the sizing where t_n underflows
+    n, mass, last = _positive_series(tab, zmax, max(0.0, tol * 1e-3))
     scale = 1.0 + n * (2.0 * _COEFF_REL + 3.0 * _ROUND_UNIT)
     mass, last = scale * mass, scale * last
     err = _ERR_UNIT * mass + 2.0 * last
@@ -370,13 +370,13 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
         if ferr <= tol:
             err = ferr
         if isinstance(val, np.ndarray):
-            weak = np.flatnonzero(np.abs(val) <= ferr)
+            weak = np.abs(val) <= ferr  # a mask: z may have any shape
             # one double-double pass over 1-400 points costs as much as 26-55
             # over one float (BENCH_12.json): fewer than 40 go singly, bitwise
-            if len(weak) >= 40:
+            if (nweak := np.count_nonzero(weak)) >= 40:
                 whi, wlo = dd_horner(*tab.dd(n), z[weak])
                 val[weak] = whi + wlo
-            elif len(weak):
+            elif nweak:
                 dhi, dlo = tab.dd(n)
                 val[weak] = [h + l for h, l in (dd_horner(dhi, dlo, x)
                                                 for x in z[weak].tolist())]
@@ -573,32 +573,31 @@ class FracSeries:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def _ml(cls, alpha: float, k: float, terms: int, parity):
+    def _ml(cls, alpha: float, k: float, parity):
         """The exp series (parity None), or its even (0) or odd (1) terms
-        with alternating signs: coefficients 1/Gamma(alpha m + 1) from one
-        sized table build."""
+        with alternating signs, to DEFAULT_TERMS: coefficients
+        1/Gamma(alpha m + 1) from one sized table build."""
         _check_alpha(alpha)
-        _check_int("FracSeries", 1, terms=terms)
         tab = _table(alpha, 1.0)
-        tab.extend(terms - 1)
+        tab.extend(DEFAULT_TERMS - 1)
         c = [g if parity is None else (-1) ** (m // 2) * g if m % 2 == parity
-             else 0.0 for m, g in enumerate(tab.hi[:terms])]
+             else 0.0 for m, g in enumerate(tab.hi[:DEFAULT_TERMS])]
         return cls(alpha=alpha, coeffs=tuple(c), k=k)
 
     @classmethod
-    def cosine(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
+    def cosine(cls, alpha: float, k: float = 1.0):
         """Series of cos(alpha, kx) in the chi-power basis."""
-        return cls._ml(alpha, k, terms, 0)
+        return cls._ml(alpha, k, 0)
 
     @classmethod
-    def sine(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
+    def sine(cls, alpha: float, k: float = 1.0):
         """Series of sin(alpha, kx)."""
-        return cls._ml(alpha, k, terms, 1)
+        return cls._ml(alpha, k, 1)
 
     @classmethod
-    def exponential(cls, alpha: float, k: float = 1.0, terms: int = DEFAULT_TERMS):
+    def exponential(cls, alpha: float, k: float = 1.0):
         """Series of exp(alpha, chi(kx))."""
-        return cls._ml(alpha, k, terms, None)
+        return cls._ml(alpha, k, None)
 
     @classmethod
     def monomial(cls, alpha: float, n: int, k: float = 1.0):

@@ -129,62 +129,66 @@ def _refine(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
             d = e = b - a
 
 
+def _scan(alpha: float, kinds: tuple, count: int, x_max: float,
+          xtol: float = 1e-10, eval_tol: float = 1e-9) -> list:
+    """The lowest `count` (scaled root, kind) pairs on (0, x_max] of the kinds
+    asked for ("cos", "sin" or both), sorted; fewer when the zero sets run out.
+    Every kind is evaluated on the same chunks of certified signs (a float64
+    pass, summed again in double-double only near zero); a kind's brackets are
+    refined to xtol at eval_tol, or at twice the bound the chunk reached when
+    that exceeds it, until it holds `count`.  The scan stops once the kinds
+    together hold `count`.  ValueError past the representable amplitude range.
+    """
+    found = {kind: [] for kind in kinds}
+    head_x, head_v = [], {kind: [] for kind in kinds}  # previous chunk's end
+    x0 = SCAN_STEP
+    while x0 <= x_max and sum(map(len, found.values())) < count:
+        xs = x0 + SCAN_STEP * np.arange(400)  # points per vector evaluation
+        xs = xs[xs <= x_max + 0.5 * SCAN_STEP]
+        xk = np.concatenate((head_x, xs))
+        for kind, roots in found.items():
+            f = frac_sin if kind == "sin" else frac_cos
+            try:
+                vs, reached = _trig(alpha, HALF_PI * xs, eval_tol,
+                                    kind == "sin", signs=True)
+            except PrecisionLoss:
+                raise ValueError(f"scan limit x={xs[-1]:g} (scaled) is beyond "
+                                 "the representable amplitude range for "
+                                 f"alpha={alpha:g}") from None
+            # rounding amplitudes ~1e8 (alpha > 1) or the series bound at large
+            # x exceeds eval_tol but moves no certified sign; refine within it
+            tol = eval_tol if reached <= eval_tol else 2.0 * reached
+            g = lambda x: float(f(alpha, HALF_PI * x, tol))
+            vs = np.concatenate((head_v[kind], vs))
+            for i in _brackets(vs)[:count - len(roots)]:
+                roots.append(_refine(g, float(xk[i]), float(xk[i + 1]),
+                                     float(vs[i]), float(vs[i + 1]), xtol))
+            head_v[kind] = [float(vs[-1])]
+        head_x = [float(xs[-1])]
+        x0 = head_x[0] + SCAN_STEP
+    return sorted((r, kind) for kind in kinds for r in found[kind])[:count]
+
+
 def find_zeros(kind: str, alpha: float, count: int, x_max: float,
                xtol: float = 1e-10, eval_tol: float = 1e-9) -> ZeroScan:
     """First `count` positive roots of frac_cos/frac_sin(alpha, (pi/2) x) on
-    (0, x_max], on the scaled axis.
-
-    Scans with step SCAN_STEP in chunks of certified signs (a float64 pass,
-    summed again in double-double only near zero), brackets sign changes and
-    exact zeros, refines to xtol, and stops once `count` roots are found.  A
-    chunk's roots are refined at eval_tol, or at twice the bound the chunk
-    reached when that exceeds it.  Raises NoZeros when no sign change exists
-    in the whole scanned domain (the alpha <= 1/2 regime); returns fewer
-    roots with complete=False when the function stops crossing zero later
-    on.  Raises ValueError past the representable amplitude range.
-    """
+    (0, x_max], on the scaled axis, from `_scan` of one kind.  Fewer roots
+    come with complete=False when the function stops crossing zero; NoZeros
+    (the alpha <= 1/2 regime) is raised here, not in the scan, so that the
+    exception keeps no chunk alive."""
     _check_alpha(alpha)
     _check_int("find_zeros", 1, count=count)
     _check_positive("find_zeros", x_max=x_max)
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
-    odd = kind == "sin"
-    f = frac_sin if odd else frac_cos
-    roots: list[float] = []
-    chunk = 400  # scan points per vector evaluation
-    x0 = SCAN_STEP
-    prev_x = prev_v = None
-    while x0 <= x_max and len(roots) < count:
-        xs = x0 + SCAN_STEP * np.arange(chunk)
-        xs = xs[xs <= x_max + 0.5 * SCAN_STEP]
-        try:
-            vs, reached = _trig(alpha, HALF_PI * xs, eval_tol, odd, signs=True)
-        except PrecisionLoss:
-            raise ValueError(
-                f"scan limit x={xs[-1]:g} (scaled) is beyond the representable "
-                f"amplitude range for alpha={alpha:g}"
-            ) from None
-        # rounding amplitudes ~1e8 (alpha > 1) or the series bound at large x
-        # exceeds eval_tol but moves no certified sign; refine within it
-        tol = eval_tol if reached <= eval_tol else 2.0 * reached
-        if prev_x is not None:
-            xs = np.concatenate(([prev_x], xs))
-            vs = np.concatenate(([prev_v], vs))
-        for i in _brackets(vs):
-            if len(roots) >= count:
-                break
-            g = lambda x: float(f(alpha, HALF_PI * x, tol))
-            roots.append(_refine(g, float(xs[i]), float(xs[i + 1]),
-                                 float(vs[i]), float(vs[i + 1]), xtol))
-        prev_x = float(xs[-1])
-        prev_v = float(vs[-1])
-        x0 = prev_x + SCAN_STEP
+    roots = tuple(r for r, _ in _scan(alpha, (kind,), count, x_max, xtol,
+                                      eval_tol))
     if not roots:
         raise NoZeros(
             f"frac_{kind}(alpha={alpha:g}) has no zero on (0, {x_max:g}] "
             f"(scaled axis); none exist for alpha <= 1/2"
         )
-    return ZeroScan(roots=tuple(roots), complete=len(roots) >= count)
+    return ZeroScan(roots=roots, complete=len(roots) >= count)
 
 
 @dataclass(frozen=True)
@@ -208,19 +212,17 @@ class WellState:
         return f(self.alpha, self.k0 * np.asarray(x, float) / self.a)
 
 
-def _interleaved_roots(alpha: float, count: int, x_max: float,
-                       eval_tol: float = 1e-9):
-    """Combined, sorted cos/sin roots with parity labels (cos first at
-    alpha near 1), as a list of (k0_unscaled, parity)."""
-    want = count // 2 + 2
-    tagged = [(r * HALF_PI, "even") for r in
-              find_zeros("cos", alpha, want, x_max, eval_tol=eval_tol)]
-    try:
-        tagged += [(r * HALF_PI, "odd") for r in
-                   find_zeros("sin", alpha, want, x_max, eval_tol=eval_tol)]
-    except NoZeros:
-        pass
-    return sorted(tagged)[:count]
+def _interleaved_roots(alpha: float, count: int, eval_tol: float = 1e-9):
+    """The lowest `count` well roots as sorted (k0_unscaled, parity) pairs:
+    one `_scan` of cos (even) and sin (odd) to scaled x 2 count + 20, the
+    well's one scan limit.  Raises NoZeros when there are none."""
+    x_max = 2.0 * count + 20.0
+    pairs = _scan(alpha, ("cos", "sin"), count, x_max, eval_tol=eval_tol)
+    if not pairs:
+        raise NoZeros(f"no well state at alpha={alpha:g}: neither frac_cos nor "
+                      f"frac_sin has a zero on (0, {x_max:g}] (scaled axis)")
+    return [(r * HALF_PI, "even" if kind == "cos" else "odd")
+            for r, kind in pairs]
 
 
 def well_states_1d(alpha: float, count: int, a: float,
@@ -234,11 +236,9 @@ def well_states_1d(alpha: float, count: int, a: float,
     """
     _check_int("well_states_1d", 1, count=count)
     _check_positive("well_states_1d", a=a)
-    x_max = 2.0 * count + 20.0
-    tagged = _interleaved_roots(alpha, count, x_max)
     return [WellState(alpha=alpha, n=n, parity=parity, k0=k0, a=a,
                       energy=free_energy(alpha, k0 / a, ctx))
-            for n, (k0, parity) in enumerate(tagged)]
+            for n, (k0, parity) in enumerate(_interleaved_roots(alpha, count))]
 
 
 def well_energy_nd(alpha: float, indices: list[int], half_widths: list[float],
@@ -349,8 +349,9 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     shifted so the minimum over the grid is zero.  psi_n are normalised
     under the alpha-measure; energies use hbar = m = c = a = 1.
 
-    The cutoff must satisfy exp(-E_last/T) < 1e-8; CutoffTooSmall is raised
-    when the estimated tail weight exceeds 1e-6.
+    The states are the lowest n_states + 1 of `_interleaved_roots`, the last
+    one the first excluded.  The cutoff must satisfy exp(-E_last/T) < 1e-8;
+    CutoffTooSmall is raised when the estimated tail weight exceeds 1e-6.
     """
     _check_alpha(alpha)
     _check_positive("equivalent_potential", T=T)
@@ -359,8 +360,7 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
         raise ValueError(f"grid must be a finite, non-empty 1-D array: "
                          f"shape {grid.shape}")
-    tagged = _interleaved_roots(alpha, n_states + 1, 2.0 * n_states + 30.0,
-                                eval_tol=1e-6)
+    tagged = _interleaved_roots(alpha, n_states + 1, eval_tol=1e-6)
     # free_energy at hbar = m = c = 1: E = k^(2 alpha)/2
     weights = [math.exp(-0.5 * k ** (2.0 * alpha) / T) for k, _ in tagged]
     # tail estimate: geometric continuation from the first excluded state;

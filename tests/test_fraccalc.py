@@ -58,9 +58,9 @@ def test_monomial_rule_exact(alpha):
 def test_derivative_of_sine_is_cosine_coefficientwise():
     for alpha in ALPHAS:
         for k in (1.0, 2.5, -1.5):
-            s = FracSeries.sine(alpha, k=k, terms=64)
+            s = FracSeries.sine(alpha, k=k)
             d = caputo_derivative(s)
-            c = FracSeries.cosine(alpha, k=k, terms=64)
+            c = FracSeries.cosine(alpha, k=k)
             scale = math.copysign(abs(k) ** alpha, k)
             for b, a in zip(d.coeffs, c.coeffs):
                 if a == 0.0:
@@ -71,8 +71,8 @@ def test_derivative_of_sine_is_cosine_coefficientwise():
 
 def test_derivative_of_cosine_is_minus_sine_coefficientwise():
     alpha, k = 0.8, 1.7
-    d = caputo_derivative(FracSeries.cosine(alpha, k=k, terms=64))
-    s = FracSeries.sine(alpha, k=k, terms=64)
+    d = caputo_derivative(FracSeries.cosine(alpha, k=k))
+    s = FracSeries.sine(alpha, k=k)
     scale = abs(k) ** alpha
     for b, a in zip(d.coeffs, s.coeffs):
         if a == 0.0:
@@ -85,7 +85,7 @@ def test_second_derivative_identity():
     # D D cos(a, kx) = -|k|^(2a) cos(a, kx), coefficient-wise
     for alpha in (2.0 / 3.0, 0.9, 1.1):
         k = 1.3
-        c = FracSeries.cosine(alpha, k=k, terms=64)
+        c = FracSeries.cosine(alpha, k=k)
         dd = caputo_derivative(caputo_derivative(c))
         scale = abs(k) ** (2.0 * alpha)
         for b, a in zip(dd.coeffs, c.coeffs):
@@ -112,7 +112,7 @@ def test_parity_is_read_from_the_coefficients():
 
 def test_series_eval_matches_ml_functions():
     alpha, k = 0.9, 1.2
-    c = FracSeries.cosine(alpha, k=k, terms=64)
+    c = FracSeries.cosine(alpha, k=k)
     for x in (-2.0, -0.3, 0.0, 0.7, 2.5):
         assert c.eval(x) == pytest.approx(frac_cos(alpha, k * x), abs=1e-10)
 
@@ -151,10 +151,9 @@ def test_series_validation():
 @pytest.mark.parametrize("make, name", [
     (lambda: FracSeries.monomial(0.7, -1), "n"),
     (lambda: FracSeries.monomial(0.7, 0.5), "n"),
-    (lambda: FracSeries.cosine(0.7, terms=-1), "terms"),
-], ids=["negative-n", "fractional-n", "negative-terms"])
+], ids=["negative-n", "fractional-n"])
 def test_series_counts_are_checked(make, name):
-    # an IndexError, a TypeError and an empty series before they were
+    # an IndexError and a TypeError before they were
     with pytest.raises(ValueError, match=f"integer {name} >= "):
         make()
 

@@ -25,7 +25,6 @@ from fracspec.fraccalc import (
     PrecisionLoss,
     caputo_derivative,
     _ml_sum,
-    _positive_series,
     _table,
     _trig,
     frac_cos,
@@ -276,6 +275,29 @@ def test_weak_points_resum_alike_singly_and_as_an_array(few):
     assert [v.hex() for v in some] == [every[i].hex() for i in idx]
 
 
+@pytest.mark.parametrize("near", [2, 30])
+def test_certified_sums_take_arrays_of_any_shape(near):
+    # `near` points within 1e-11 of each of the first three roots leave their
+    # float sign open and are summed again, singly (below 40) or in one pass;
+    # a 2-D or 3-D array gives bitwise the values of its raveled copy
+    def points(kind):
+        roots = np.array(find_zeros(kind, 0.9, 3, 8.0).roots) * HALF_PI
+        return np.concatenate([roots + 1e-11 * (k / near - 0.5)
+                               for k in range(near)]
+                              + [np.linspace(0.3, 9.0, 30)])
+
+    x_cos, x_sin = points("cos"), points("sin")
+    m = x_cos.size
+    for f, flat in ((lambda x: frac_cos(0.9, x), x_cos),
+                    (lambda x: frac_sin(0.9, x), x_sin),
+                    (lambda z: mittag_leffler(1.8, 1.0, z), -x_cos ** 1.8)):
+        want = [v.hex() for v in f(flat)]
+        for shape in ((m // 6, 6), (2, 3, m // 6)):
+            got = f(flat.reshape(shape))
+            assert got.shape == shape
+            assert [v.hex() for v in got.ravel()] == want
+
+
 @settings(deadline=None, max_examples=25)
 @given(alpha=st.floats(0.55, 1.5), odd=st.booleans(),
        root=st.integers(0, 7),
@@ -310,6 +332,22 @@ def test_sign_certified_scan_matches_mpmath(alpha, odd, root, offsets, far):
                 assert np.sign(v) == np.sign(one) == mp.sign(ref), (zi, v, ref)
 
 
+def _mass_to_relative(tab, zabs, rel):
+    """sum_{n<=N} zabs^n / Gamma(alpha n + beta) in plain double, N the first
+    n >= 3 with t_n <= t_{n-1}/2 and t_n <= rel * sum: how the earlier chunk
+    rule sized its positive series."""
+    t = prev = s = 0.0
+    for n in range(10**4):
+        if n + 1 >= len(tab.ratio):
+            tab.extend(2 * n + 4)
+        t = tab.hi[0] if n == 0 else t * zabs / tab.ratio[n - 1]
+        s += t
+        if n >= 3 and t <= 0.5 * prev and t <= rel * s:
+            return s
+        prev = t
+    raise AssertionError("the positive series did not stop")
+
+
 def _find_zeros_earlier_rule(kind, alpha, count, x_max, xtol=1e-10,
                              eval_tol=1e-9):
     """find_zeros under its earlier chunk rule, kept as a reference: each
@@ -324,7 +362,7 @@ def _find_zeros_earlier_rule(kind, alpha, count, x_max, xtol=1e-10,
         xs = x0 + SCAN_STEP * np.arange(400)
         xs = xs[xs <= x_max + 0.5 * SCAN_STEP]
         z = (HALF_PI * xs[-1]) ** (2.0 * alpha)
-        mass = _positive_series(tab, z, 0.0, rel=1e-16)[1]
+        mass = _mass_to_relative(tab, z, 1e-16)
         tol = max(eval_tol, 4.0 * _ERR_UNIT * mass)
         vs, reached = _trig(alpha, HALF_PI * xs, tol, odd, signs=True)
         if not reached <= tol:
@@ -639,11 +677,11 @@ def test_one_build_covers_the_terms_read(alpha, shift):
     tab = fraccalc._RatioTable(alpha, 1.0 + shift * alpha)
     tab.extend(700)
     for zabs in (0.0, 0.5, 3.0, 30.0, 300.0):
-        for floor, rel in ((1e-12, 0.0), (1e-6, 0.0), (0.0, 1e-16)):
-            n, mass, _ = fraccalc._positive_series(tab, zabs, floor, rel)
+        for floor in (1e-12, 1e-6):
+            n, mass, _ = fraccalc._positive_series(tab, zabs, floor)
             assert math.isfinite(mass)
             probe = _SizeProbe(tab.alpha, tab.beta)
-            assert fraccalc._grow(probe, zabs, floor, rel)
+            assert fraccalc._grow(probe, zabs, floor)
             assert n <= probe.asked <= n + 2 * fraccalc._PAD
 
 
@@ -653,8 +691,8 @@ def _record_terms(monkeypatch) -> dict:
     read = {}
     positive_series = fraccalc._positive_series
 
-    def recording(tab, zabs, floor, rel=0.0):
-        n, mass, last = positive_series(tab, zabs, floor, rel)
+    def recording(tab, zabs, floor):
+        n, mass, last = positive_series(tab, zabs, floor)
         read[tab.alpha, tab.beta] = max(read.get((tab.alpha, tab.beta), 0), n)
         return n, mass, last
 

@@ -1,11 +1,14 @@
 """Zero finding, well spectra, radial ground state, equivalent potential."""
 
 import math
+import re
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracspec import spectra
 from fracspec.fraccalc import HALF_PI, AlphaContext, frac_cos, frac_sin
@@ -155,6 +158,31 @@ def test_localization_toward_origin_below_one():
     assert p09[outer].max() < p10[outer].max()
 
 
+def _lowest_states(alpha, count):
+    """The lowest `count` (k0, parity) pairs of a full cos scan and a full
+    sin scan, each for `count` roots to the well's scan limit."""
+    tagged = []
+    for kind, parity in (("cos", "even"), ("sin", "odd")):
+        try:
+            scan = find_zeros(kind, alpha, count, 2.0 * count + 20.0)
+        except NoZeros:
+            continue
+        tagged += [(r * HALF_PI, parity) for r in scan]
+    return sorted(tagged)[:count]
+
+
+@settings(deadline=None, max_examples=30)
+@given(alpha=st.floats(0.6, 0.95), count=st.integers(1, 40))
+@example(alpha=0.85, count=13)
+def test_well_states_are_the_lowest_of_both_zero_sets(alpha, count):
+    # the one scan of both kinds returns exactly the lowest min(count, N)
+    # states; a quota of count // 2 + 2 roots per kind lost the 13th of the
+    # 13 states at alpha 0.85 (9 cos roots, 4 sin roots)
+    want = _lowest_states(alpha, count)
+    got = [(s.k0, s.parity) for s in well_states_1d(alpha, count, 1.0, CTX)]
+    assert got == want
+
+
 # --- N-dimensional well --------------------------------------------------------
 
 
@@ -170,6 +198,14 @@ def test_nd_classical_value():
     e = well_energy_nd(1.0, [0], [a], CTX)
     expected = (CTX.hbar_c * math.pi / 2.0) ** 2 / (2.0 * CTX.mc2 * a * a)
     assert e == pytest.approx(expected, rel=1e-9)
+
+
+def test_nd_energy_of_the_last_state_of_a_finite_spectrum():
+    # alpha 0.85 has 13 well states; the 13th raised NoZeros ("only 12 well
+    # states exist") under a per-kind root quota
+    states = well_states_1d(0.85, 13, 1.0, CTX)
+    assert len(states) == 13
+    assert well_energy_nd(0.85, [12], [1.0], CTX) == states[12].energy
 
 
 def _no_root_search(*args, **kwargs):
@@ -190,14 +226,14 @@ def _no_root_search(*args, **kwargs):
 def test_nd_bad_arguments_fail_before_the_root_search(monkeypatch, indices,
                                                       half_widths, name):
     # a negative index would read the root list from its end
-    monkeypatch.setattr(spectra, "find_zeros", _no_root_search)
+    monkeypatch.setattr(spectra, "_scan", _no_root_search)
     with pytest.raises(ValueError, match=name):
         well_energy_nd(0.9, indices, half_widths, CTX)
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_state_count_below_one_fails_before_the_root_search(monkeypatch, n):
-    monkeypatch.setattr(spectra, "find_zeros", _no_root_search)
+    monkeypatch.setattr(spectra, "_scan", _no_root_search)
     with pytest.raises(ValueError, match="count >= 1"):
         well_states_1d(0.9, n, 1.0, CTX)
     with pytest.raises(ValueError, match="n_states >= 1"):
@@ -210,7 +246,7 @@ def test_state_count_below_one_fails_before_the_root_search(monkeypatch, n):
 def test_grid_must_be_finite_1d_and_non_empty(monkeypatch, grid):
     # an empty grid raised numpy's reduction error after the root search,
     # and a 2-D one returned nested lists
-    monkeypatch.setattr(spectra, "find_zeros", _no_root_search)
+    monkeypatch.setattr(spectra, "_scan", _no_root_search)
     with pytest.raises(ValueError, match="grid must be a finite, non-empty "
                                          "1-D array"):
         equivalent_potential(0.9, 3.0, 10, grid)
@@ -222,7 +258,7 @@ def test_state_count_must_be_an_integer(monkeypatch, n):
     # TypeError from a slice; True passed as a count of one
     with pytest.raises(ValueError, match="integer count >= 1"):
         find_zeros("cos", 0.9, n, 8.0)
-    monkeypatch.setattr(spectra, "find_zeros", _no_root_search)
+    monkeypatch.setattr(spectra, "_scan", _no_root_search)
     with pytest.raises(ValueError, match="integer count >= 1"):
         well_states_1d(0.9, n, 1.0, CTX)
     with pytest.raises(ValueError, match="integer n_states >= 1"):
@@ -348,6 +384,16 @@ def test_equivalent_potential_cutoff_guard():
     grid = np.linspace(-0.9, 0.9, 31)
     with pytest.raises(CutoffTooSmall):
         equivalent_potential(1.0, 100.0, 6, grid)
+
+
+def test_cutoff_past_a_finite_spectrum_reports_the_excluded_state():
+    # all 13 states at alpha 0.85 are found, so the 13th is the first one
+    # excluded by n_states 12 and its weight sets the tail (a per-kind root
+    # quota found 12 states and reported a tail of 0)
+    with pytest.raises(CutoffTooSmall) as info:
+        equivalent_potential(0.85, 30.0, 12, np.linspace(-0.9, 0.9, 31))
+    tail = re.search(r"tail ~(\S+)\)", str(info.value)).group(1)
+    assert float(tail) > 0.0
 
 
 # --- root refinement ----------------------------------------------------------
