@@ -328,18 +328,24 @@ def _horner(coeffs, z):
 def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     """Certified sum of E_{alpha,beta}(z) for a float or an ndarray z.
 
-    Certify first: the positive series at max|z| fixes the term count N and
-    the mass S = sum|t_n| for every element (both scaled by 1 + N (2
-    _COEFF_REL + 3u) for the float ratios and roundings); PrecisionLoss is
-    raised before summing when the double-double bound _ERR_UNIT S + 2 t_N
-    exceeds tol.  Where the float64 bound ((2N + 3) u + _COEFF_REL) S + 2 t_N
-    (Higham's gamma_2N for Horner, one rounding per coefficient, two units
+    Certify first: the positive series at max|z|, sized down to terms below
+    min(tol, 1) * 1e-3, fixes the term count N and the mass S = sum|t_n|
+    for every element (both scaled by 1 + N (2 _COEFF_REL + 3u) for the
+    float ratios and roundings); PrecisionLoss is raised before summing
+    when the double-double bound _ERR_UNIT S + 2 t_N exceeds tol.  Where
+    the float64 bound ((2N + 3) u + _COEFF_REL) S + 2 t_N (Higham's
+    gamma_2N for Horner, one rounding per coefficient, two units
     of slack for the sizing pass, the error of `hi`) meets tol too and the
     last `hi` is normal, `hi` is summed in plain double, else `tab.dd(N)` in
     double-double.  Elements with |value| <= the float bound, whose sign it
     leaves open (float rounding near a root of small slope can move the sign
     change past a root tolerance), are summed again in double-double.
     PrecisionLoss is raised when rounding to double pushes a bound past tol.
+    The floor's 1e-3 leaves room in tol for the roundings; its cap at 1
+    keeps a loose tol (the weakest states of `equivalent_potential` ask for
+    up to 6e9) from cutting the series far above the scale of values near
+    1, where every element would read as weak and be summed again in
+    double-double.
 
     signs=True serves zero scans: the float pass is taken even where its
     bound exceeds tol, no bound is held to tol, and PrecisionLoss is raised
@@ -354,7 +360,7 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     tab = _table(alpha, beta)
     zmax = _absmax(z)
     # a floor below 0 (tol < 0 or nan) stops the sizing where t_n underflows
-    n, mass, last = _positive_series(tab, zmax, max(0.0, tol * 1e-3))
+    n, mass, last = _positive_series(tab, zmax, max(0.0, min(tol, 1.0) * 1e-3))
     scale = 1.0 + n * (2.0 * _COEFF_REL + 3.0 * _ROUND_UNIT)
     mass, last = scale * mass, scale * last
     err = _ERR_UNIT * mass + 2.0 * last

@@ -138,7 +138,13 @@ def _scan(alpha: float, kinds: tuple, count: int, x_max: float,
     refined to xtol at eval_tol, or at twice the bound the chunk reached when
     that exceeds it, until it holds `count`.  The scan stops once the kinds
     together hold `count`.  ValueError past the representable amplitude range.
+    For alpha <= 1/2 there is nothing to scan: with a = 2 alpha <= 1,
+    E_{a,1}(-t) and E_{a,1+alpha}(-t) are completely monotone on t >= 0
+    (Pollard, Bull. AMS 54, 1948; Schneider, Expo. Math. 14, 1996), so
+    positive, and neither kind has a zero.
     """
+    if alpha <= 0.5:
+        return []
     found = {kind: [] for kind in kinds}
     head_x, head_v = [], {kind: [] for kind in kinds}  # previous chunk's end
     x0 = SCAN_STEP
@@ -174,8 +180,8 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
     """First `count` positive roots of frac_cos/frac_sin(alpha, (pi/2) x) on
     (0, x_max], on the scaled axis, from `_scan` of one kind.  Fewer roots
     come with complete=False when the function stops crossing zero; NoZeros
-    (the alpha <= 1/2 regime) is raised here, not in the scan, so that the
-    exception keeps no chunk alive."""
+    (none found, as for every alpha <= 1/2) is raised here, not in the scan,
+    so that the exception keeps no chunk alive."""
     _check_alpha(alpha)
     _check_int("find_zeros", 1, count=count)
     _check_positive("find_zeros", x_max=x_max)
@@ -184,10 +190,9 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
     roots = tuple(r for r, _ in _scan(alpha, (kind,), count, x_max, xtol,
                                       eval_tol))
     if not roots:
-        raise NoZeros(
-            f"frac_{kind}(alpha={alpha:g}) has no zero on (0, {x_max:g}] "
-            f"(scaled axis); none exist for alpha <= 1/2"
-        )
+        why = "; none exist for alpha <= 1/2" if alpha <= 0.5 else ""
+        raise NoZeros(f"frac_{kind}(alpha={alpha:g}) has no zero on "
+                      f"(0, {x_max:g}] (scaled axis){why}")
     return ZeroScan(roots=roots, complete=len(roots) >= count)
 
 
@@ -376,14 +381,15 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
             f"budget; raise n_states or lower T"
         )
     u, wq = rl_nodes(alpha, 1.0, 128)
+    points = np.concatenate((u, grid))  # one evaluation per state
     rho = np.zeros_like(grid)
     Z = 0.0
     for (k, parity), wn in zip(tagged, weights):
         f = frac_cos if parity == "even" else frac_sin
         tol_n = max(1e-9, 1e-9 / max(wn, 1e-300))
-        psi_q = f(alpha, k * u, tol_n)
+        psi = f(alpha, k * points, tol_n)
+        psi_q, psi_g = psi[:u.size], psi[u.size:]
         norm2 = 2.0 * float(np.dot(wq, psi_q * psi_q))
-        psi_g = f(alpha, k * grid, tol_n)
         rho += wn * (psi_g * psi_g) / norm2
         Z += wn
     rho /= Z

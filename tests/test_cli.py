@@ -4,6 +4,8 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 
@@ -531,6 +533,28 @@ def test_potential_artifact(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x,v_over_t"
     assert len(lines) == 62
+
+
+def test_potential_below_alpha_half_has_no_states(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["potential", "--alpha", "0.45", "--temperature", "3",
+                "--n-states", "12", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"].startswith("NoZeros")
+
+
+def test_importing_the_cli_does_no_work():
+    # a command's start-up is this import: no ratio table, no cached
+    # large-argument set-up and no mpmath before the first evaluation
+    code = ("import sys\n"
+            "import fracspec.cli\n"
+            "from fracspec import fraccalc\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "assert not fraccalc._TABLES\n"
+            "assert fraccalc._far.cache_info().currsize == 0\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_potential_cutoff_bad_input(tmp_path):

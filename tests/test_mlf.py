@@ -512,6 +512,16 @@ def test_a_loose_tolerance_keeps_t0_away_from_zero(tol):
     assert vals == pytest.approx([1.0, 1.0], abs=1e-3)
 
 
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.85, 0.95])
+def test_a_loose_tolerance_sizes_the_series_as_tol_one(alpha):
+    # a floor of tol * 1e-3 would cut the series at terms of 1e7 for tol
+    # 1e10, far above values near 1 (up to 8.7e5 off); the floor caps at 1e-3
+    x = np.linspace(0.0, 19.9, 100)
+    ref = frac_cos(alpha, x, 1e-9)
+    for tol in (1e3, 1e10):
+        assert np.max(np.abs(frac_cos(alpha, x, tol) - ref)) <= 1e-3
+
+
 @pytest.mark.parametrize("kind, first", [("cos", 1), ("sin", 2)])
 def test_classical_roots_exact_out_to_200(kind, first):
     scan = find_zeros(kind, 1.0, 100, 200.0)
@@ -710,8 +720,8 @@ def test_zero_scan_builds_only_what_its_sums_read(monkeypatch):
 def test_term_cap_rejects_before_building(monkeypatch):
     # Gamma(0.1 (n+1) + 1)/Gamma(0.1 n + 1) reaches 2|z| only near n = 63,000
     _record_terms(monkeypatch)
-    with pytest.raises(ValueError, match="representable amplitude range"):
-        find_zeros("cos", 0.05, 1, 16.0)
+    with pytest.raises(PrecisionLoss, match="bound reached inf"):
+        frac_cos(0.05, 4.0 * HALF_PI)
     assert len(fraccalc._TABLES[0.1, 1.0].ratio) <= 4
     # the ratio at the cap bounds every ratio read (Gamma is log-convex), so
     # above half of it no term halves its predecessor in exact arithmetic;

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracspec import spectra
-from fracspec.fraccalc import HALF_PI, AlphaContext, frac_cos, frac_sin
+from fracspec import fraccalc, spectra
+from fracspec.fraccalc import (HALF_PI, AlphaContext, frac_cos, frac_sin,
+                               rl_nodes)
 from fracspec.spectra import (
     SCAN_STEP,
     CutoffTooSmall,
@@ -49,10 +50,21 @@ def test_first_cos_root_two_thirds():
 
 
 def test_no_zeros_below_half():
+    # for a = 2 alpha <= 1 both series are completely monotone, so positive;
+    # scanning out to 46 found a spurious cos root at 41.46, and out to 500
+    # raised "representable amplitude range"
+    for kind, count, x_max in [("cos", 1, 20.0), ("sin", 1, 20.0),
+                               ("cos", 3, 46.0), ("sin", 3, 500.0)]:
+        with pytest.raises(NoZeros, match="none exist for alpha <= 1/2"):
+            find_zeros(kind, 0.45, count, x_max)
     with pytest.raises(NoZeros):
-        find_zeros("cos", 0.45, 1, 20.0)
-    with pytest.raises(NoZeros):
-        find_zeros("sin", 0.45, 1, 20.0)
+        well_states_1d(0.45, 11, 1.0, CTX)
+
+
+def test_no_zeros_names_alpha_half_only_where_it_is_the_reason():
+    with pytest.raises(NoZeros) as info:
+        find_zeros("sin", 0.55, 1, 20.0)
+    assert "1/2" not in str(info.value)
 
 
 def test_finite_zero_set_flagged():
@@ -378,6 +390,55 @@ def test_equivalent_potential_symmetric():
     pairs = equivalent_potential(0.9, 12.0, 18, grid)
     v = np.array([p[1] for p in pairs])
     assert np.max(np.abs(v - v[::-1])) < 1e-10
+
+
+def _strict_potential(alpha, T, n_states, grid):
+    """V/T of equivalent_potential's states, each evaluated on its own at
+    max(1e-11, min(1e-6, 1e-12 / w_n)) instead of 1e-9 / w_n."""
+    tagged = spectra._interleaved_roots(alpha, n_states + 1, eval_tol=1e-6)
+    u, wq = rl_nodes(alpha, 1.0, 128)
+    rho, Z = np.zeros_like(grid), 0.0
+    for k, parity in tagged[:n_states]:
+        f = frac_cos if parity == "even" else frac_sin
+        wn = math.exp(-0.5 * k ** (2.0 * alpha) / T)
+        tol = max(1e-11, min(1e-6, 1e-12 / wn))
+        psi_q, psi_g = f(alpha, k * u, tol), f(alpha, k * grid, tol)
+        rho += wn * psi_g**2 / (2.0 * float(np.dot(wq, psi_q**2)))
+        Z += wn
+    v = -np.log(rho / Z)
+    return v - v.min()
+
+
+@pytest.mark.parametrize("alpha, T, n_states", [(0.853, 2.85, 12),
+                                                (0.9, 3.0, 40)])
+def test_equivalent_potential_matches_a_strict_evaluation(alpha, T, n_states):
+    # the weakest states are evaluated at tol up to 5.9e9; a series sized
+    # to tol * 1e-3 there stops far above its scale (1.7e-10 off at 0.853)
+    grid = np.linspace(-0.95, 0.95, 161)
+    v = np.array(equivalent_potential(alpha, T, n_states, grid))[:, 1]
+    strict = _strict_potential(alpha, T, n_states, grid)
+    assert np.max(np.abs(v - strict)) <= 2e-11
+
+
+def test_equivalent_potential_evaluates_each_state_once(monkeypatch):
+    # one array call per summed state over the nodes and the grid together,
+    # and no point left weak enough for a double-double pass over an array;
+    # the refinement's calls take scalars and are not counted
+    calls = {"states": 0, "dd_arrays": 0}
+    trig, dd = fraccalc._trig, fraccalc.dd_horner
+
+    def counted_trig(alpha, x, *args, **kwargs):
+        calls["states"] += isinstance(x, np.ndarray)
+        return trig(alpha, x, *args, **kwargs)
+
+    def counted_dd(hi, lo, z):
+        calls["dd_arrays"] += isinstance(z, np.ndarray)
+        return dd(hi, lo, z)
+
+    monkeypatch.setattr(fraccalc, "_trig", counted_trig)
+    monkeypatch.setattr(fraccalc, "dd_horner", counted_dd)
+    equivalent_potential(0.853, 2.85, 12, np.linspace(-0.95, 0.95, 161))
+    assert calls == {"states": 12, "dd_arrays": 0}
 
 
 def test_equivalent_potential_cutoff_guard():
