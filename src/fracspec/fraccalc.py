@@ -32,9 +32,10 @@ evaluation certifies first (`_ml_sum`): the positive-argument series at
 max|z| bounds every element, and `PrecisionLoss` is raised when the
 double-double budget cannot meet the tolerance.  Where the bound of a plain
 double Horner pass (Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed., 5.1) meets it, the series is summed in float64 over coefficients
-from math.gamma at the exact argument, and otherwise in double-double over
-coefficients built in 50-digit arithmetic only as far as that pass reads.
+2nd ed., 5.1; of order four on arrays of up to 4,096 points) meets it, the
+series is summed in float64 over coefficients from math.gamma at the exact
+argument, and otherwise in double-double over coefficients built in 50-digit
+arithmetic only as far as that pass reads.
 Zero scans need signs, not values: a chunk is summed in float64, and again
 in double-double only where |value| does not exceed the float bound.
 For 1/2 < alpha <= 1 a call whose every t = |x| is at least t0 takes the
@@ -260,20 +261,22 @@ def _positive_series(tab: _RatioTable, zabs: float,
     nan, or needs more than _MAX_TERMS terms.  The table holds coefficient
     N on return; `_grow` builds it when it is too short.
     """
-    ratio = tab.ratio
+    ratio, inf = tab.ratio, math.inf
     if len(ratio) < 2 and not _grow(tab, zabs, floor):
-        return _MAX_TERMS + 1, math.inf, math.inf
+        return _MAX_TERMS + 1, inf, inf
     t = prev = s = tab.hi[0]
-    n = 0
+    n, end = 0, len(ratio) - 1
     while True:
-        if n + 1 == len(ratio) and not _grow(tab, zabs, floor):
-            return _MAX_TERMS + 1, math.inf, math.inf
+        if n == end:
+            if not _grow(tab, zabs, floor):
+                return _MAX_TERMS + 1, inf, inf
+            end = len(ratio) - 1
         t *= zabs / ratio[n]
         s += t
         n += 1
-        if not s < math.inf or n > _MAX_TERMS:
-            return n, math.inf, t
-        if n >= 3 and t <= 0.5 * prev and t <= floor:
+        if not s < inf or n > _MAX_TERMS:
+            return n, inf, t
+        if t <= floor and t <= 0.5 * prev and n >= 3:
             return n, s, t
         prev = t
 
@@ -303,20 +306,58 @@ def _grow(tab: _RatioTable, zabs: float, floor: float) -> bool:
     return True
 
 
-_HORNER_BLOCK = 65536  # 65 terms over 357,760 points: 11-13 ms; at 8,192: 12-17
+# An array of at most _BLOCKED_POINTS points is summed four coefficients per
+# pass.  Its time over the in-place loop's, 20-60 terms: 0.42-0.92 at 100
+# points, 0.77-1.20 at 4,000, 0.88-1.13 at 8,000, 3.8-4.3 at the cubature's
+# 357,760; its temporaries, (5 + R) m doubles, are about 13 MB at 1,600 terms.
+_BLOCKED_POINTS = 4096
+# Only larger arrays: in place over blocks of _HORNER_BLOCK points that stay
+# in cache.  65 terms over 357,760 points: 11-13 ms; at 8,192: 12-17
+_HORNER_BLOCK = 65536
 
 
 def _horner(coeffs, z):
-    """sum_n coeffs[n] * z**n in plain double by Horner's rule.  An array with
-    an axis is summed in place (acc *= z; acc += c: the roundings of
-    acc * z + c) over blocks of _HORNER_BLOCK points that stay in cache."""
+    """sum_n coeffs[n] * z**n in plain double, c_0 ... c_N = coeffs.
+
+    A float: Horner's rule.  An array of at most _BLOCKED_POINTS points, each
+    |z| < 2^255 so that z^4 is finite: Horner's rule of order four (W. S.
+    Dorn, IBM J. Res. Dev. 6(2), 1962).  The powers P = (1, z, z^2, z^3,
+    z^4) come by repeated multiplication; the block values b_j =
+    sum_{i<4} c_{4j+i} z^i, c zero past N, all come from one np.einsum,
+    numpy's own loop (no BLAS, so no dependence on its build or thread
+    count); then Horner's rule in w = z^4 runs over the R = ceil((N + 1)/4)
+    rows in place.  A term passes through at most 6 + 5J roundings, J =
+    R - 1: 2 in z^i, 1 in c_n z^i and 3 in the block sum, then per step 3 in
+    w, 1 in the product and 1 in the addition.  As J <= N/4, that is at most
+    2N + 3 for every N >= 2, the count the float bound of `_ml_sum` charges
+    (Higham, 5.1).  Any other array: acc *= z; acc += c in place, over
+    blocks of _HORNER_BLOCK points (the roundings of acc * z + c, bitwise
+    the float rule)."""
     if not (isinstance(z, np.ndarray) and z.ndim):
         acc = coeffs[-1]
         for c in coeffs[-2::-1]:
             acc = acc * z + c
         return acc
-    flat, out = z.reshape(-1), np.empty(z.size)
-    for s in range(0, z.size, _HORNER_BLOCK):
+    flat, m = z.reshape(-1), z.size
+    # past 2^255 a zero c_n times an inf power would read nan
+    if m <= _BLOCKED_POINTS and np.abs(flat).max(initial=0.0) < 2.0**255:
+        # two columns at least: a 1-point P with unit stride would take a
+        # dot-product kernel that sums the block in another order
+        p = np.empty((5, max(m, 2)))[:, :m]
+        p[0], p[1] = 1.0, flat
+        for i in (2, 3, 4):
+            np.multiply(p[i - 1], flat, out=p[i])
+        rows = -(-len(coeffs) // 4)
+        c = np.zeros(4 * rows)
+        c[:len(coeffs)] = coeffs
+        b = np.einsum("ij,jk->ik", c.reshape(rows, 4), p[:4], optimize=False)
+        acc = b[-1].copy()  # a view would keep all R rows alive
+        for row in b[-2::-1]:
+            acc *= p[4]
+            acc += row
+        return acc.reshape(z.shape)
+    out = np.empty(m)
+    for s in range(0, m, _HORNER_BLOCK):
         zb, acc = flat[s:s + _HORNER_BLOCK], out[s:s + _HORNER_BLOCK]
         acc.fill(coeffs[-1])
         for c in coeffs[-2::-1]:
@@ -333,10 +374,10 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     for every element (both scaled by 1 + N (2 _COEFF_REL + 3u) for the
     float ratios and roundings); PrecisionLoss is raised before summing
     when the double-double bound _ERR_UNIT S + 2 t_N exceeds tol.  Where
-    the float64 bound ((2N + 3) u + _COEFF_REL) S + 2 t_N (Higham's
-    gamma_2N for Horner, one rounding per coefficient, two units
-    of slack for the sizing pass, the error of `hi`) meets tol too and the
-    last `hi` is normal, `hi` is summed in plain double, else `tab.dd(N)` in
+    the float64 bound ((2N + 3) u + _COEFF_REL) S + 2 t_N (at most 2N + 3
+    roundings per term in `_horner`: 2N in the plain rule, up to 6 + 5J in
+    the blocked one; the error of `hi`) meets tol too and the last `hi` is
+    normal, `hi` is summed in plain double, else `tab.dd(N)` in
     double-double.  Elements with |value| <= the float bound, whose sign it
     leaves open (float rounding near a root of small slope can move the sign
     change past a root tolerance), are summed again in double-double.
@@ -403,7 +444,7 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
 def _absmax(v) -> float:
     """max|v| of a float or an ndarray (0 for an empty array)."""
     if isinstance(v, np.ndarray):
-        return float(np.max(np.abs(v), initial=0.0))
+        return float(np.abs(v).max(initial=0.0))
     return abs(v)
 
 
@@ -501,9 +542,9 @@ def _far(alpha: float, odd: bool, tol: float):
 def _far_sum(far, t, odd: bool):
     """P(t) + pair and its bound, None unless every t lies in [t0, inf).
     The bound: R_K at min t, rounding of P (coefficients within 1e-12 g_k:
-    gamma's argument < 1e-13, the sine's < 2e-13; (4K + 8) u for Horner and
-    powers of t), of the pair (angle and exponent round by a few u t) and
-    of the value."""
+    gamma's argument < 1e-13, the sine's < 2e-13; (4K + 8) u for Horner,
+    at most 6 + 5J <= 2K + 4 roundings in `_horner`, and powers of t), of
+    the pair (angle and exponent round by a few u t) and of the value."""
     t0, a, l, K, c, g, rem, cos_pa, sin_pa = far
     lo, hi = ((float(t.min()), float(t.max())) if isinstance(t, np.ndarray)
               else (t, t))

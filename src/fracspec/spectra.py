@@ -351,8 +351,9 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
 
         V/T = -ln( sum_n psi_n^2 e^(-E_n/T) / sum_n e^(-E_n/T) ),
 
-    shifted so the minimum over the grid is zero.  psi_n are normalised
-    under the alpha-measure; energies use hbar = m = c = a = 1.
+    shifted so the minimum over the grid is zero; ValueError unless every
+    grid point lies in the well.  psi_n are normalised under the
+    alpha-measure; energies use hbar = m = c = a = 1.
 
     The states are the lowest n_states + 1 of `_interleaved_roots`, the last
     one the first excluded.  The cutoff must satisfy exp(-E_last/T) < 1e-8;
@@ -362,9 +363,10 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     _check_positive("equivalent_potential", T=T)
     _check_int("equivalent_potential", 1, n_states=n_states)
     grid = np.asarray(grid, float)
-    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
-        raise ValueError(f"grid must be a finite, non-empty 1-D array: "
-                         f"shape {grid.shape}")
+    if (grid.ndim != 1 or not grid.size or not np.isfinite(grid).all()
+            or np.abs(grid).max() > 1.0):
+        raise ValueError(f"grid must be a finite, non-empty 1-D array inside "
+                         f"the well [-1, 1]: shape {grid.shape}")
     tagged = _interleaved_roots(alpha, n_states + 1, eval_tol=1e-6)
     # free_energy at hbar = m = c = 1: E = k^(2 alpha)/2
     weights = [math.exp(-0.5 * k ** (2.0 * alpha) / T) for k, _ in tagged]

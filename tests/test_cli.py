@@ -427,14 +427,45 @@ def test_bad_tolerance_names_the_option(tmp_path, capsys, tol):
     assert err == f"ValueError: --tol must be finite and positive: {tol}"
 
 
+def test_potential_grid_outside_the_well_is_bad_input(tmp_path, capsys):
+    # x = +-1.5 lies past the walls, where psi_n is not a well state
+    out = tmp_path / "out"
+    assert run(["potential", "--alpha", "0.9", "--temperature", "3",
+                "--n-states", "10", "--grid-half-width", "1.5",
+                "--grid-points", "5", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("ValueError: grid must be a finite, non-empty 1-D "
+                          "array inside the well [-1, 1]")
+
+
+def test_artifacts_do_not_depend_on_the_thread_count(tmp_path):
+    # the series sums make no BLAS call, so one or two BLAS/OpenMP threads
+    # write the same bytes; JSON keeps every digit, where CSV keeps six
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    written = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        for name, args in (("zeros", ["zeros"]),
+                           ("potential", ["potential", "--alpha", "0.9",
+                                          "--temperature", "3",
+                                          "--n-states", "40"])):
+            out = tmp_path / f"{name}-{threads}.json"
+            subprocess.run([sys.executable, "-m", "fracspec.cli", *args,
+                            "--out", str(out)], check=True, env=env)
+            written.setdefault(name, []).append(out.read_bytes())
+    for name, (one, two) in written.items():
+        assert one and one == two, name
+
+
 def test_potential_past_the_finite_spectrum_is_cut_off(tmp_path, capsys):
     # alpha 0.8 has 7 states; the last weight at T = 12 is far above 1e-8
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = run(["potential", "--alpha", "0.8", "--temperature", "12",
-                  "--n-states", "18", "--grid-half-width", "3",
-                  "--out", str(out)])
+                  "--n-states", "18", "--out", str(out)])
     assert rc == 2
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)["error"]
@@ -443,10 +474,9 @@ def test_potential_past_the_finite_spectrum_is_cut_off(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     # beyond the certified range: PrecisionLoss, raised before any artifact
-    ["potential", "--alpha", "0.95", "--temperature", "12", "--n-states", "18",
-     "--grid-half-width", "3"],
-    ["potential", "--alpha", "0.9", "--temperature", "12", "--n-states", "18",
-     "--grid-half-width", "3"],
+    ["potential", "--alpha", "0.95", "--temperature", "300", "--n-states",
+     "80"],
+    ["potential", "--alpha", "1.0", "--temperature", "300", "--n-states", "80"],
     # bundled data, no user range: a certification failure is not bad input
     ["masses"],
 ])

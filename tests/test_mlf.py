@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from array import array
+from fractions import Fraction
 from unittest import mock
 
 import mpmath as mp
@@ -228,10 +229,13 @@ def _plain_horner(coeffs, z):
 
 
 _B = fraccalc._HORNER_BLOCK
+_L = fraccalc._BLOCKED_POINTS
 
 
-@pytest.mark.parametrize("size", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("size", [_L + 1, _B - 1, _B, _B + 1, 3 * _B + 5])
 def test_blocked_horner_is_bitwise_the_plain_loop(size):
+    # Python floats and arrays above _BLOCKED_POINTS keep the plain rule's
+    # roundings; arrays up to it are covered by the two properties below
     rng = np.random.default_rng(size)
     coeffs = rng.standard_normal(40).tolist()
     z = rng.uniform(-1.5, 1.5, size)
@@ -241,6 +245,71 @@ def test_blocked_horner_is_bitwise_the_plain_loop(size):
         assert got.tobytes() == want.tobytes()
     got = fraccalc._horner(coeffs, 0.7)
     assert type(got) is float and got == _plain_horner(coeffs, 0.7)
+
+
+@settings(deadline=None, max_examples=40)
+@given(a=st.floats(0.5, 3.0), odd=st.booleans(), n=st.integers(2, 300),
+       m=st.integers(0, _L), reach=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(a=1.5, odd=False, n=4, m=1, reach=1.0, seed=0)  # 6 + 5J = 2N + 3
+@example(a=0.5, odd=True, n=300, m=_L, reach=1.0, seed=1)
+@example(a=2.0, odd=False, n=2, m=0, reach=0.5, seed=2)
+def test_blocked_horner_within_the_float_bound_of_the_exact_sum(a, odd, n, m,
+                                                                reach, seed):
+    # the blocked sum passes each term through at most 6 + 5J <= 2N + 3
+    # roundings, so on an ML table at z <= 0 it stays within (2N + 3) u
+    # sum|c_n z^n| of the exact rational sum of its float coefficients.
+    # Like the float pass of _ml_sum it reads normal coefficients only (a
+    # subnormal one rounds absolutely); |z| <= 100^a keeps every term finite.
+    # The largest |z| and 15 others are checked exactly; the invariance
+    # property below shows a value does not depend on the rest of its array
+    tab = fraccalc._RatioTable(a, 1.0 + a / 2 if odd else 1.0)
+    tab.extend(n)
+    while tab.hi[n] < fraccalc._MIN_NORMAL:
+        n -= 1
+    coeffs = tab.hi[:n + 1]
+    rng = np.random.default_rng(seed)
+    z = -rng.uniform(0.0, reach * 100.0**a, m)
+    got = fraccalc._horner(coeffs, z)
+    assert got.shape == z.shape
+    picks = {int(np.argmax(-z)), *rng.integers(0, m, 15).tolist()} if m else ()
+    exact_c = [Fraction(c) for c in coeffs]
+    for i in picks:
+        x = Fraction(float(z[i]))
+        value = mass = Fraction(0)
+        for c in reversed(exact_c):
+            value, mass = value * x + c, mass * abs(x) + c
+        bound = (2 * n + 3) * Fraction(_ROUND_UNIT) * mass
+        assert abs(Fraction(float(got[i])) - value) <= bound
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(0, 200), rows=st.integers(1, 64), m=st.integers(1, 64),
+       cut=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=40, rows=1, m=2, cut=0.5, seed=0)       # halves of one point
+@example(n=40, rows=64, m=64, cut=0.25, seed=1)    # the limit, 4,096 points
+def test_blocked_horner_is_split_and_reshape_invariant(n, rows, m, cut, seed):
+    # a value depends on its own point only: bitwise the same in the whole
+    # array, in either half of it and in its raveled copy
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(n + 1).tolist()
+    z = rng.uniform(-3.0, 3.0, (rows, m))
+    whole = fraccalc._horner(coeffs, z)
+    flat = fraccalc._horner(coeffs, z.ravel())
+    assert whole.shape == z.shape and whole.tobytes() == flat.tobytes()
+    k = int(cut * z.size)
+    halves = np.concatenate((fraccalc._horner(coeffs, z.ravel()[:k]),
+                             fraccalc._horner(coeffs, z.ravel()[k:])))
+    assert halves.tobytes() == flat.tobytes()
+
+
+def test_blocked_horner_leaves_an_overflowing_power_to_the_plain_loop():
+    # z^4 overflows past 1.3e77: a zero coefficient times z^3 = inf would
+    # read nan where the plain rule gives the constant
+    z = np.array([1e103, 2.0, -1e80, math.nan])
+    for coeffs in ([1.0, 0.0], [0.5, 1e-300, 0.0, 0.0, 0.0, 1e-320]):
+        got, want = fraccalc._horner(coeffs, z), _plain_horner(coeffs, z)
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(deadline=None, max_examples=30)
