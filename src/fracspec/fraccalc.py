@@ -32,7 +32,7 @@ evaluation certifies first (`_ml_sum`): the positive-argument series at
 max|z| bounds every element, and `PrecisionLoss` is raised when the
 double-double budget cannot meet the tolerance.  Where the bound of a plain
 double Horner pass (Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed., 5.1; of order four on arrays of up to 4,096 points) meets it, the
+2nd ed., 5.1; of order four on arrays of 2 to 4,096 points) meets it, the
 series is summed in float64 over coefficients from math.gamma at the exact
 argument, and otherwise in double-double over coefficients built in 50-digit
 arithmetic only as far as that pass reads.
@@ -306,7 +306,7 @@ def _grow(tab: _RatioTable, zabs: float, floor: float) -> bool:
     return True
 
 
-# An array of at most _BLOCKED_POINTS points is summed four coefficients per
+# An array of 2 to _BLOCKED_POINTS points is summed four coefficients per
 # pass.  Its time over the in-place loop's, 20-60 terms: 0.42-0.92 at 100
 # points, 0.77-1.20 at 4,000, 0.88-1.13 at 8,000, 3.8-4.3 at the cubature's
 # 357,760; its temporaries, (5 + R) m doubles, are about 13 MB at 1,600 terms.
@@ -319,12 +319,12 @@ _HORNER_BLOCK = 65536
 def _horner(coeffs, z):
     """sum_n coeffs[n] * z**n in plain double, c_0 ... c_N = coeffs.
 
-    A float: Horner's rule.  An array of at most _BLOCKED_POINTS points, each
-    |z| < 2^255 so that z^4 is finite: Horner's rule of order four (W. S.
-    Dorn, IBM J. Res. Dev. 6(2), 1962).  The powers P = (1, z, z^2, z^3,
-    z^4) come by repeated multiplication; the block values b_j =
-    sum_{i<4} c_{4j+i} z^i, c zero past N, all come from one np.einsum,
-    numpy's own loop (no BLAS, so no dependence on its build or thread
+    A float, or an array of fewer than two points: Horner's rule.  An array
+    of 2 to _BLOCKED_POINTS points, each |z| < 2^255 so that z^4 is finite:
+    Horner's rule of order four (W. S. Dorn, IBM J. Res. Dev. 6(2), 1962).
+    The powers P = (1, z, z^2, z^3, z^4) come by repeated multiplication;
+    the block values b_j = sum_{i<4} c_{4j+i} z^i, c zero past N, all come
+    from one np.einsum, numpy's own loop (no BLAS, so no dependence on its build or thread
     count); then Horner's rule in w = z^4 runs over the R = ceil((N + 1)/4)
     rows in place.  A term passes through at most 6 + 5J roundings, J =
     R - 1: 2 in z^i, 1 in c_n z^i and 3 in the block sum, then per step 3 in
@@ -339,11 +339,11 @@ def _horner(coeffs, z):
             acc = acc * z + c
         return acc
     flat, m = z.reshape(-1), z.size
-    # past 2^255 a zero c_n times an inf power would read nan
-    if m <= _BLOCKED_POINTS and np.abs(flat).max(initial=0.0) < 2.0**255:
-        # two columns at least: a 1-point P with unit stride would take a
-        # dot-product kernel that sums the block in another order
-        p = np.empty((5, max(m, 2)))[:, :m]
+    # past 2^255 a zero c_n times an inf power would read nan; one point
+    # sums by the float rule (as a 1-point P, einsum would take a
+    # dot-product kernel that sums the block in another order)
+    if 1 < m <= _BLOCKED_POINTS and np.abs(flat).max() < 2.0**255:
+        p = np.empty((5, m))
         p[0], p[1] = 1.0, flat
         for i in (2, 3, 4):
             np.multiply(p[i - 1], flat, out=p[i])

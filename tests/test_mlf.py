@@ -232,10 +232,12 @@ _B = fraccalc._HORNER_BLOCK
 _L = fraccalc._BLOCKED_POINTS
 
 
-@pytest.mark.parametrize("size", [_L + 1, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("size", [0, 1, _L + 1, _B - 1, _B, _B + 1,
+                                  3 * _B + 5])
 def test_blocked_horner_is_bitwise_the_plain_loop(size):
-    # Python floats and arrays above _BLOCKED_POINTS keep the plain rule's
-    # roundings; arrays up to it are covered by the two properties below
+    # Python floats and arrays of fewer than two points or more than
+    # _BLOCKED_POINTS keep the plain rule's roundings; arrays in between are
+    # covered by the two properties below
     rng = np.random.default_rng(size)
     coeffs = rng.standard_normal(40).tolist()
     z = rng.uniform(-1.5, 1.5, size)
@@ -251,7 +253,7 @@ def test_blocked_horner_is_bitwise_the_plain_loop(size):
 @given(a=st.floats(0.5, 3.0), odd=st.booleans(), n=st.integers(2, 300),
        m=st.integers(0, _L), reach=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
-@example(a=1.5, odd=False, n=4, m=1, reach=1.0, seed=0)  # 6 + 5J = 2N + 3
+@example(a=1.5, odd=False, n=4, m=2, reach=1.0, seed=0)  # 6 + 5J = 2N + 3
 @example(a=0.5, odd=True, n=300, m=_L, reach=1.0, seed=1)
 @example(a=2.0, odd=False, n=2, m=0, reach=0.5, seed=2)
 def test_blocked_horner_within_the_float_bound_of_the_exact_sum(a, odd, n, m,
@@ -287,10 +289,12 @@ def test_blocked_horner_within_the_float_bound_of_the_exact_sum(a, odd, n, m,
 @given(n=st.integers(0, 200), rows=st.integers(1, 64), m=st.integers(1, 64),
        cut=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 @example(n=40, rows=1, m=2, cut=0.5, seed=0)       # halves of one point
+@example(n=40, rows=1, m=3, cut=0.5, seed=2)       # one point and two
 @example(n=40, rows=64, m=64, cut=0.25, seed=1)    # the limit, 4,096 points
 def test_blocked_horner_is_split_and_reshape_invariant(n, rows, m, cut, seed):
     # a value depends on its own point only: bitwise the same in the whole
-    # array, in either half of it and in its raveled copy
+    # array, in either half of it and in its raveled copy; a point alone,
+    # as a 1-point array, sums as its Python float does
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(n + 1).tolist()
     z = rng.uniform(-3.0, 3.0, (rows, m))
@@ -298,9 +302,10 @@ def test_blocked_horner_is_split_and_reshape_invariant(n, rows, m, cut, seed):
     flat = fraccalc._horner(coeffs, z.ravel())
     assert whole.shape == z.shape and whole.tobytes() == flat.tobytes()
     k = int(cut * z.size)
-    halves = np.concatenate((fraccalc._horner(coeffs, z.ravel()[:k]),
-                             fraccalc._horner(coeffs, z.ravel()[k:])))
-    assert halves.tobytes() == flat.tobytes()
+    for zs, want in ((z.ravel()[:k], flat[:k]), (z.ravel()[k:], flat[k:])):
+        if zs.size == 1:
+            want = np.array([fraccalc._horner(coeffs, float(zs[0]))])
+        assert fraccalc._horner(coeffs, zs).tobytes() == want.tobytes()
 
 
 def test_blocked_horner_leaves_an_overflowing_power_to_the_plain_loop():
