@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .fraccalc import _check_alpha, gamma, rgamma
+from .fraccalc import _check_alpha, _check_int, gamma, rgamma
 
 __all__ = [
     "C_MODELS",
@@ -54,8 +54,7 @@ def c_value(variant: str, alpha: float, j: int = 0) -> float:
         return 1.0
     if variant == "c1":
         return 1.0 - rgamma(1.0 - alpha) / gamma(1.0 + alpha)
-    if j < 1:
-        raise ValueError("c2 requires j >= 1")
+    _check_int("c_value", 1, j=j)
     return euler_eigenvalue(alpha, j + 1) - euler_eigenvalue(alpha, j)
 
 
@@ -69,8 +68,7 @@ def euler_eigenvalue(alpha: float, n: int) -> float:
     lgamma(n alpha), to about 7.6e-14 at l(1, 200) and l(0.68, 300).
     """
     _check_alpha(alpha)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_int("euler_eigenvalue", 0, n=n)
     if n == 0:
         return 0.0
     return math.exp(math.lgamma(n * alpha + 1.0)
@@ -82,8 +80,7 @@ def lz_eigenvalue(alpha: float, m: int) -> float:
     """L_z eigenvalue l(alpha, m) (units hbar) for projection index m >= 0;
     the spectra realise right-handed states only, so negative m raises
     ValueError."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    _check_int("lz_eigenvalue", 0, m=m)
     return euler_eigenvalue(alpha, m)
 
 
@@ -93,8 +90,7 @@ def j2_eigenvalue(alpha: float, j: int, variant: str) -> float:
     collapses to l_j * l_{j+1}.  An unknown variant raises ValueError for
     every j, j = 0 included.
     """
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    _check_int("j2_eigenvalue", 0, j=j)
     c = c_value(variant, alpha, max(j, 1))
     lj = euler_eigenvalue(alpha, j)
     return lj * (lj + c) if lj else 0.0

@@ -215,8 +215,9 @@ def mass_model(p: FitParams, j: int, m: int) -> float:
     B_j exists for j in {1, 2, 3}; other j with m > 0 raise MissingB.
     (m = 0 states have L_z = 0, so no B enters.)
     """
-    if j < 0 or not 0 <= m <= j:
-        raise ValueError("need j >= 0 and 0 <= m <= j")
+    _check_int("mass_model", 0, j=j, m=m)
+    if m > j:
+        raise ValueError(f"mass_model requires m <= j, got j={j}, m={m}")
     if m > 0 and j not in (1, 2, 3):
         raise MissingB(f"no B_{j} available for a j={j}, m={m} state")
     A = _design_matrix([(j, m)], [p.alpha], p.c_model)

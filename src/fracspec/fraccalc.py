@@ -701,6 +701,7 @@ def rl_nodes(alpha: float, a: float, n: int):
     """
     _check_alpha(alpha)
     _check_positive("rl_nodes", a=a)
+    _check_int("rl_nodes", 1, n=n)
     xs, ws = _gauss_legendre(n)
     smax = a**alpha
     s = 0.5 * smax * (xs + 1.0)

@@ -176,7 +176,7 @@ def _scan(alpha: float, kinds: tuple, count: int, x_max: float,
 
 
 def find_zeros(kind: str, alpha: float, count: int, x_max: float,
-               xtol: float = 1e-10, eval_tol: float = 1e-9) -> ZeroScan:
+               xtol: float = 1e-10) -> ZeroScan:
     """First `count` positive roots of frac_cos/frac_sin(alpha, (pi/2) x) on
     (0, x_max], on the scaled axis, from `_scan` of one kind.  Fewer roots
     come with complete=False when the function stops crossing zero; NoZeros
@@ -184,11 +184,10 @@ def find_zeros(kind: str, alpha: float, count: int, x_max: float,
     so that the exception keeps no chunk alive."""
     _check_alpha(alpha)
     _check_int("find_zeros", 1, count=count)
-    _check_positive("find_zeros", x_max=x_max)
+    _check_positive("find_zeros", x_max=x_max, xtol=xtol)
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
-    roots = tuple(r for r, _ in _scan(alpha, (kind,), count, x_max, xtol,
-                                      eval_tol))
+    roots = tuple(r for r, _ in _scan(alpha, (kind,), count, x_max, xtol))
     if not roots:
         why = "; none exist for alpha <= 1/2" if alpha <= 0.5 else ""
         raise NoZeros(f"frac_{kind}(alpha={alpha:g}) has no zero on "
@@ -308,8 +307,7 @@ def radial_ground(N: int, alpha: float) -> RadialGround:
     """Radial ground-state series (64 terms past a_0) and its first zero for
     the N-dimensional spherical problem.  Raises NoZeros if no root lies in
     the scan range (0, 20] on the (pi/2)-scaled axis."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    _check_int("radial_ground", 2, N=N)
     _check_alpha(alpha)
     tab = _table(2.0 * alpha, 1.0)
     tab.extend(65)
@@ -368,18 +366,20 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
         raise ValueError(f"grid must be a finite, non-empty 1-D array inside "
                          f"the well [-1, 1]: shape {grid.shape}")
     tagged = _interleaved_roots(alpha, n_states + 1, eval_tol=1e-6)
-    # free_energy at hbar = m = c = 1: E = k^(2 alpha)/2
-    weights = [math.exp(-0.5 * k ** (2.0 * alpha) / T) for k, _ in tagged]
-    # tail estimate: geometric continuation from the first excluded state;
-    # none when the spectrum is exhausted (finite zero set)
+    # free_energy at hbar = m = c = 1: E = k^(2 alpha)/2.  Weights relative to
+    # the ground state, e^(-(E_n - E_0)/T), so that none underflows at low T
+    e = [0.5 * k ** (2.0 * alpha) / T for k, _ in tagged]  # E_n / T
+    weights = [math.exp(e[0] - en) for en in e[:n_states]]
+    # cutoff and tail in absolute weights, the tail a geometric continuation
+    # from the first excluded state; none when the spectrum is exhausted
     tail = 0.0
-    if len(tagged) > n_states:
-        w_next = weights.pop()
-        ratio = w_next / weights[-1] if weights[-1] > 0 else 0.0
-        tail = w_next / (1.0 - ratio) if ratio < 1.0 else math.inf
-    if weights[-1] > 1e-8 or tail > 1e-6:
+    if len(e) > n_states:
+        ratio = math.exp(e[-2] - e[-1])
+        tail = math.exp(-e[-1]) / (1.0 - ratio) if ratio < 1.0 else math.inf
+    cutoff = math.exp(-e[len(weights) - 1])
+    if cutoff > 1e-8 or tail > 1e-6:
         raise CutoffTooSmall(
-            f"cutoff weight {weights[-1]:.2e} (tail ~{tail:.2e}) exceeds the "
+            f"cutoff weight {cutoff:.2e} (tail ~{tail:.2e}) exceeds the "
             f"budget; raise n_states or lower T"
         )
     u, wq = rl_nodes(alpha, 1.0, 128)

@@ -6,10 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib import resources
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fracspec import charmfit, cli
 from fracspec.cli import main
@@ -563,6 +566,31 @@ def test_potential_artifact(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x,v_over_t"
     assert len(lines) == 62
+
+
+@seed(0)
+@settings(deadline=None, max_examples=25)
+@given(alpha=st.floats(0.52, 1.5), log_t=st.floats(-4.0, 3.0),
+       n_states=st.integers(1, 30), points=st.integers(1, 40))
+def test_potential_exits_cleanly_with_finite_values(alpha, log_t, n_states,
+                                                     points):
+    # below T ~ E_0/745 every absolute weight underflowed: exit 0 with an
+    # all-nan CSV and a RuntimeWarning
+    with tempfile.TemporaryDirectory() as d, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = os.path.join(d, "p.csv")
+        rc = run(["potential", "--alpha", repr(alpha), "--temperature",
+                  repr(10.0 ** log_t), "--n-states", str(n_states),
+                  "--grid-points", str(points), "--out", out])
+        assert rc in (0, 1, 2)
+        assert not caught, [str(w.message) for w in caught]
+        if rc == 0:
+            with open(out, encoding="utf-8") as fh:
+                rows = fh.read().strip().splitlines()[1:]
+            assert len(rows) == points
+            assert all(math.isfinite(float(v))
+                       for row in rows for v in row.split(","))
 
 
 def test_potential_below_alpha_half_has_no_states(tmp_path, capsys):

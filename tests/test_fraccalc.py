@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracspec import charmfit, fraccalc
+from fracspec import angular, charmfit, fraccalc, spectra
 from fracspec.fraccalc import (
     AlphaContext,
     DegenerateNorm,
@@ -564,3 +564,30 @@ def test_cached_nodes_leave_rl_nodes_and_radii_bitwise(monkeypatch):
     monkeypatch.setattr(charmfit, "_gauss_legendre",
                         np.polynomial.legendre.leggauss)
     assert [np.asarray(f()).tobytes() for f in calls] == cached
+
+
+# --- integer arguments -------------------------------------------------------
+
+
+_P = charmfit.TABLE2_ROWS[0]
+
+
+@pytest.mark.parametrize("name, least, call", [
+    ("j", 1, lambda v: angular.c_value("c2", 0.7, v)),
+    ("n", 0, lambda v: angular.euler_eigenvalue(0.7, v)),
+    ("m", 0, lambda v: angular.lz_eigenvalue(0.7, v)),
+    ("j", 0, lambda v: angular.j2_eigenvalue(0.7, v, "c0")),
+    ("N", 2, lambda v: spectra.radial_ground(v, 0.9)),
+    ("j", 0, lambda v: charmfit.mass_model(_P, v, 0)),
+    ("m", 0, lambda v: charmfit.mass_model(_P, 3, v)),
+    ("n", 1, lambda v: rl_nodes(0.7, 1.0, v)),
+], ids=["c_value.j", "euler_eigenvalue.n", "lz_eigenvalue.m",
+        "j2_eigenvalue.j", "radial_ground.N", "mass_model.j", "mass_model.m",
+        "rl_nodes.n"])
+@pytest.mark.parametrize("kind", ["fractional", "bool", "below"])
+def test_integer_arguments_are_checked_by_name(name, least, call, kind):
+    # 2.5 and True were truncated or taken as 1 (mass_model(p, 1.5, 0)
+    # returned the <10> mass); a value below the least allowed raises too
+    v = {"fractional": 2.5, "bool": True, "below": least - 1}[kind]
+    with pytest.raises(ValueError, match=f"integer {name} >= {least}, got"):
+        call(v)

@@ -131,6 +131,14 @@ def test_bad_arguments():
             spherical_ground_energy(3, 0.9, bad, CTX)
         with pytest.raises(ValueError, match="finite T > 0"):
             equivalent_potential(0.9, bad, 4, [0.0])
+        with pytest.raises(ValueError, match="finite xtol > 0"):
+            find_zeros("cos", 0.9, 1, 5.0, xtol=bad)
+
+
+def test_find_zeros_takes_no_evaluation_tolerance():
+    # eval_tol=inf moved the first cos root at alpha 0.9 by 3.7e-6
+    with pytest.raises(TypeError):
+        find_zeros("cos", 0.9, 2, 5.0, eval_tol=1e-9)
 
 
 # --- 1D well -----------------------------------------------------------------
@@ -412,7 +420,7 @@ def _strict_potential(alpha, T, n_states, grid):
 @pytest.mark.parametrize("alpha, T, n_states", [(0.853, 2.85, 12),
                                                 (0.9, 3.0, 40)])
 def test_equivalent_potential_matches_a_strict_evaluation(alpha, T, n_states):
-    # the weakest states are evaluated at tol up to 5.9e9; a series sized
+    # the weakest states are evaluated at tol up to 3.9e9; a series sized
     # to tol * 1e-3 there stops far above its scale (1.7e-10 off at 0.853)
     grid = np.linspace(-0.95, 0.95, 161)
     v = np.array(equivalent_potential(alpha, T, n_states, grid))[:, 1]
@@ -445,6 +453,19 @@ def test_equivalent_potential_cutoff_guard():
     grid = np.linspace(-0.9, 0.9, 31)
     with pytest.raises(CutoffTooSmall):
         equivalent_potential(1.0, 100.0, 6, grid)
+
+
+@pytest.mark.parametrize("T", [1e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("alpha", [0.75, 0.9, 1.0, 1.2])
+def test_equivalent_potential_reaches_the_ground_state_at_low_T(alpha, T):
+    # absolute weights e^(-E_n/T) underflowed below T ~ E_0/745 (nan), and
+    # sized the ground state's series at tol 1e-9 e^(E_0/T) (8.6e-5 off at
+    # alpha 0.9, T 0.05); the limit is -ln psi_0^2 shifted to a zero minimum
+    grid = np.linspace(-0.95, 0.95, 21)
+    v = np.array(equivalent_potential(alpha, T, 3, grid))[:, 1]
+    k0 = find_zeros("cos", alpha, 1, 4.0)[0] * HALF_PI
+    limit = -2.0 * np.log(np.abs(frac_cos(alpha, k0 * grid, 1e-13)))
+    assert np.max(np.abs(v - (limit - limit.min()))) <= 1e-9
 
 
 def test_cutoff_past_a_finite_spectrum_reports_the_excluded_state():
