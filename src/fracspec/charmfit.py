@@ -319,13 +319,44 @@ def _metrics(states, res) -> dict:
     return dict(zip(_OBJECTIVES, values))
 
 
+def _lsq(A: np.ndarray, y: np.ndarray):
+    """Least-squares parameters (n_alpha, 6) and condition bounds ||R||_F
+    ||R^-1||_F >= cond_2(A) (n_alpha) for the design tensor A (n_alpha,
+    n_states, 6) and masses y: modified Gram-Schmidt on [A | y] (Bjorck and
+    Paige, SIAM J. Matrix Anal. Appl. 13(1), 1992) gives R and Q^T y,
+    back-substitution R^-1, and p = R^-1 Q^T y.  A row is bitwise its lone
+    alpha's solve: alpha runs innermost, each sum over states is an einsum
+    elementwise along alpha, and a lone alpha is doubled, as numpy would sum
+    a contiguous state axis in another order.  A dependent column gives a
+    nan or inf bound."""
+    dot = lambda spec, *ops: np.einsum(spec, *ops, optimize=False)
+    n = max(len(A), 2)
+    X = np.empty((7, len(y), n))
+    X[:6], X[6] = A.T, y[:, None]
+    R, R_inv = np.zeros((6, 7, n)), np.zeros((6, 6, n))  # R[:, 6] is Q^T y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(6):
+            R[k, k] = np.sqrt(dot("ia,ia->a", X[k], X[k]))
+            X[k] /= R[k, k]
+            R[k, k + 1:] = dot("ia,jia->ja", X[k], X[k + 1:])
+            X[k + 1:] -= R[k, k + 1:, None] * X[k]
+        for k in range(5, -1, -1):
+            R_inv[k, k] = 1.0 / R[k, k]
+            R_inv[k, k + 1:] = -R_inv[k, k] * dot("la,lja->ja", R[k, k + 1:6],
+                                                  R_inv[k + 1:, k + 1:])
+        cond = (np.sqrt(dot("kja,kja->a", R[:, :6], R[:, :6]))
+                * np.sqrt(dot("kja,kja->a", R_inv, R_inv)))
+    p = dot("kja,ja->ka", R_inv, R[:, 6]).T
+    return p[:len(A)], cond[:len(A)]
+
+
 def _solve(states, alphas, c_model: str):
     """Least-squares parameters (n_alpha, 6) and residuals model - experiment
-    (n_alpha, n_states), all alphas in one batched Householder QR, A = QR and
-    p = R^-1 Q^T y.  RankDeficient when a parameter has no supporting state,
-    when there are fewer states than parameters, or where ||R||_F ||R^-1||_F
-    (>= cond_2(A)) reaches 1/(max(M, N) eps), lstsq's rcond=None cutoff: no
-    alpha goes through at which that cutoff would drop a singular value."""
+    (n_alpha, n_states) from one `_lsq`.  RankDeficient when a parameter has
+    no supporting state, when there are fewer states than parameters, or
+    where `_lsq`'s condition bound reaches 1/(max(M, N) eps), lstsq's
+    rcond=None cutoff: no alpha goes through at which that cutoff would drop
+    a singular value."""
     A = _design_matrix([(s.j, s.m) for s in states], alphas, c_model)
     y = np.array([s.mass_exp for s in states])
     dead = [n for n, d in zip(_PARAM_NAMES, (A == 0.0).all(axis=1).any(axis=0)) if d]
@@ -335,18 +366,12 @@ def _solve(states, alphas, c_model: str):
         raise RankDeficient(f"{len(states)} states cannot fix the "
                             f"{len(_PARAM_NAMES)} parameters")
     cutoff = max(A.shape[-2:]) * np.finfo(float).eps  # lstsq's rcond=None
-    Q, R = np.linalg.qr(A)
-    try:
-        R_inv = np.linalg.inv(R)
-    except np.linalg.LinAlgError as e:  # an exactly zero diagonal entry of R
-        raise RankDeficient(f"singular design matrix: {e}") from e
-    cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2))
+    p, cond = _lsq(A, y)
     bad = ~(cond * cutoff < 1.0)  # nan included
     if bad.any():
         i = int(np.argmax(bad))
         raise RankDeficient(f"design matrix numerically singular at alpha = "
                             f"{float(alphas[i]):g} (condition bound {cond[i]:.3g})")
-    p = (R_inv @ (y @ Q)[..., None])[..., 0]
     return p, _masses(A, p) - y
 
 
@@ -361,7 +386,7 @@ def fit(dataset, alpha, c_model: str = "c0",
     [0.60, 0.72] with step scan_step, then on a grid of step 1e-5 over the
     bracket [grid[i-1], grid[i+1]] of the coarse minimum, its points rounded
     to 6 decimals; ties break toward smaller alpha.  Each grid is one batch
-    (one design tensor over alpha, one batched QR solve), and no search
+    (one design tensor over alpha, one `_lsq` solve), and no search
     assumes the kinked objective unimodal.  RankDeficient is raised rather
     than a minimum-norm answer when the states cannot fix all six parameters
     at some alpha solved: a parameter without a supporting state, fewer than

@@ -378,9 +378,11 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     roundings per term in `_horner`: 2N in the plain rule, up to 6 + 5J in
     the blocked one; the error of `hi`) meets tol too and the last `hi` is
     normal, `hi` is summed in plain double, else `tab.dd(N)` in
-    double-double.  Elements with |value| <= the float bound, whose sign it
-    leaves open (float rounding near a root of small slope can move the sign
-    change past a root tolerance), are summed again in double-double.
+    double-double.  A float value with |value| <= the float bound, whose
+    sign that leaves open (float rounding near a root of small slope can
+    move the sign change past a root tolerance), is summed again in
+    double-double for the root refinement; so, in signs mode only, are such
+    elements of an array.  Elsewhere the float bound already meets tol.
     PrecisionLoss is raised when rounding to double pushes a bound past tol.
     The floor's 1e-3 leaves room in tol for the roundings; its cap at 1
     keeps a loose tol (the weakest states of `equivalent_potential` ask for
@@ -416,7 +418,9 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
         val = _horner(tab.hi[:n + 1], z)
         if ferr <= tol:
             err = ferr
-        if isinstance(val, np.ndarray):
+        if not isinstance(val, np.ndarray):
+            val = None if abs(val) <= ferr else val
+        elif signs:
             weak = np.abs(val) <= ferr  # a mask: z may have any shape
             # one double-double pass over 1-400 points costs as much as 26-55
             # over one float (BENCH_12.json): fewer than 40 go singly, bitwise
@@ -427,8 +431,6 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
                 dhi, dlo = tab.dd(n)
                 val[weak] = [h + l for h, l in (dd_horner(dhi, dlo, x)
                                                 for x in z[weak].tolist())]
-        elif abs(val) <= ferr:
-            val = None
     if val is None:
         dhi, dlo = dd_horner(*tab.dd(n), z)
         val = dhi + dlo

@@ -387,6 +387,8 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     rho = np.zeros_like(grid)
     Z = 0.0
     for (k, parity), wn in zip(tagged, weights):
+        if wn == 0.0:  # so is every later weight: those states add exactly 0
+            break
         f = frac_cos if parity == "even" else frac_sin
         tol_n = max(1e-9, 1e-9 / max(wn, 1e-300))
         psi = f(alpha, k * points, tol_n)

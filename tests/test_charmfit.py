@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -318,6 +319,47 @@ def test_batched_solve_matches_per_alpha_lstsq(bundled_dataset, data, alphas,
         ref = np.linalg.lstsq(a / d, y, rcond=None)[0] / d
         assert np.linalg.norm(p_a - ref) <= 1e-12 * np.linalg.norm(ref)
         np.testing.assert_allclose(res_a, a @ ref - y, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 121, 1201])
+@pytest.mark.parametrize("c_model", ["c0", "c1", "c2"])
+def test_each_grid_row_is_bitwise_its_lone_alpha_solve(bundled_dataset,
+                                                       c_model, size):
+    # the scan picks its optimum on a grid and reports the lone-alpha fit
+    # there: both must be one number.  A lone alpha is solved as two equal
+    # columns; a length-1 alpha axis would let numpy sum the state axis in
+    # its pairwise order instead of row by row
+    states = sorted(bundled_dataset, key=lambda s: (s.j, s.m))
+    grid = np.linspace(0.41, 1.5, size) if size > 1 else [0.68111]
+    p, res = charmfit._solve(states, grid, c_model)
+    for a, p_a, res_a in zip(grid, p, res):
+        p1, res1 = charmfit._solve(states, [a], c_model)
+        assert (p1[0].tobytes(), res1[0].tobytes()) == (p_a.tobytes(),
+                                                        res_a.tobytes()), a
+
+
+@pytest.mark.parametrize("c_model", ["c0", "c1", "c2"])
+def test_solve_matches_a_50_digit_oracle(bundled_dataset, c_model):
+    # the exact least squares of the double A and y, from the normal
+    # equations at 50 digits, and the condition bound ||R||_F ||R^-1||_F with
+    # R the Cholesky factor of A^T A: its diagonal is positive, as that of
+    # the Gram-Schmidt R (a Householder R has free signs)
+    states = sorted(bundled_dataset, key=lambda s: (s.j, s.m))
+    alphas = [0.41, 0.6, 0.68111, 1.0, 1.5]
+    A = charmfit._design_matrix([(s.j, s.m) for s in states], alphas, c_model)
+    y = np.array([s.mass_exp for s in states])
+    p, cond = charmfit._lsq(A, y)
+    assert p.shape == (5, 6) and cond.shape == (5,)
+    with mp.workdps(50):
+        for a, A_a, p_a, cond_a in zip(alphas, A, p, cond):
+            M = mp.matrix(A_a.tolist())
+            G = M.T * M
+            ref = mp.lu_solve(G, M.T * mp.matrix(y.tolist()))
+            R = mp.cholesky(G).T
+            ref_cond = mp.mnorm(R, "f") * mp.mnorm(mp.inverse(R), "f")
+            for k in range(6):
+                assert abs(p_a[k] - ref[k]) <= 1e-12 * abs(ref[k]), (a, k)
+            assert abs(cond_a - ref_cond) <= 1e-10 * ref_cond, a
 
 
 _ALL_JM = [(j, m) for j in range(6) for m in range(j + 1)]

@@ -352,8 +352,9 @@ def test_weak_points_resum_alike_singly_and_as_an_array(few):
 @pytest.mark.parametrize("near", [2, 30])
 def test_certified_sums_take_arrays_of_any_shape(near):
     # `near` points within 1e-11 of each of the first three roots leave their
-    # float sign open and are summed again, singly (below 40) or in one pass;
-    # a 2-D or 3-D array gives bitwise the values of its raveled copy
+    # float sign open; a signs call sums them again, singly (below 40) or in
+    # one pass, a value call keeps their float sums.  Either way a 2-D or 3-D
+    # array gives bitwise the values of its raveled copy
     def points(kind):
         roots = np.array(find_zeros(kind, 0.9, 3, 8.0).roots) * HALF_PI
         return np.concatenate([roots + 1e-11 * (k / near - 0.5)
@@ -364,12 +365,37 @@ def test_certified_sums_take_arrays_of_any_shape(near):
     m = x_cos.size
     for f, flat in ((lambda x: frac_cos(0.9, x), x_cos),
                     (lambda x: frac_sin(0.9, x), x_sin),
-                    (lambda z: mittag_leffler(1.8, 1.0, z), -x_cos ** 1.8)):
+                    (lambda z: mittag_leffler(1.8, 1.0, z), -x_cos ** 1.8),
+                    (lambda x: _trig(0.9, x, 1e-9, False, signs=True)[0], x_cos)):
         want = [v.hex() for v in f(flat)]
         for shape in ((m // 6, 6), (2, 3, m // 6)):
             got = f(flat.reshape(shape))
             assert got.shape == shape
             assert [v.hex() for v in got.ravel()] == want
+
+
+def test_only_signs_and_lone_floats_resum_weak_values(monkeypatch):
+    # at the first three cos roots of alpha 0.9 every float value lies within
+    # the float bound, which meets tol: a value call keeps the float sums of
+    # an array, bound and all; a signs call sums each again in double-double,
+    # and so does a lone float, whose sign Brent's refinement reads
+    z = -(np.array(find_zeros("cos", 0.9, 3, 8.0).roots) * HALF_PI) ** 1.8
+    passes, dd = [], fraccalc.dd_horner
+
+    def counted_dd(hi, lo, z):
+        passes.append(np.ndim(z))
+        return dd(hi, lo, z)
+
+    monkeypatch.setattr(fraccalc, "dd_horner", counted_dd)
+    val, bound = _ml_sum(1.8, 1.0, z, 1e-9)
+    assert passes == [] and np.all(np.abs(val) <= bound) and bound <= 1e-9
+    sig, sig_bound = _ml_sum(1.8, 1.0, z, 1e-9, signs=True)
+    assert passes == [0, 0, 0] and sig_bound == bound
+    assert np.all(np.abs(val - sig) <= bound)
+    for x in z:
+        passes.clear()
+        _ml_sum(1.8, 1.0, float(x), 1e-9)
+        assert passes == [0]
 
 
 @settings(deadline=None, max_examples=25)

@@ -449,6 +449,23 @@ def test_equivalent_potential_evaluates_each_state_once(monkeypatch):
     assert calls == {"states": 12, "dd_arrays": 0}
 
 
+def test_equivalent_potential_stops_at_the_first_weight_of_zero(monkeypatch):
+    # at alpha 0.9 and T 1e-3 every excited weight e^(-(E_n - E_0)/T) is
+    # exactly 0.0: those states add exactly nothing to rho and Z, so only the
+    # ground state is evaluated and V/T is bitwise that of n_states = 1
+    grid = np.linspace(-0.95, 0.95, 161)
+    ground = equivalent_potential(0.9, 1e-3, 1, grid)
+    calls, trig = {"states": 0}, fraccalc._trig
+
+    def counted_trig(alpha, x, *args, **kwargs):
+        calls["states"] += isinstance(x, np.ndarray)
+        return trig(alpha, x, *args, **kwargs)
+
+    monkeypatch.setattr(fraccalc, "_trig", counted_trig)
+    assert equivalent_potential(0.9, 1e-3, 30, grid) == ground
+    assert calls == {"states": 1}
+
+
 def test_equivalent_potential_cutoff_guard():
     grid = np.linspace(-0.9, 0.9, 31)
     with pytest.raises(CutoffTooSmall):
