@@ -32,7 +32,7 @@ from importlib import resources
 import numpy as np
 
 from .angular import C_MODELS, c_value, euler_eigenvalue
-from .fraccalc import (HBARC_MEV_FM, _check_alpha, _check_int,
+from .fraccalc import (ALPHA_MAX, HBARC_MEV_FM, _check_alpha, _check_int,
                        _check_positive, _gauss_legendre, frac_cos, gamma)
 from .spectra import _refine, find_zeros, radial_ground, HALF_PI
 
@@ -205,10 +205,6 @@ def default_dataset() -> list[CharmState]:
         return load_dataset(p)
 
 
-def _states_by_jm(states):
-    return {(s.j, s.m): s for s in states}
-
-
 def mass_model(p: FitParams, j: int, m: int) -> float:
     """Model mass in MeV for the <jm> state under parameter vector p.
 
@@ -248,6 +244,8 @@ def two_state_solve(eta_c: float, chi0: float, alpha: float) -> tuple[float, flo
     """(m0c2, kappa) from the two lowest m = 0 states (j = 1 and j = 2, c0):
     m0 + J2(alpha,1) kappa = eta_c;  m0 + J2(alpha,2) kappa = chi0."""
     j2_1, j2_2 = _design_matrix([(1, 0), (2, 0)], [alpha], "c0")[0, :, 1]
+    if not j2_2 > j2_1:  # below alpha ~ 1e-8 the difference is rounding error
+        raise ValueError(f"J^2(alpha, 2) <= J^2(alpha, 1) at alpha={alpha:g}")
     kappa = (chi0 - eta_c) / (j2_2 - j2_1)
     m0c2 = eta_c - j2_1 * kappa
     return m0c2, kappa
@@ -259,20 +257,23 @@ _PARAM_NAMES = ("m0c2", "kappa", "B1", "B2", "B3", "delta_tau")
 def _design_matrix(jm, alphas, c_model: str) -> np.ndarray:
     """Design tensor (len(alphas), len(jm), 6) over the <jm> pairs, columns
     _PARAM_NAMES, each entry bitwise the scalar j2_eigenvalue/lz_eigenvalue:
-    one l(alpha, n) table per alpha from the lgamma difference of
-    euler_eigenvalue, lgamma(k alpha + 1) shared by n = k and n = k + 1."""
+    euler_eigenvalue's lgamma difference, lgamma(k alpha + 1) shared by n = k
+    and k + 1, math.lgamma, math.exp (np.exp can differ in the last bit) and
+    c_value("c1", .) mapped over whole arrays, one range test for the batch."""
     if c_model not in C_MODELS:
         raise ValueError(f"c_model must be one of {C_MODELS}")
-    alphas = np.array([_check_alpha(a) for a in alphas])
+    alphas = np.asarray(alphas, float)
+    ok = (0.0 < alphas) & (alphas <= ALPHA_MAX)  # nan fails
+    if not ok.all():
+        _check_alpha(alphas[np.argmin(ok)])  # raises, naming the first bad alpha
+    each = lambda f, x: np.fromiter(map(f, x.ravel().tolist()), float).reshape(x.shape)
     j, m = np.array(jm, int).T
-    lg = np.vectorize(math.lgamma, otypes=[float])(
-        np.arange(np.max(jm) + 2) * alphas[:, None] + 1.0)
+    lg = each(math.lgamma, np.arange(np.max(jm) + 2) * alphas[:, None] + 1.0)
     l = np.zeros(lg.shape)  # l(alpha, 0) = 0
-    l[:, 1:] = np.vectorize(math.exp, otypes=[float])(
-        (lg[:, 1:] - lg[:, :-1]) - lg[:, 1:2])
+    l[:, 1:] = each(math.exp, (lg[:, 1:] - lg[:, :-1]) - lg[:, 1:2])
     lj, lz = l[:, j], l[:, m]
     if c_model == "c1":
-        c = np.array([[c_value("c1", a)] for a in alphas])
+        c = each(lambda a: c_value("c1", a), alphas)[:, None]
     else:
         c = 1.0 if c_model == "c0" else l[:, j + 1] - lj
     one = np.ones_like(lj)
@@ -386,36 +387,36 @@ def fit(dataset, alpha, c_model: str = "c0",
     [0.60, 0.72] with step scan_step, then on a grid of step 1e-5 over the
     bracket [grid[i-1], grid[i+1]] of the coarse minimum, its points rounded
     to 6 decimals; ties break toward smaller alpha.  Each grid is one batch
-    (one design tensor over alpha, one `_lsq` solve), and no search
-    assumes the kinked objective unimodal.  RankDeficient is raised rather
-    than a minimum-norm answer when the states cannot fix all six parameters
-    at some alpha solved: a parameter without a supporting state, fewer than
-    six states, or a design matrix at which lstsq's rcond=None would drop a
-    singular value.  A scan_step that is not finite and positive raises
-    ValueError for either kind of alpha.
+    (one design tensor, one `_lsq` solve); the fit is the second grid's row
+    at its minimum, bitwise the lone-alpha fit, and no search assumes the
+    kinked objective unimodal.  RankDeficient is raised when the states
+    cannot fix all six parameters at some alpha solved: a parameter without
+    a supporting state, fewer than six states, or a design matrix at which
+    lstsq's rcond=None would drop a singular value.  A scan_step that is not
+    finite or below 1e-5 raises ValueError for either kind of alpha.
     """
-    _check_positive("fit", scan_step=scan_step)
+    if not 1e-5 <= scan_step < math.inf:  # nan fails; 1e-5 is the second grid's step
+        raise ValueError(f"fit requires a finite scan_step >= 1e-5, got {scan_step:g}")
     states = sorted(dataset, key=lambda s: (s.j, s.m))
     if not states:
         raise ValueError("empty dataset")
 
-    def result_at(a: float) -> FitResult:
-        p, res = _solve(states, [a], c_model)
-        params = FitParams(*[float(v) for v in p[0]], alpha=a, c_model=c_model)
-        residuals = {(s.j, s.m): float(r) for s, r in zip(states, res[0])}
-        diag = {**{k: float(v[0]) for k, v in _metrics(states, res).items()},
-                "alpha": a, "c_model": c_model, "objective": _OBJECTIVE}
-        return FitResult(params=params, residuals=residuals, diagnostics=diag)
-
-    if alpha != "scan":
-        return result_at(float(alpha))
-
-    obj = lambda a: _metrics(states, _solve(states, a, c_model)[1])[_OBJECTIVE]
-    grid = np.arange(0.60, 0.72 + 0.5 * scan_step, scan_step)
-    i = int(np.argmin(obj(grid)))  # the first (smallest alpha) on ties
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    fine = np.round(np.arange(lo, hi + 0.5e-5, 1e-5), 6)  # the second grid
-    return result_at(float(fine[np.argmin(obj(fine))]))
+    if alpha == "scan":
+        grid = np.arange(0.60, 0.72 + 0.5 * scan_step, scan_step)
+        obj = _metrics(states, _solve(states, grid, c_model)[1])[_OBJECTIVE]
+        i = int(np.argmin(obj))  # the first (smallest alpha) on ties
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        alphas = np.round(np.arange(lo, hi + 0.5e-5, 1e-5), 6)  # the second grid
+    else:
+        alphas = [float(alpha)]
+    p, res = _solve(states, alphas, c_model)
+    k = int(np.argmin(_metrics(states, res)[_OBJECTIVE]))  # first on ties
+    # row k's metrics from row k alone: numpy sums a batch's rows in other orders
+    a, res = float(alphas[k]), res[k:k + 1]
+    diag = {**{name: float(v[0]) for name, v in _metrics(states, res).items()},
+            "alpha": a, "c_model": c_model, "objective": _OBJECTIVE}
+    return FitResult(FitParams(*p[k].tolist(), alpha=a, c_model=c_model),
+                     {(s.j, s.m): float(r) for s, r in zip(states, res[0])}, diag)
 
 
 def predict(p: FitParams, j: int, m: int, dataset=None,
@@ -436,7 +437,7 @@ def predict(p: FitParams, j: int, m: int, dataset=None,
     if not (with_interval and dataset is not None and (j, m) == (3, 3)):
         raise ValueError("predict takes with_interval=True and a dataset "
                          f"together, for <33> only; got <{j}{m}>")
-    by = _states_by_jm(dataset)
+    by = {(s.j, s.m): s for s in dataset}
     try:
         s30, s32 = by[(3, 0)], by[(3, 2)]
     except KeyError as e:
@@ -611,7 +612,7 @@ def table3_report(dataset=None) -> list[dict]:
     """
     if dataset is None:
         dataset = default_dataset()
-    by_jm = _states_by_jm(dataset)
+    by_jm = {(s.j, s.m): s for s in dataset}
     jm_list = sorted(TABLE3_PRINTED.keys())
     # the window covers the observed mis-rounding of the printed alphas (0.681
     # evidently computed at ~0.680, 0.649 at ~0.6496); first best on ties

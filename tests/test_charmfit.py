@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -170,6 +171,17 @@ def test_two_state_classical_hand_solve():
     assert m0 == pytest.approx(2800.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 1e-17, 1e-10, 1e-8])
+def test_two_state_solve_where_the_j2_gap_rounds_away(alpha):
+    # l(alpha, 2) - 1 ~ (pi^2/6) alpha^2 is lost to rounding below alpha ~
+    # 1e-8: J^2(alpha, 2) - J^2(alpha, 1) came out 0 (1e-300, 1e-17, 1e-8),
+    # giving kappa inf, or negative (1e-10), giving kappa ~ -2e18
+    j2_1, j2_2 = charmfit._design_matrix([(1, 0), (2, 0)], [alpha], "c0")[0, :, 1]
+    assert not j2_2 > j2_1
+    with pytest.raises(ValueError, match=f"alpha={alpha:g}"):
+        two_state_solve(2979.6, 3415.2, alpha)
+
+
 # --- least squares ---------------------------------------------------------------------
 
 
@@ -289,11 +301,34 @@ def test_rank_guard_catches_every_pinv_truncation(bundled_dataset, monkeypatch):
     assert raised >= truncated > 100
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+# below 1e-5, the second grid's step, memory grows as 1/step: a step of 1e-8
+# would build a 6.3 GB design tensor
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, -math.inf,
+                                  9.9e-6, 1e-300])
 def test_fit_scan_step_must_be_finite_and_positive(bundled_dataset, step):
     for alpha in ("scan", 0.68):
         with pytest.raises(ValueError, match="scan_step"):
             fit(bundled_dataset, alpha, "c0", scan_step=step)
+
+
+def test_fit_scan_step_of_the_second_grid_is_allowed(bundled_dataset):
+    assert fit(bundled_dataset, "scan", "c0", scan_step=1e-5).params.alpha == 0.68111
+
+
+@pytest.mark.parametrize("c_model", ["c0", "c1", "c2"])
+def test_fit_makes_one_lsq_solve_per_grid(bundled_dataset, monkeypatch, c_model):
+    # the scan reports its second grid's own row: no third, lone-alpha solve
+    calls, lsq = [], charmfit._lsq
+
+    def counted(A, y):
+        calls.append(len(A))
+        return lsq(A, y)
+
+    monkeypatch.setattr(charmfit, "_lsq", counted)
+    fit(bundled_dataset, "scan", c_model)
+    assert len(calls) == 2 and calls[0] == 121, calls  # 0.60-0.72 by 1e-3
+    fit(bundled_dataset, 0.68, c_model)
+    assert calls[2:] == [1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -367,16 +402,34 @@ _ALL_JM = [(j, m) for j in range(6) for m in range(j + 1)]
 
 @pytest.mark.parametrize("c_model", ["c0", "c1", "c2"])
 def test_design_rows_equal_scalar_eigenvalues(c_model):
-    alphas = [0.41, 0.6, 0.647, 2.0 / 3.0, 0.681, 0.7213, 1.0, 1.37]
-    A = charmfit._design_matrix(_ALL_JM, alphas, c_model)
-    assert A.shape == (len(alphas), len(_ALL_JM), 6)
-    for a, rows in zip(alphas, A):
-        for (j, m), row in zip(_ALL_JM, rows):
-            lz = lz_eigenvalue(a, m) if m > 0 else 0.0
-            ref = [1.0, j2_eigenvalue(a, j, c_model),
-                   lz if j == 1 else 0.0, lz if j == 2 else 0.0,
-                   lz if j == 3 else 0.0, 1.0 if j == 3 else 0.0]
-            assert row.tolist() == ref, (a, j, m)
+    # the dense grid: 8,407 exponents at 1,201 alphas, where np.exp would
+    # differ from the scalar math.exp in the last bit
+    for alphas in ([0.41, 0.6, 0.647, 2.0 / 3.0, 0.681, 0.7213, 1.0, 1.37],
+                   np.linspace(0.41, 1.5, 1201).tolist()):
+        A = charmfit._design_matrix(_ALL_JM, alphas, c_model)
+        assert A.shape == (len(alphas), len(_ALL_JM), 6)
+        for a, rows in zip(alphas, A):
+            for (j, m), row in zip(_ALL_JM, rows):
+                lz = lz_eigenvalue(a, m) if m > 0 else 0.0
+                ref = [1.0, j2_eigenvalue(a, j, c_model),
+                       lz if j == 1 else 0.0, lz if j == 2 else 0.0,
+                       lz if j == 3 else 0.0, 1.0 if j == 3 else 0.0]
+                assert row.tolist() == ref, (a, j, m)
+
+
+@pytest.mark.parametrize("where", [0, 60, 120])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.5, 1.5000000000000002,
+                                 math.inf])
+def test_design_matrix_names_the_first_bad_alpha(bad, where):
+    # one array test on the batch, then _check_alpha's message for the
+    # first value that fails it
+    alphas = np.linspace(0.41, 1.5, 121)
+    alphas[where] = bad
+    if where < 120:
+        alphas[-1] = 7.0  # a later bad value is not the one named
+    with pytest.raises(ValueError, match=re.escape(
+            f"alpha must be in (0, 1.5], got {bad:g}")):
+        charmfit._design_matrix(_ALL_JM, alphas, "c0")
 
 
 def test_design_matrix_rejects_an_unknown_model():

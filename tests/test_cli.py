@@ -218,6 +218,20 @@ def test_predict_artifact(tmp_path):
     assert p["kappa"] == pytest.approx(262.4, abs=0.9)
 
 
+def test_predict_where_the_two_state_solve_is_singular(tmp_path, capsys):
+    # J^2(alpha, 2) - J^2(alpha, 1) rounds to 0: a divide-by-zero warning,
+    # exit 1, and "kappa": Infinity, which is not JSON
+    out = tmp_path / "pred.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["predict", "--alpha", "1e-300", "--out", str(out)])
+    assert rc == 2
+    assert not caught, [str(w.message) for w in caught]
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("ValueError") and "alpha=1e-300" in err
+
+
 def test_radius_artifact_honest_exit(tmp_path):
     out = tmp_path / "radius.json"
     rc = run(["radius", "--out", str(out)])
