@@ -176,14 +176,9 @@ def load_dataset(path) -> list[CharmState]:
             j, m = rec["j"], rec["m"]
             if type(j) is not int or type(m) is not int:  # bool, float, str
                 raise TypeError(f"labels j, m must be integers: {j!r}, {m!r}")
-            st = CharmState(
-                name=str(rec["name"]),
-                j=j,
-                m=m,
-                mass_exp=float(rec["mass_mev"]),
-                mass_err=(float(rec["err_mev"])
-                          if rec.get("err_mev") is not None else None),
-            )
+            err = rec.get("err_mev")
+            st = CharmState(str(rec["name"]), j, m, float(rec["mass_mev"]),
+                            None if err is None else float(err))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: record {i}: {e}") from e
         key = (st.j, st.m)
@@ -241,11 +236,11 @@ def alpha_from_multiplet(m0: float, m1: float, m2: float) -> float:
 
 
 def two_state_solve(eta_c: float, chi0: float, alpha: float) -> tuple[float, float]:
-    """(m0c2, kappa) from the two lowest m = 0 states (j = 1 and j = 2, c0):
-    m0 + J2(alpha,1) kappa = eta_c;  m0 + J2(alpha,2) kappa = chi0."""
+    """(m0c2, kappa) from m0 + J2(alpha,1) kappa = eta_c; m0 + J2(alpha,2) kappa
+    = chi0 (c0, m = 0), kappa within 1e-6 relative, else ValueError."""
     j2_1, j2_2 = _design_matrix([(1, 0), (2, 0)], [alpha], "c0")[0, :, 1]
-    if not j2_2 > j2_1:  # below alpha ~ 1e-8 the difference is rounding error
-        raise ValueError(f"J^2(alpha, 2) <= J^2(alpha, 1) at alpha={alpha:g}")
+    if not j2_2 - j2_1 >= 1e-7 * j2_2:  # the gap rounds within 1e-13 J2(alpha,2)
+        raise ValueError(f"the J^2 gap cannot give kappa to 1e-6 at alpha={alpha:g}")
     kappa = (chi0 - eta_c) / (j2_2 - j2_1)
     m0c2 = eta_c - j2_1 * kappa
     return m0c2, kappa
@@ -444,10 +439,8 @@ def predict(p: FitParams, j: int, m: int, dataset=None,
         raise ValueError("dataset must contain <30> and <32>") from e
     ratio = euler_eigenvalue(p.alpha, 3) / euler_eigenvalue(p.alpha, 2)
     val = s30.mass_exp + ratio * (s32.mass_exp - s30.mass_exp)
-    e30 = s30.mass_err or 0.0
-    e32 = s32.mass_err or 0.0
-    err = math.hypot((1.0 - ratio) * e30, ratio * e32)
-    return val, err
+    return val, math.hypot((1.0 - ratio) * (s30.mass_err or 0.0),
+                           ratio * (s32.mass_err or 0.0))
 
 
 # ----------------------------------------------------------------------------
@@ -629,16 +622,12 @@ def table3_report(dataset=None) -> list[dict]:
     for r, (j, m) in enumerate(jm_list):
         row = {"j": j, "m": m, "symbol": _TABLE3_SYMBOLS.get((j, m), ""),
                "m_exp": by_jm[(j, m)].mass_exp if (j, m) in by_jm else None}
-        for i in range(len(TABLE2_ROWS)):
-            mth = float(at_printed[i][r])
-            label = f"set{i}"
-            row[f"{label}_m_th"] = mth
-            row[f"{label}_delta_exp"] = (mth - row["m_exp"]
-                                         if row["m_exp"] is not None else None)
-            printed = TABLE3_PRINTED[(j, m)][i]
-            row[f"{label}_printed"] = printed
-            row[f"{label}_dev_printed"] = mth - printed
-            row[f"{label}_m_th_refined"] = float(refined[i][r])
-            row[f"{label}_dev_refined"] = float(refined[i][r]) - printed
+        for i, printed in enumerate(TABLE3_PRINTED[(j, m)]):
+            mth, ref = float(at_printed[i][r]), float(refined[i][r])
+            row.update({
+                f"set{i}_m_th": mth, f"set{i}_delta_exp": (
+                    None if row["m_exp"] is None else mth - row["m_exp"]),
+                f"set{i}_printed": printed, f"set{i}_dev_printed": mth - printed,
+                f"set{i}_m_th_refined": ref, f"set{i}_dev_refined": ref - printed})
         rows.append(row)
     return rows

@@ -239,13 +239,9 @@ def cmd_factorcheck(args):
     clifford = su3fact.clifford_check()
     triple = su3fact.triple_product_check()
     s2 = su3fact.s2_structure()
-    payload = {
-        "clifford": clifford,
-        "triple_product": triple,
-        "s2": s2,
-        "all_pass": (all(r["pass"] for r in clifford)
-                     and triple["pass"] and s2["pass"]),
-    }
+    payload = {"clifford": clifford, "triple_product": triple, "s2": s2,
+               "all_pass": (all(r["pass"] for r in clifford)
+                            and triple["pass"] and s2["pass"])}
     return payload, _failure(payload["all_pass"], "factorization checks failed")
 
 

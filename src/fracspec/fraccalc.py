@@ -28,14 +28,11 @@ integrands still have power-type singularities.
 
 Numerical strategy for the Mittag-Leffler sums: the series alternates and can
 cancel 15+ digits at the largest arguments needed for zero scanning.  An
-evaluation certifies first (`_ml_sum`): the positive-argument series at
-max|z| bounds every element, and `PrecisionLoss` is raised when the
-double-double budget cannot meet the tolerance.  Where the bound of a plain
-double Horner pass (Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed., 5.1; of order four on arrays of 2 to 4,096 points) meets it, the
-series is summed in float64 over coefficients from math.gamma at the exact
-argument, and otherwise in double-double over coefficients built in 50-digit
-arithmetic only as far as that pass reads.
+evaluation certifies first (`_ml_sum`; `PrecisionLoss` when the double-double
+budget cannot meet the tolerance), then sums in float64 over coefficients
+from math.gamma at the exact argument where the bound of a plain double
+Horner pass (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., 5.1) meets it, else in double-double over ones built in fixed point.
 Zero scans need signs, not values: a chunk is summed in float64, and again
 in double-double only where |value| does not exceed the float bound.
 For 1/2 < alpha <= 1 a call whose every t = |x| is at least t0 takes the
@@ -133,17 +130,15 @@ def rgamma(x: float) -> float:
 
 
 # ----------------------------------------------------------------------------
-# Gamma tables for the Mittag-Leffler series.
-#
-# For fixed (alpha, beta) the series E(z) = sum_n c_n z^n has coefficients
-# c_n = 1/Gamma(alpha n + beta).  `extend` builds the float columns `hi` and
-# `ratio` = hi[n]/hi[n+1] (read by the float passes and the recurrences of
-# the derivative and the radial ground state), `dd` the 50-digit double-double
-# columns `dhi` + `dlo` only as far as a double-double pass reads; each once
-# per growth to the size read (`math.lgamma` sizes the positive series').
+# Gamma tables: c_n = 1/Gamma(alpha n + beta) per (alpha, beta).  `extend`
+# builds the float columns `hi` and `ratio` = hi[n]/hi[n+1]; `dd` the
+# double-double columns `dhi` + `dlo`, in fixed point, only as far as a
+# double-double pass reads; each once per growth to the size read.
 # ----------------------------------------------------------------------------
 
 _GAMMA_TOP = 171.0  # math.gamma overflows past 171.62; 1/Gamma(171) is normal
+_WP = 136  # fraction bits of `_rgamma_fixed`
+_TAYLOR_TOP = 100  # from x = 100 on mpmath's rgamma (Stirling) is faster
 
 
 def _rgamma_at(a: float, k: int, b: float) -> float:
@@ -170,8 +165,7 @@ class _RatioTable:
     __slots__ = ("alpha", "beta", "ratio", "hi", "dhi", "dlo")
 
     def __init__(self, alpha: float, beta: float):
-        self.alpha = alpha
-        self.beta = beta
+        self.alpha, self.beta = alpha, beta
         self.ratio = array("d")  # G(a(n+1)+b)/G(an+b) as double
         self.hi = array("d")     # 1/G(an+b) within _COEFF_REL
         self.dhi = array("d")    # 1/G(an+b) = dhi + dlo as double-double
@@ -181,39 +175,64 @@ class _RatioTable:
         """Build the float columns to index n exactly (none when present)."""
         k0 = m = len(self.ratio)
         a, b = self.alpha, self.beta
-        while m <= n and a * (m + 1) + b < _GAMMA_TOP:  # from m on: mpmath
+        while m <= n and a * (m + 1) + b < _GAMMA_TOP:  # from m on: fixed point
             m += 1
         if m > k0:
             hs = [_rgamma_at(a, k, b) for k in range(k0, m + 1)]
             self.hi.extend(hs[:-1])
             self.ratio.extend([h0 / h1 for h0, h1 in zip(hs, hs[1:])])
         if m <= n:
-            self._build_mp(n)
+            self._build_fixed(n)
 
     def dd(self, n: int) -> tuple[array, array]:
         """The double-double columns up to index n, built on first read."""
         self.extend(n)
         if n >= len(self.dhi):
-            self._build_mp(n)
+            self._build_fixed(n)
         return self.dhi[:n + 1], self.dlo[:n + 1]
 
-    def _build_mp(self, n: int) -> None:
+    def _build_fixed(self, n: int) -> None:
         """Append the double-double columns, and the float columns from where
-        they end, up to index n from one 50-digit gamma per entry."""
-        import mpmath as mp
-
+        they end, up to index n: each entry one correctly rounded int / int."""
         k0, kf = len(self.dhi), len(self.ratio)
-        with mp.workdps(50):
-            a, b = mp.mpf(self.alpha), mp.mpf(self.beta)
-            gs = [mp.gamma(a * k + b) for k in range(k0, n + 1 + (kf <= n))]
-            for k, g0 in enumerate(gs[:n + 1 - k0], k0):
-                r = 1 / g0
-                hi = float(r)
-                self.dhi.append(hi)
-                self.dlo.append(float(r - hi))
-                if k >= kf:
-                    self.hi.append(hi)
-                    self.ratio.append(float(gs[k + 1 - k0] / g0))
+        qs = list(_rgamma_fixed(self.alpha, self.beta, range(k0, n + 1 + (kf <= n))))
+        for k, (p, r) in enumerate(qs[:n + 1 - k0], k0):
+            hn, hd = (hi := p / r).as_integer_ratio()
+            self.dhi.append(hi)
+            self.dlo.append((p * hd - hn * r) / (r * hd))
+            if k >= kf:
+                self.hi.append(hi)
+                p1, r1 = qs[k + 1 - k0]
+                self.ratio.append(p * r1 / (r * p1))
+
+
+def _rgamma_fixed(a: float, b: float, ks):
+    """Integers (p, r), p/r = 1/Gamma(x) within (43 + m) 2^-136 relative, for
+    each x = a k + b (exact), m = round(x): in 2^-136 fixed point, truncating
+    each step, 1/Gamma(1 + x - m) by Horner's rule over mp.gamma's 43 Taylor
+    coefficients, over (x - 1) ... (x - m + 1), or times x if m = 0.  Where
+    x >= _TAYLOR_TOP (Stirling) or 2x is an integer (exact branches),
+    mpmath's rgamma at 136 bits, which is faster there."""
+    from mpmath.libmp import from_man_exp, gammazeta, mpf_rgamma
+
+    coeffs, cwp = gammazeta.gamma_taylor_coefficients(_WP)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    d = max(ad, bd)  # both are powers of two
+    an, bn, e, one = an * (d // ad), bn * (d // bd), d.bit_length() - 1, 1 << _WP
+    for k in ks:
+        xn = an * k + bn  # x = xn / 2^e
+        if (x := xn << _WP >> e) >> _WP >= _TAYLOR_TOP or not xn << 1 & d - 1:
+            _, p, ex, _ = mpf_rgamma(from_man_exp(xn, -e), _WP)
+            yield p, 1 << -ex  # 1/Gamma(x) < 1.13, so ex <= 0
+            continue
+        m, r, p = (x >> _WP - 1) + 1 >> 1, one, 0
+        for _ in range(m - 1):
+            x -= one
+            r = r * x >> _WP
+        y = x - one if m else x
+        for c in coeffs:
+            p = c + (y * p >> _WP)
+        yield (p, r << cwp - _WP) if m else (xn * p, d << cwp)
 
 
 _TABLES: dict[tuple[float, float], _RatioTable] = {}
@@ -221,10 +240,8 @@ _TABLES: dict[tuple[float, float], _RatioTable] = {}
 
 def _table(alpha: float, beta: float) -> _RatioTable:
     key = (float(alpha), float(beta))
-    tab = _TABLES.get(key)
-    if tab is None:
-        tab = _RatioTable(*key)
-        _TABLES[key] = tab
+    if (tab := _TABLES.get(key)) is None:
+        tab = _TABLES[key] = _RatioTable(*key)
     return tab
 
 
@@ -445,9 +462,7 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
 
 def _absmax(v) -> float:
     """max|v| of a float or an ndarray (0 for an empty array)."""
-    if isinstance(v, np.ndarray):
-        return float(np.abs(v).max(initial=0.0))
-    return abs(v)
+    return float(np.abs(v).max(initial=0.0)) if isinstance(v, np.ndarray) else abs(v)
 
 
 def _coerce(x):

@@ -8,7 +8,7 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracspec import charmfit
@@ -180,6 +180,30 @@ def test_two_state_solve_where_the_j2_gap_rounds_away(alpha):
     assert not j2_2 > j2_1
     with pytest.raises(ValueError, match=f"alpha={alpha:g}"):
         two_state_solve(2979.6, 3415.2, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-7, 1e-6])
+def test_two_state_solve_refuses_where_kappa_misses_its_accuracy(alpha):
+    # the J^2 gap stays positive here but is mostly rounding error: kappa
+    # came out 1.08e17 against 8.73e19 at 1e-9, 5 % off at 1e-7, 1.1e-4 off
+    # at 1e-6
+    with pytest.raises(ValueError, match=f"alpha={alpha:g}"):
+        two_state_solve(2979.6, 3415.2, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(1e-3, 1.5))
+@example(alpha=1e-3)
+@example(alpha=1.5)
+def test_two_state_kappa_within_its_stated_accuracy(alpha):
+    # kappa = (chi0 - eta_c) / (J^2(alpha, 2) - 2) within 1e-6 relative of
+    # 50-digit mpmath, the accuracy two_state_solve states
+    _, kap = two_state_solve(2979.6, 3415.2, alpha)
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        l2 = mp.gamma(2 * a + 1) / mp.gamma(a + 1) ** 2
+        want = (mp.mpf(3415.2) - mp.mpf(2979.6)) / (l2 * (l2 + 1) - 2)
+        assert abs(kap - want) <= 1e-6 * want
 
 
 # --- least squares ---------------------------------------------------------------------

@@ -232,6 +232,17 @@ def test_predict_where_the_two_state_solve_is_singular(tmp_path, capsys):
     assert err.startswith("ValueError") and "alpha=1e-300" in err
 
 
+def test_predict_where_kappa_cannot_meet_its_accuracy(tmp_path, capsys):
+    # at alpha 1e-9 the J^2 gap is positive but mostly rounding error: the
+    # command wrote kappa 1.09e17 (the true one is 8.73e19) and exited 1
+    out = tmp_path / "pred.json"
+    rc = run(["predict", "--alpha", "1e-9", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("ValueError") and "alpha=1e-09" in err
+
+
 def test_radius_artifact_honest_exit(tmp_path):
     out = tmp_path / "radius.json"
     rc = run(["radius", "--out", str(out)])

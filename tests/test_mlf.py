@@ -698,6 +698,111 @@ def test_double_double_columns_equal_a_fresh_50_digit_build(key):
     assert len(past) == (31 if key[0] == 2.8 else 0)
 
 
+def _exact(v) -> Fraction:
+    """An mpf as an exact fraction."""
+    man, exp = v.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+class _Column(list):
+    """A table column taken to hold `start` earlier entries: it keeps only
+    those appended, so a build can start at any index without the others."""
+
+    def __init__(self, start):
+        super().__init__()
+        self.start = start
+
+    def __len__(self):
+        return self.start + super().__len__()
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(1e-6, 3.0), beta=st.floats(1e-3, 60.0),
+       x0=st.floats(0.0, 600.0), count=st.integers(1, 6))
+@example(alpha=0.37, beta=0.2, x0=0.0, count=3)  # m = 0, then 1
+@example(alpha=1e-6, beta=1e-3, x0=0.0, count=2)  # m = 0 throughout
+@example(alpha=2.0, beta=1.0, x0=95.0, count=6)  # both sides of x = 100
+@example(alpha=1.0, beta=0.5, x0=0.0, count=4)  # half-integers
+@example(alpha=0.25, beta=0.25, x0=97.0, count=20)  # all four kinds of x
+@example(alpha=0.9, beta=0.5, x0=170.0, count=6)  # into the subnormals
+@example(alpha=3.0, beta=60.0, x0=600.0, count=2)  # 1/Gamma below them
+def test_fixed_point_entries_equal_the_50_digit_build(alpha, beta, x0, count):
+    # each entry of a build from index k0 on, its float columns included,
+    # equals the 50-digit build's (one gamma per entry, then float()); where
+    # that value is subnormal, float() of an mpf rounds twice, so there the
+    # entry equals the correctly rounded value of a 120-digit gamma
+    k0 = int(max(x0 - beta, 0.0) / alpha)
+    tab = fraccalc._RatioTable(alpha, beta)
+    tab.dhi, tab.dlo, tab.hi, tab.ratio = (_Column(k0) for _ in range(4))
+    tab._build_fixed(k0 + count - 1)
+    for i in range(count):
+        k = k0 + i
+        with mp.workdps(50):
+            g0, g1 = (mp.gamma(mp.mpf(alpha) * j + mp.mpf(beta)) for j in (k, k + 1))
+            r = 1 / g0
+            hi50 = float(r)
+            want = {"dhi": hi50, "dlo": float(r - hi50), "hi": hi50,
+                    "ratio": float(g1 / g0)}
+        with mp.workdps(120):
+            q = _exact(1 / mp.gamma(mp.mpf(alpha) * k + mp.mpf(beta)))
+        hi = float(q)
+        exact = {"dhi": hi, "dlo": float(q - Fraction(hi)), "hi": hi}
+        for col, v in want.items():
+            if abs(v) < 2.0**-1022:
+                v = exact[col]
+            got = getattr(tab, col)[i]
+            assert got == v, (col, k, alpha * k + beta, got, v)
+
+
+def test_a_zero_sweep_builds_every_table_as_in_50_digits(monkeypatch):
+    # cos and sin at 27 alphas over [0.55, 1.2], 6 roots to x 16, and the
+    # deep probes at alpha 1 (30 roots to x 65): every double-double entry,
+    # and every float entry past the range of math.gamma, of every table
+    # built equals a fresh 50-digit build
+    monkeypatch.setattr(fraccalc, "_TABLES", {})
+    for alpha in np.linspace(0.55, 1.2, 27).tolist():
+        for kind in ("cos", "sin"):
+            try:
+                find_zeros(kind, alpha, 6, 16.0)
+            except NoZeros:
+                pass
+    for kind in ("cos", "sin"):
+        try:
+            find_zeros(kind, 1.0, 30, 65.0)
+        except (ValueError, PrecisionLoss):  # beyond the certifiable range
+            pass
+    built = [t for t in fraccalc._TABLES.values() if len(t.dhi)]
+    assert sum(len(t.dhi) for t in built) > 1000
+    for tab in built:
+        n = len(tab.dhi) - 1
+        hi, lo, ratio = _mp_columns(tab.alpha, tab.beta, n)
+        assert tab.dhi.tobytes() == array("d", hi).tobytes()
+        assert tab.dlo.tobytes() == array("d", lo).tobytes()
+        past = [k for k in range(len(tab.ratio))
+                if tab.alpha * (k + 1) + tab.beta >= 171.0]
+        assert all(tab.hi[k] == hi[k] and tab.ratio[k] == ratio[k] for k in past)
+
+
+@pytest.mark.parametrize("y", [Fraction(-1, 2), Fraction(0), Fraction(1, 2)])
+def test_taylor_coefficients_reproduce_rgamma(y):
+    # the build's 1/Gamma(1 + y) on |y| <= 1/2, by its own Horner rule over
+    # mpmath's coefficients, is within 2^-130 relative of mp.rgamma
+    from mpmath.libmp.gammazeta import gamma_taylor_coefficients
+
+    coeffs, cwp = gamma_taylor_coefficients(fraccalc._WP)
+    assert len(coeffs) == 43
+    yf, p = int(y * 2**fraccalc._WP), 0
+    for c in coeffs:
+        p = c + (yf * p >> fraccalc._WP)
+    with mp.workdps(60):
+        ref = mp.rgamma(1 + mp.mpf(y.numerator) / y.denominator)
+        assert abs(mp.mpf(p) / mp.mpf(2) ** cwp - ref) <= mp.mpf(2) ** -130 * ref
+        # and the build's values at x = 1 + y = 1/2, 1 and 3/2, where 2x is
+        # an integer and mpmath's rgamma takes its exact branches
+        (p, r), = fraccalc._rgamma_fixed(1.0, float(1 + y), [0])
+        assert abs(mp.mpf(p) / r - ref) <= mp.mpf(2) ** -130 * ref
+
+
 _BETA = st.one_of(st.sampled_from(["1", "1+alpha"]), st.floats(0.1, 3.0))
 
 
@@ -752,7 +857,7 @@ def test_float_only_readers_build_no_double_double_columns(monkeypatch):
     # series coefficients, the Caputo map and the radial recurrence read the
     # float columns only, and below the range end of math.gamma never import
     # mpmath; radial_ground at alpha 1.4 reads 2.8 * 66 + 1 >= 171, where
-    # every column, the double-double one included, is built in 50 digits
+    # every column, the double-double one included, is built in fixed point
     monkeypatch.setattr(fraccalc, "_TABLES", {})
     caputo_derivative(FracSeries.cosine(0.8))
     radial_ground(3, 2.0 / 3.0)
