@@ -169,7 +169,6 @@ def load_dataset(path) -> list[CharmState]:
         raise ParseError(f"{path}: line {e.lineno}, col {e.colno}: {e.msg}") from e
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a top-level JSON list of records")
-    states = []
     seen = {}
     for i, rec in enumerate(raw):
         try:
@@ -177,19 +176,19 @@ def load_dataset(path) -> list[CharmState]:
             if type(j) is not int or type(m) is not int:  # bool, float, str
                 raise TypeError(f"labels j, m must be integers: {j!r}, {m!r}")
             err = rec.get("err_mev")
-            st = CharmState(str(rec["name"]), j, m, float(rec["mass_mev"]),
-                            None if err is None else float(err))
+            st = CharmState(name=str(rec["name"]), j=j, m=m,
+                            mass_exp=float(rec["mass_mev"]),
+                            mass_err=None if err is None else float(err))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: record {i}: {e}") from e
         key = (st.j, st.m)
         if key in seen:
             raise DuplicateState(
                 f"{path}: record {i}: <{st.j}{st.m}> already defined by "
-                f"{seen[key]!r}"
+                f"{seen[key].name!r}"
             )
-        seen[key] = st.name
-        states.append(st)
-    return states
+        seen[key] = st
+    return list(seen.values())
 
 
 def default_dataset() -> list[CharmState]:
@@ -622,12 +621,15 @@ def table3_report(dataset=None) -> list[dict]:
     for r, (j, m) in enumerate(jm_list):
         row = {"j": j, "m": m, "symbol": _TABLE3_SYMBOLS.get((j, m), ""),
                "m_exp": by_jm[(j, m)].mass_exp if (j, m) in by_jm else None}
-        for i, printed in enumerate(TABLE3_PRINTED[(j, m)]):
+        for i in range(len(TABLE2_ROWS)):
             mth, ref = float(at_printed[i][r]), float(refined[i][r])
-            row.update({
-                f"set{i}_m_th": mth, f"set{i}_delta_exp": (
-                    None if row["m_exp"] is None else mth - row["m_exp"]),
-                f"set{i}_printed": printed, f"set{i}_dev_printed": mth - printed,
-                f"set{i}_m_th_refined": ref, f"set{i}_dev_refined": ref - printed})
+            printed = TABLE3_PRINTED[(j, m)][i]
+            row[f"set{i}_m_th"] = mth
+            row[f"set{i}_delta_exp"] = (mth - row["m_exp"]
+                                        if row["m_exp"] is not None else None)
+            row[f"set{i}_printed"] = printed
+            row[f"set{i}_dev_printed"] = mth - printed
+            row[f"set{i}_m_th_refined"] = ref
+            row[f"set{i}_dev_refined"] = ref - printed
         rows.append(row)
     return rows

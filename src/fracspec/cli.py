@@ -141,8 +141,7 @@ def cmd_zeros(args):
             except spectra.NoZeros:
                 rows.append((float(a), kind, None, "no_zeros"))
                 continue
-            for i, r in enumerate(scan.roots):
-                rows.append((float(a), kind, i, float(r)))
+            rows += [(float(a), kind, i, float(r)) for i, r in enumerate(scan.roots)]
     return (["alpha", "kind", "root_index", "root"], rows), None
 
 

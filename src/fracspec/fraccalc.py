@@ -192,27 +192,27 @@ class _RatioTable:
         return self.dhi[:n + 1], self.dlo[:n + 1]
 
     def _build_fixed(self, n: int) -> None:
-        """Append the double-double columns, and the float columns from where
-        they end, up to index n: each entry one correctly rounded int / int."""
+        """Append the columns up to index n (the float ones from their end)."""
         k0, kf = len(self.dhi), len(self.ratio)
         qs = list(_rgamma_fixed(self.alpha, self.beta, range(k0, n + 1 + (kf <= n))))
-        for k, (p, r) in enumerate(qs[:n + 1 - k0], k0):
-            hn, hd = (hi := p / r).as_integer_ratio()
+        for k, (p, r, s) in enumerate(qs[:n + 1 - k0], k0):
+            hn, hd = (hi := _quot(p, r, -s)).as_integer_ratio()
             self.dhi.append(hi)
-            self.dlo.append((p * hd - hn * r) / (r * hd))
+            self.dlo.append(_quot(p * hd - (hn * r << s), r * hd, -s))
             if k >= kf:
                 self.hi.append(hi)
-                p1, r1 = qs[k + 1 - k0]
-                self.ratio.append(p * r1 / (r * p1))
+                p1, r1, s1 = qs[k + 1 - k0]
+                self.ratio.append(_quot(p * r1, r * p1, s1 - s))
 
 
 def _rgamma_fixed(a: float, b: float, ks):
-    """Integers (p, r), p/r = 1/Gamma(x) within (43 + m) 2^-136 relative, for
-    each x = a k + b (exact), m = round(x): in 2^-136 fixed point, truncating
-    each step, 1/Gamma(1 + x - m) by Horner's rule over mp.gamma's 43 Taylor
-    coefficients, over (x - 1) ... (x - m + 1), or times x if m = 0.  Where
-    x >= _TAYLOR_TOP (Stirling) or 2x is an integer (exact branches),
-    mpmath's rgamma at 136 bits, which is faster there."""
+    """Integers (p, r, s), p/r 2^-s = 1/Gamma(x) within (len(coeffs) + m)
+    2^-136 relative, for x = a k + b to 2^-136 and m = round(x): in 2^-136
+    fixed point, truncating each step, 1/Gamma(1 + x - m) by Horner's rule
+    over mp.gamma's Taylor coefficients (43, or 44 shifted down from a higher
+    precision in mpmath's cache), over (x - 1) ... (x - m + 1), or times x if
+    m = 0.  Where x >= _TAYLOR_TOP (Stirling) or 2x is an integer (exact
+    branches), mpmath's rgamma at 136 bits, faster there: r = 1, -s its exponent."""
     from mpmath.libmp import from_man_exp, gammazeta, mpf_rgamma
 
     coeffs, cwp = gammazeta.gamma_taylor_coefficients(_WP)
@@ -221,18 +221,31 @@ def _rgamma_fixed(a: float, b: float, ks):
     an, bn, e, one = an * (d // ad), bn * (d // bd), d.bit_length() - 1, 1 << _WP
     for k in ks:
         xn = an * k + bn  # x = xn / 2^e
-        if (x := xn << _WP >> e) >> _WP >= _TAYLOR_TOP or not xn << 1 & d - 1:
+        x = xn << _WP >> e
+        if x >> _WP >= _TAYLOR_TOP or (2 * xn) % d == 0:
             _, p, ex, _ = mpf_rgamma(from_man_exp(xn, -e), _WP)
-            yield p, 1 << -ex  # 1/Gamma(x) < 1.13, so ex <= 0
+            yield p, 1, -ex  # 1/Gamma(x) < 1.13, so ex <= 0
             continue
-        m, r, p = (x >> _WP - 1) + 1 >> 1, one, 0
+        m, r, p = ((x >> (_WP - 1)) + 1) >> 1, one, 0  # m = round(x), halves up
         for _ in range(m - 1):
             x -= one
             r = r * x >> _WP
         y = x - one if m else x
         for c in coeffs:
             p = c + (y * p >> _WP)
-        yield (p, r << cwp - _WP) if m else (xn * p, d << cwp)
+        yield (p, r << (cwp - _WP), 0) if m else (xn * p, d << cwp, 0)
+
+
+def _quot(n: int, d: int, s: int) -> float:
+    """n/d 2^s (d > 0) correctly rounded, with no shift far past the float
+    range (s may be huge): beyond it +-0.0 or +-inf, as float() of an mpf."""
+    t = s + n.bit_length() - d.bit_length()  # |n/d| 2^s in (2^(t-1), 2^(t+1))
+    try:
+        if -1076 <= t <= 1025:
+            return (n << s) / d if s >= 0 else n / (d << -s)
+    except OverflowError:  # it rounds to 2^1024
+        pass
+    return (-1.0 if n < 0 else 1.0) * (math.inf if n and t > 0 else 0.0)
 
 
 _TABLES: dict[tuple[float, float], _RatioTable] = {}
@@ -667,9 +680,7 @@ class FracSeries:
     def monomial(cls, alpha: float, n: int, k: float = 1.0):
         """chi^n(kx) = sign(kx)^n |kx|^(n alpha)."""
         _check_int("FracSeries.monomial", 0, n=n)
-        c = [0.0] * (n + 1)
-        c[n] = 1.0
-        return cls(alpha=alpha, coeffs=tuple(c), k=k)
+        return cls(alpha=alpha, coeffs=(0.0,) * n + (1.0,), k=k)
 
     # -- evaluation -----------------------------------------------------------
 

@@ -21,6 +21,7 @@ rational arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -78,14 +79,11 @@ def clifford_check() -> list[dict]:
     """Verify sum over all permutations of sigma^i sigma^j sigma^k
     = 6 delta^{ijk} 1_3 for all 27 index triples: one report
     {check_name, max_abs_deviation, pass} per triple."""
-    import itertools
-
     sigmas = build_sigma()
     reports = []
     for i, j, k in itertools.product(range(3), repeat=3):
-        acc = np.zeros((3, 3), dtype=complex)
-        for p in itertools.permutations((i, j, k)):
-            acc = acc + sigmas[p[0]] @ sigmas[p[1]] @ sigmas[p[2]]
+        acc = sum(sigmas[p] @ sigmas[q] @ sigmas[r]
+                  for p, q, r in itertools.permutations((i, j, k)))
         target = 6.0 * np.eye(3) if i == j == k else np.zeros((3, 3))
         dev = float(np.max(np.abs(acc - target)))
         reports.append({"check_name": f"clifford_{i + 1}{j + 1}{k + 1}",
@@ -106,12 +104,9 @@ def _mul(p: dict, q: dict) -> dict:
 
 
 def _factor(A: np.ndarray, Bs: list[np.ndarray], C: np.ndarray) -> dict:
-    terms = {(1, 0, 0, 0): A, (0, 0, 0, 0): C}
-    for i, B in enumerate(Bs):
-        key = [0, 0, 0, 0]
-        key[1 + i] = 1
-        terms[tuple(key)] = B
-    return terms
+    B1, B2, B3 = Bs
+    return {(1, 0, 0, 0): A, (0, 0, 0, 0): C,
+            (0, 1, 0, 0): B1, (0, 0, 1, 0): B2, (0, 0, 0, 1): B3}
 
 
 def build_factors() -> tuple[dict, dict, dict]:
@@ -123,10 +118,7 @@ def build_factors() -> tuple[dict, dict, dict]:
     g0, gi = build_gamma()
     eye9 = np.eye(9)
     A_fam = [(g0 - xk * eye9) / math.sqrt(3.0) for xk in PHASES]
-    proj = [np.zeros((3, 3)) for _ in range(3)]
-    for k in range(3):
-        proj[k][k, k] = 1.0
-    C_fam = [PHASES[k] * np.kron(np.eye(3), proj[k]) for k in range(3)]
+    C_fam = [PHASES[k] * np.kron(np.eye(3), np.diag(np.eye(3)[k])) for k in range(3)]
     return tuple(_factor(A_fam[k], gi, C_fam[k]) for k in range(3))
 
 
@@ -148,12 +140,9 @@ def triple_product_check() -> dict:
         (0, 0, 0, 3): eye9,
     }
     checks = []
-    worst = 0.0
-    for key in sorted(P):
-        mat = P[key]
+    for key, mat in sorted(P.items()):
         target = expected.get(key, None)
         dev = float(np.max(np.abs(mat - (target if target is not None else 0.0))))
-        worst = max(worst, dev)
         # one scalar per factor: a per d_t, b per d_i, c per constant factor
         na, nb = key[0], sum(key[1:])
         checks.append({
@@ -175,7 +164,7 @@ def triple_product_check() -> dict:
             "3*alpha_i": [exp_i.numerator, exp_i.denominator],
             "pass": exp_t == 1 and exp_i == 2,
         },
-        "max_abs_deviation": worst,
+        "max_abs_deviation": max(c["max_abs_deviation"] for c in checks),
         "pass": all(c["pass"] for c in checks) and exp_t == 1 and exp_i == 2,
     }
 
@@ -209,17 +198,16 @@ def s2_structure() -> dict:
     # space part: keys with two derivative factors; matrix should match the
     # ordered gamma products
     space_dev = 0.0
-    for i in range(3):
-        for j in range(3):
-            key = [0, 0, 0, 0]
-            key[1 + i] += 1
-            key[1 + j] += 1
-            mat = P2[tuple(key)]
-            if i == j:
-                target = gi[i] @ gi[i]
-            else:
-                target = gi[i] @ gi[j] + gi[j] @ gi[i]
-            space_dev = max(space_dev, float(np.max(np.abs(mat - target))))
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        key = [0, 0, 0, 0]
+        key[1 + i] += 1
+        key[1 + j] += 1
+        mat = P2[tuple(key)]
+        if i == j:
+            target = gi[i] @ gi[i]
+        else:
+            target = gi[i] @ gi[j] + gi[j] @ gi[i]
+        space_dev = max(space_dev, float(np.max(np.abs(mat - target))))
 
     b2c = B_SCALAR**2 * C_SCALAR
     remainder_keys = [k for k in P2 if k != (2, 0, 0, 0) and sum(k[1:]) != 2]

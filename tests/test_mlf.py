@@ -786,21 +786,88 @@ def test_a_zero_sweep_builds_every_table_as_in_50_digits(monkeypatch):
 @pytest.mark.parametrize("y", [Fraction(-1, 2), Fraction(0), Fraction(1, 2)])
 def test_taylor_coefficients_reproduce_rgamma(y):
     # the build's 1/Gamma(1 + y) on |y| <= 1/2, by its own Horner rule over
-    # mpmath's coefficients, is within 2^-130 relative of mp.rgamma
+    # mpmath's coefficients (43 or 44 of them, as mpmath's cache holds), is
+    # within len(coeffs) 2^-136 relative of mp.rgamma
     from mpmath.libmp.gammazeta import gamma_taylor_coefficients
 
     coeffs, cwp = gamma_taylor_coefficients(fraccalc._WP)
-    assert len(coeffs) == 43
     yf, p = int(y * 2**fraccalc._WP), 0
     for c in coeffs:
         p = c + (yf * p >> fraccalc._WP)
     with mp.workdps(60):
         ref = mp.rgamma(1 + mp.mpf(y.numerator) / y.denominator)
-        assert abs(mp.mpf(p) / mp.mpf(2) ** cwp - ref) <= mp.mpf(2) ** -130 * ref
+        bound = len(coeffs) * mp.mpf(2) ** -fraccalc._WP * ref
+        assert abs(mp.mpf(p) / mp.mpf(2) ** cwp - ref) <= bound
         # and the build's values at x = 1 + y = 1/2, 1 and 3/2, where 2x is
         # an integer and mpmath's rgamma takes its exact branches
-        (p, r), = fraccalc._rgamma_fixed(1.0, float(1 + y), [0])
-        assert abs(mp.mpf(p) / r - ref) <= mp.mpf(2) ** -130 * ref
+        (p, r, s), = fraccalc._rgamma_fixed(1.0, float(1 + y), [0])
+        assert abs(mp.mpf(p) / r / mp.mpf(2) ** s - ref) <= bound
+
+
+@pytest.mark.parametrize("cached", [170, 400])
+def test_entries_do_not_depend_on_mpmaths_coefficient_cache(monkeypatch, cached):
+    # gamma_taylor_coefficients(136) computes 43 coefficients afresh, but
+    # shifts 44 down, with other last bits, from a higher precision mpmath
+    # has cached (mp.gamma at 30-50 digits leaves one): the tables of a zero
+    # sweep (cos and sin at 27 alphas, to x 90) are bitwise the same
+    from mpmath.libmp import gammazeta
+
+    def build():
+        tabs = []
+        for alpha in np.linspace(0.55, 1.2, 27).tolist():
+            for beta in (1.0, 1.0 + alpha):
+                tabs.append(fraccalc._RatioTable(2.0 * alpha, beta))
+                tabs[-1].dd(int(90.0 / (2.0 * alpha)))
+        n = len(gammazeta.gamma_taylor_coefficients(fraccalc._WP)[0])
+        return n, [getattr(t, c).tobytes() for t in tabs for c in t.__slots__[2:]]
+
+    monkeypatch.setattr(gammazeta, "gamma_taylor_cache", {})
+    fresh = build()
+    monkeypatch.setattr(gammazeta, "gamma_taylor_cache", {})
+    gammazeta.gamma_taylor_coefficients(cached)
+    shifted = build()
+    assert (fresh[0], shifted[0]) == (43, 44)
+    assert fresh[1] == shifted[1]
+
+
+def test_entries_far_below_the_float_range_build_small_integers():
+    # 1/Gamma(x) is near 2^-2.9e10 at x = 1e9: the build keeps mpmath's
+    # exponent apart from its mantissa (whole, the integers took about 3.6
+    # GB each), so this returns at once, as the 50-digit build did
+    assert mittag_leffler(0.5, 1e9, 1.0) == 0.0
+    tab = fraccalc._RatioTable(1e10, 1.0)
+    tab.dd(3)  # Gamma(1e10 k + 1) / Gamma(1) overflows from k = 1 on
+    assert list(tab.dhi) == list(tab.hi) == [1.0, 0.0, 0.0, 0.0]
+    assert list(tab.dlo) == [0.0] * 4 and list(tab.ratio) == [math.inf] * 4
+    # and where Gamma's exponent is large but finite, as the 50-digit build
+    for key in ((0.5, 1e8), (150.0, 1.0), (138.0, 30.0)):
+        tab = fraccalc._RatioTable(*key)
+        dhi, dlo = tab.dd(4)
+        hi, lo, ratio = _mp_columns(*key, 4)
+        assert (list(dhi), list(dlo)) == (hi, lo)
+        past = [k for k in range(5) if key[0] * (k + 1) + key[1] >= 171.0]
+        assert all(tab.hi[k] == hi[k] and tab.ratio[k] == ratio[k] for k in past)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(-2**200, 2**200), d=st.integers(1, 2**200),
+       s=st.integers(-1400, 1400))
+@example(n=1, d=1, s=1024)  # overflows
+@example(n=2**53 - 1, d=1, s=971)  # rounds up to 2^1024
+@example(n=-3, d=1, s=-1076)  # rounds to -0.0
+@example(n=1, d=3, s=-1074)  # subnormal
+@example(n=0, d=1, s=1400)  # zero, far above the range
+def test_quot_rounds_as_float_of_a_fraction(n, d, s):
+    # correctly rounded, as Fraction's int / int; past the float range
+    # 0.0 with n's sign or inf, as float() of an mpf; and at once for any s
+    try:
+        want = float(Fraction(n, d) * Fraction(2) ** s)
+    except OverflowError:
+        want = math.copysign(math.inf, n)
+    got = fraccalc._quot(n, d, s)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert fraccalc._quot(n or 1, d, s - 10**12) == math.copysign(0.0, n or 1)
+    assert fraccalc._quot(abs(n) + 1, d, s + 10**12) == math.inf
 
 
 _BETA = st.one_of(st.sampled_from(["1", "1+alpha"]), st.floats(0.1, 3.0))
