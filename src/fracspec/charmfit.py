@@ -590,7 +590,7 @@ _TABLE3_SYMBOLS = {
 }
 
 
-def table3_report(dataset=None) -> list[dict]:
+def table3_report(dataset) -> list[dict]:
     """Mass table: for every <jm> (including the unobserved <50>) and every
     TABLE2_ROWS parameter row, the model mass, the deviation from
     experiment, and the deviation from the published theoretical value.
@@ -602,8 +602,6 @@ def table3_report(dataset=None) -> list[dict]:
     printed one (pure diagnostic; the plain m_th is the faithful
     evaluation).
     """
-    if dataset is None:
-        dataset = default_dataset()
     by_jm = {(s.j, s.m): s for s in dataset}
     jm_list = sorted(TABLE3_PRINTED.keys())
     # the window covers the observed mis-rounding of the printed alphas (0.681

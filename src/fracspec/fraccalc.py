@@ -55,6 +55,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
@@ -138,7 +139,8 @@ def rgamma(x: float) -> float:
 
 _GAMMA_TOP = 171.0  # math.gamma overflows past 171.62; 1/Gamma(171) is normal
 _WP = 136  # fraction bits of `_rgamma_fixed`
-_TAYLOR_TOP = 100  # from x = 100 on mpmath's rgamma (Stirling) is faster
+_TAYLOR_WP = 140  # fraction bits of `_taylor`, data/rgamma_taylor.json
+_TAYLOR_TOP = 100  # from x = 100 on mpmath's rgamma (Stirling), faster; below no mpmath
 
 
 def _rgamma_at(a: float, k: int, b: float) -> float:
@@ -205,24 +207,29 @@ class _RatioTable:
                 self.ratio.append(_quot(p * r1, r * p1, s1 - s))
 
 
-def _rgamma_fixed(a: float, b: float, ks):
-    """Integers (p, r, s), p/r 2^-s = 1/Gamma(x) within (len(coeffs) + m)
-    2^-136 relative, for x = a k + b to 2^-136 and m = round(x): in 2^-136
-    fixed point, truncating each step, 1/Gamma(1 + x - m) by Horner's rule
-    over mp.gamma's Taylor coefficients (43, or 44 shifted down from a higher
-    precision in mpmath's cache), over (x - 1) ... (x - m + 1), or times x if
-    m = 0.  Where x >= _TAYLOR_TOP (Stirling) or 2x is an integer (exact
-    branches), mpmath's rgamma at 136 bits, faster there: r = 1, -s its exponent."""
-    from mpmath.libmp import from_man_exp, gammazeta, mpf_rgamma
+@functools.cache
+def _taylor() -> list[int]:
+    """mp.gamma's 43 Taylor coefficients of 1/Gamma(1 + y), highest first, as
+    gamma_taylor_coefficients(136) computes them on an empty mpmath cache."""
+    import json
+    return json.loads((resources.files("fracspec.data") / "rgamma_taylor.json").read_text())
 
-    coeffs, cwp = gammazeta.gamma_taylor_coefficients(_WP)
+
+def _rgamma_fixed(a: float, b: float, ks):
+    """Integers (p, r, s), p/r 2^-s = 1/Gamma(x) within (43 + m) 2^-136
+    relative, for x = a k + b to 2^-136 and m = round(x): in 2^-136 fixed
+    point, truncating each step, 1/Gamma(1 + x - m) by Horner's rule over
+    `_taylor()`, over (x - 1) ... (x - m + 1), or times x if m = 0.  From x =
+    _TAYLOR_TOP on, mpmath's rgamma at 136 bits: r = 1, -s its exponent."""
+    coeffs = _taylor()
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     d = max(ad, bd)  # both are powers of two
     an, bn, e, one = an * (d // ad), bn * (d // bd), d.bit_length() - 1, 1 << _WP
     for k in ks:
         xn = an * k + bn  # x = xn / 2^e
         x = xn << _WP >> e
-        if x >> _WP >= _TAYLOR_TOP or (2 * xn) % d == 0:
+        if x >> _WP >= _TAYLOR_TOP:
+            from mpmath.libmp import from_man_exp, mpf_rgamma
             _, p, ex, _ = mpf_rgamma(from_man_exp(xn, -e), _WP)
             yield p, 1, -ex  # 1/Gamma(x) < 1.13, so ex <= 0
             continue
@@ -233,7 +240,7 @@ def _rgamma_fixed(a: float, b: float, ks):
         y = x - one if m else x
         for c in coeffs:
             p = c + (y * p >> _WP)
-        yield (p, r << (cwp - _WP), 0) if m else (xn * p, d << cwp, 0)
+        yield (p, r << (_TAYLOR_WP - _WP), 0) if m else (xn * p, d << _TAYLOR_WP, 0)
 
 
 def _quot(n: int, d: int, s: int) -> float:

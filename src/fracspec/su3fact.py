@@ -196,17 +196,11 @@ def s2_structure() -> dict:
     time_dev = float(np.max(np.abs(time_mat - time_target)))
 
     # space part: keys with two derivative factors; matrix should match the
-    # ordered gamma products
+    # sum of the distinct ordered gamma products
     space_dev = 0.0
     for i, j in itertools.combinations_with_replacement(range(3), 2):
-        key = [0, 0, 0, 0]
-        key[1 + i] += 1
-        key[1 + j] += 1
-        mat = P2[tuple(key)]
-        if i == j:
-            target = gi[i] @ gi[i]
-        else:
-            target = gi[i] @ gi[j] + gi[j] @ gi[i]
+        mat = P2[(0, *((i == n) + (j == n) for n in range(3)))]
+        target = sum(gi[p] @ gi[q] for p, q in {(i, j), (j, i)})
         space_dev = max(space_dev, float(np.max(np.abs(mat - target))))
 
     b2c = B_SCALAR**2 * C_SCALAR

@@ -723,6 +723,8 @@ class _Column(list):
 @example(alpha=1e-6, beta=1e-3, x0=0.0, count=2)  # m = 0 throughout
 @example(alpha=2.0, beta=1.0, x0=95.0, count=6)  # both sides of x = 100
 @example(alpha=1.0, beta=0.5, x0=0.0, count=4)  # half-integers
+@example(alpha=0.5, beta=0.5, x0=0.0, count=20)  # integers and halves to 10
+@example(alpha=0.5, beta=0.5, x0=90.0, count=20)  # integers and halves 90-99.5
 @example(alpha=0.25, beta=0.25, x0=97.0, count=20)  # all four kinds of x
 @example(alpha=0.9, beta=0.5, x0=170.0, count=6)  # into the subnormals
 @example(alpha=3.0, beta=60.0, x0=600.0, count=2)  # 1/Gamma below them
@@ -783,51 +785,64 @@ def test_a_zero_sweep_builds_every_table_as_in_50_digits(monkeypatch):
         assert all(tab.hi[k] == hi[k] and tab.ratio[k] == ratio[k] for k in past)
 
 
-@pytest.mark.parametrize("y", [Fraction(-1, 2), Fraction(0), Fraction(1, 2)])
-def test_taylor_coefficients_reproduce_rgamma(y):
-    # the build's 1/Gamma(1 + y) on |y| <= 1/2, by its own Horner rule over
-    # mpmath's coefficients (43 or 44 of them, as mpmath's cache holds), is
-    # within len(coeffs) 2^-136 relative of mp.rgamma
-    from mpmath.libmp.gammazeta import gamma_taylor_coefficients
+@pytest.mark.parametrize("y", [Fraction(-1, 2), Fraction(-1, 4), Fraction(0),
+                               Fraction(1, 4), Fraction(1, 2)])
+def test_taylor_coefficients_reproduce_rgamma(monkeypatch, y):
+    # the stored coefficients are mpmath's 43, computed afresh on an empty
+    # cache; the build's 1/Gamma(1 + y) on |y| <= 1/2, by its own Horner rule
+    # over them, is within len(coeffs) 2^-136 relative of mp.rgamma
+    from mpmath.libmp import gammazeta
 
-    coeffs, cwp = gamma_taylor_coefficients(fraccalc._WP)
+    monkeypatch.setattr(gammazeta, "gamma_taylor_cache", {})
+    coeffs = fraccalc._taylor()
+    assert (coeffs, fraccalc._TAYLOR_WP) == gammazeta.gamma_taylor_coefficients(fraccalc._WP)
     yf, p = int(y * 2**fraccalc._WP), 0
     for c in coeffs:
         p = c + (yf * p >> fraccalc._WP)
     with mp.workdps(60):
         ref = mp.rgamma(1 + mp.mpf(y.numerator) / y.denominator)
         bound = len(coeffs) * mp.mpf(2) ** -fraccalc._WP * ref
-        assert abs(mp.mpf(p) / mp.mpf(2) ** cwp - ref) <= bound
-        # and the build's values at x = 1 + y = 1/2, 1 and 3/2, where 2x is
-        # an integer and mpmath's rgamma takes its exact branches
+        assert abs(mp.mpf(p) / mp.mpf(2) ** fraccalc._TAYLOR_WP - ref) <= bound
+        # and the build's values at x = 1 + y, from 1/2 to 3/2, integers and
+        # halves included: all by the Taylor path (r > 1, s = 0)
         (p, r, s), = fraccalc._rgamma_fixed(1.0, float(1 + y), [0])
-        assert abs(mp.mpf(p) / r / mp.mpf(2) ** s - ref) <= bound
+        assert r > 1 and s == 0
+        assert abs(mp.mpf(p) / r - ref) <= bound
 
 
 @pytest.mark.parametrize("cached", [170, 400])
 def test_entries_do_not_depend_on_mpmaths_coefficient_cache(monkeypatch, cached):
     # gamma_taylor_coefficients(136) computes 43 coefficients afresh, but
     # shifts 44 down, with other last bits, from a higher precision mpmath
-    # has cached (mp.gamma at 30-50 digits leaves one): the tables of a zero
+    # has cached (mp.gamma at 30-50 digits leaves one); the build never reads
+    # them (the function raises during both builds): the tables of a zero
     # sweep (cos and sin at 27 alphas, to x 90) are bitwise the same
     from mpmath.libmp import gammazeta
 
+    coefficients = gammazeta.gamma_taylor_coefficients
+
+    def refuse(prec):
+        raise AssertionError(f"the build read mpmath's coefficients at {prec} bits")
+
     def build():
+        fraccalc._taylor.cache_clear()
+        monkeypatch.setattr(gammazeta, "gamma_taylor_coefficients", refuse)
         tabs = []
         for alpha in np.linspace(0.55, 1.2, 27).tolist():
             for beta in (1.0, 1.0 + alpha):
                 tabs.append(fraccalc._RatioTable(2.0 * alpha, beta))
                 tabs[-1].dd(int(90.0 / (2.0 * alpha)))
-        n = len(gammazeta.gamma_taylor_coefficients(fraccalc._WP)[0])
-        return n, [getattr(t, c).tobytes() for t in tabs for c in t.__slots__[2:]]
+        monkeypatch.setattr(gammazeta, "gamma_taylor_coefficients", coefficients)
+        return [getattr(t, c).tobytes() for t in tabs for c in t.__slots__[2:]]
 
     monkeypatch.setattr(gammazeta, "gamma_taylor_cache", {})
     fresh = build()
+    assert len(coefficients(fraccalc._WP)[0]) == 43
     monkeypatch.setattr(gammazeta, "gamma_taylor_cache", {})
-    gammazeta.gamma_taylor_coefficients(cached)
+    coefficients(cached)
+    assert len(coefficients(fraccalc._WP)[0]) == 44
     shifted = build()
-    assert (fresh[0], shifted[0]) == (43, 44)
-    assert fresh[1] == shifted[1]
+    assert fresh == shifted
 
 
 def test_entries_far_below_the_float_range_build_small_integers():
@@ -922,9 +937,11 @@ def test_float_pass_lies_within_its_bound(alpha, beta, x, sign, tol):
 
 def test_float_only_readers_build_no_double_double_columns(monkeypatch):
     # series coefficients, the Caputo map and the radial recurrence read the
-    # float columns only, and below the range end of math.gamma never import
-    # mpmath; radial_ground at alpha 1.4 reads 2.8 * 66 + 1 >= 171, where
-    # every column, the double-double one included, is built in fixed point
+    # float columns only; radial_ground at alpha 1.4 reads 2.8 * 66 + 1 >=
+    # 171, where every column, the double-double one included, is built in
+    # fixed point.  Only entries at x >= 100 import mpmath: not the zeros,
+    # the equivalent potential or the radii, whose double-double entries stay
+    # below it, but radial_ground at alpha 1.4, which reads x up to 186
     monkeypatch.setattr(fraccalc, "_TABLES", {})
     caputo_derivative(FracSeries.cosine(0.8))
     radial_ground(3, 2.0 / 3.0)
@@ -933,11 +950,19 @@ def test_float_only_readers_build_no_double_double_columns(monkeypatch):
     radial_ground(3, 1.4)
     assert len(fraccalc._TABLES[(2.8, 1.0)].dhi) == 66
     code = ("import sys\n"
+            "import numpy as np\n"
+            "from fracspec.charmfit import QuarkMasses, radius_box, radius_sphere\n"
             "from fracspec.fraccalc import FracSeries, caputo_derivative\n"
-            "from fracspec.spectra import radial_ground\n"
+            "from fracspec.spectra import equivalent_potential, find_zeros, radial_ground\n"
             "caputo_derivative(FracSeries.cosine(0.8))\n"
             "radial_ground(3, 2.0 / 3.0)\n"
-            "assert 'mpmath' not in sys.modules\n")
+            "find_zeros('cos', 0.8, 6, 16.0)\n"
+            "equivalent_potential(0.9, 3.0, 40, np.linspace(-0.95, 0.95, 161))\n"
+            "radius_box(2452.2, QuarkMasses(), 2.0 / 3.0)\n"
+            "radius_sphere(2452.2, QuarkMasses(), 2.0 / 3.0)\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "radial_ground(3, 1.4)\n"
+            "assert 'mpmath' in sys.modules\n")
     src = os.path.dirname(os.path.dirname(fraccalc.__file__))
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
