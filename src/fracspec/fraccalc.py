@@ -140,7 +140,7 @@ def rgamma(x: float) -> float:
 _GAMMA_TOP = 171.0  # math.gamma overflows past 171.62; 1/Gamma(171) is normal
 _WP = 136  # fraction bits of `_rgamma_fixed`
 _TAYLOR_WP = 140  # fraction bits of `_taylor`, data/rgamma_taylor.json
-_TAYLOR_TOP = 100  # from x = 100 on mpmath's rgamma (Stirling), faster; below no mpmath
+_TAYLOR_TOP = 100  # from x = 100 on mpmath's rgamma (Stirling), faster there
 
 
 def _rgamma_at(a: float, k: int, b: float) -> float:
@@ -208,11 +208,12 @@ class _RatioTable:
 
 
 @functools.cache
-def _taylor() -> list[int]:
+def _taylor() -> tuple[int, ...]:
     """mp.gamma's 43 Taylor coefficients of 1/Gamma(1 + y), highest first, as
     gamma_taylor_coefficients(136) computes them on an empty mpmath cache."""
     import json
-    return json.loads((resources.files("fracspec.data") / "rgamma_taylor.json").read_text())
+    text = (resources.files("fracspec.data") / "rgamma_taylor.json").read_text()
+    return tuple(json.loads(text))
 
 
 def _rgamma_fixed(a: float, b: float, ks):

@@ -795,7 +795,8 @@ def test_taylor_coefficients_reproduce_rgamma(monkeypatch, y):
 
     monkeypatch.setattr(gammazeta, "gamma_taylor_cache", {})
     coeffs = fraccalc._taylor()
-    assert (coeffs, fraccalc._TAYLOR_WP) == gammazeta.gamma_taylor_coefficients(fraccalc._WP)
+    want, cwp = gammazeta.gamma_taylor_coefficients(fraccalc._WP)
+    assert (list(coeffs), fraccalc._TAYLOR_WP) == (want, cwp)
     yf, p = int(y * 2**fraccalc._WP), 0
     for c in coeffs:
         p = c + (yf * p >> fraccalc._WP)
