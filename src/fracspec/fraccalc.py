@@ -140,7 +140,7 @@ def rgamma(x: float) -> float:
 _GAMMA_TOP = 171.0  # math.gamma overflows past 171.62; 1/Gamma(171) is normal
 _WP = 136  # fraction bits of `_rgamma_fixed`
 _TAYLOR_WP = 140  # fraction bits of `_taylor`, data/rgamma_taylor.json
-_TAYLOR_TOP = 100  # from x = 100 on mpmath's rgamma (Stirling), faster there
+_TAYLOR_TOP = 100  # from x = 100 on mpmath's rgamma, faster: the one mpmath import
 
 
 def _rgamma_at(a: float, k: int, b: float) -> float:

@@ -725,7 +725,7 @@ class _Column(list):
 @example(alpha=1.0, beta=0.5, x0=0.0, count=4)  # half-integers
 @example(alpha=0.5, beta=0.5, x0=0.0, count=20)  # integers and halves to 10
 @example(alpha=0.5, beta=0.5, x0=90.0, count=20)  # integers and halves 90-99.5
-@example(alpha=0.25, beta=0.25, x0=97.0, count=20)  # all four kinds of x
+@example(alpha=0.25, beta=0.25, x0=97.0, count=20)  # quarters to halves across 100
 @example(alpha=0.9, beta=0.5, x0=170.0, count=6)  # into the subnormals
 @example(alpha=3.0, beta=60.0, x0=600.0, count=2)  # 1/Gamma below them
 def test_fixed_point_entries_equal_the_50_digit_build(alpha, beta, x0, count):
