@@ -134,7 +134,7 @@ def rgamma(x: float) -> float:
 # Gamma tables: c_n = 1/Gamma(alpha n + beta) per (alpha, beta).  `extend`
 # builds the float columns `hi` and `ratio` = hi[n]/hi[n+1]; `dd` the
 # double-double columns `dhi` + `dlo`, in fixed point, only as far as a
-# double-double pass reads; each once per growth to the size read.
+# double-double pass reads.  Each entry is built once, whatever the steps.
 # ----------------------------------------------------------------------------
 
 _GAMMA_TOP = 171.0  # math.gamma overflows past 171.62; 1/Gamma(171) is normal
@@ -164,7 +164,7 @@ def _rgamma_at(a: float, k: int, b: float) -> float:
 
 
 class _RatioTable:
-    __slots__ = ("alpha", "beta", "ratio", "hi", "dhi", "dlo")
+    __slots__ = ("alpha", "beta", "ratio", "hi", "dhi", "dlo", "spare")
 
     def __init__(self, alpha: float, beta: float):
         self.alpha, self.beta = alpha, beta
@@ -172,6 +172,7 @@ class _RatioTable:
         self.hi = array("d")     # 1/G(an+b) within _COEFF_REL
         self.dhi = array("d")    # 1/G(an+b) = dhi + dlo as double-double
         self.dlo = array("d")
+        self.spare = []  # [(p, r, s)] of entry len(dhi), if made for ratio
 
     def extend(self, n: int) -> None:
         """Build the float columns to index n exactly (none when present)."""
@@ -196,7 +197,9 @@ class _RatioTable:
     def _build_fixed(self, n: int) -> None:
         """Append the columns up to index n (the float ones from their end)."""
         k0, kf = len(self.dhi), len(self.ratio)
-        qs = list(_rgamma_fixed(self.alpha, self.beta, range(k0, n + 1 + (kf <= n))))
+        ks = range(k0 + len(self.spare), n + 1 + (kf <= n))
+        qs = self.spare + list(_rgamma_fixed(self.alpha, self.beta, ks))
+        self.spare = qs[n + 1 - k0:]
         for k, (p, r, s) in enumerate(qs[:n + 1 - k0], k0):
             hn, hd = (hi := _quot(p, r, -s)).as_integer_ratio()
             self.dhi.append(hi)
@@ -284,7 +287,7 @@ _COEFF_REL = 2e-15
 _ROUND_UNIT = 2.0**-53  # unit roundoff of a double
 _MIN_NORMAL = 2.0**-1022  # below this a coefficient is subnormal
 _MAX_TERMS = 1600
-_PAD = 2  # entries built past the estimated term count
+_GROW = 16  # a table read to its end grows to _GROW indices past it
 
 
 def _positive_series(tab: _RatioTable, zabs: float,
@@ -297,16 +300,16 @@ def _positive_series(tab: _RatioTable, zabs: float,
     (the tail beyond is then below t_n) and t_n <= floor.
     Returns (N, sum_{n<=N} t_n, t_N); the sum is inf when it overflows, is
     nan, or needs more than _MAX_TERMS terms.  The table holds coefficient
-    N on return; `_grow` builds it when it is too short.
+    N on return: `_grow` extends it each time the loop reaches its end.
     """
     ratio, inf = tab.ratio, math.inf
-    if len(ratio) < 2 and not _grow(tab, zabs, floor):
+    if len(ratio) < 2 and not _grow(tab, zabs):
         return _MAX_TERMS + 1, inf, inf
     t = prev = s = tab.hi[0]
     n, end = 0, len(ratio) - 1
     while True:
         if n == end:
-            if not _grow(tab, zabs, floor):
+            if not _grow(tab, zabs):
                 return _MAX_TERMS + 1, inf, inf
             end = len(ratio) - 1
         t *= zabs / ratio[n]
@@ -319,9 +322,8 @@ def _positive_series(tab: _RatioTable, zabs: float,
         prev = t
 
 
-def _grow(tab: _RatioTable, zabs: float, floor: float) -> bool:
-    """Extend tab in one build to the stopping index of `_positive_series`,
-    from log t_k = k log zabs - lgamma(alpha k + beta), plus _PAD.  Returns
+def _grow(tab: _RatioTable, zabs: float) -> bool:
+    """Extend tab to index len(ratio) + _GROW, at most _MAX_TERMS + 2.  Returns
     False, building nothing, when the ratio at _MAX_TERMS (the largest: Gamma
     is log-convex) is below 2 zabs and t there is a normal double (log t_k is
     concave, so none is subnormal, whose rounding could stop the loop)."""
@@ -330,17 +332,7 @@ def _grow(tab: _RatioTable, zabs: float, floor: float) -> bool:
     if (math.exp(math.lgamma(m + a) - math.lgamma(m) + 1e-6) < 2 * zabs
             and _MAX_TERMS * math.log(zabs) - math.lgamma(m) > -700.0):
         return False
-    lz = math.log(zabs) if zabs else -math.inf
-    prev = math.exp(-math.lgamma(b))
-    for k in range(1, _MAX_TERMS + 2):
-        lt = k * lz - math.lgamma(a * k + b)
-        if not lt <= 709.0:  # the float sum overflows, or zabs is nan
-            break
-        t = math.exp(lt)
-        if k >= 3 and t <= 0.5 * prev and t <= floor:
-            break
-        prev = t
-    tab.extend(max(k, len(tab.ratio)) + _PAD)
+    tab.extend(min(len(tab.ratio) + _GROW, _MAX_TERMS + 2))
     return True
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -654,10 +655,19 @@ def test_large_argument_branch_refuses_past_its_rounding(fn, x):
 
 
 @pytest.mark.parametrize("key", [(1.6, 1.0), (1.6, 1.8), (2.8, 1.0)])
-def test_one_sized_build_equals_a_grown_table(key):
+def test_one_sized_build_equals_a_grown_table(monkeypatch, key):
     # extend(n) builds the float columns exactly up to index n, dd(n) the
     # double-double columns, and no entry depends on how the table grew
-    # ((2.8, 1.0) leaves the range of math.gamma at index 60)
+    # ((2.8, 1.0) leaves the range of math.gamma at index 60); each table
+    # builds each fixed-point entry once, its lookahead for ratio[n] included
+    built = []
+    rgamma_fixed = fraccalc._rgamma_fixed
+
+    def counting(a, b, ks):
+        built.extend(ks)
+        return rgamma_fixed(a, b, ks)
+
+    monkeypatch.setattr(fraccalc, "_rgamma_fixed", counting)
     one = fraccalc._RatioTable(*key)
     one.extend(90)
     grown = fraccalc._RatioTable(*key)
@@ -672,6 +682,7 @@ def test_one_sized_build_equals_a_grown_table(key):
     grown.dd(90)
     for col in ("dhi", "dlo"):
         assert getattr(one, col).tobytes() == getattr(grown, col).tobytes()
+    assert Counter(built) == {k: 2 for k in range(max(built) + 1)}
 
 
 def _mp_columns(alpha, beta, n):
@@ -834,7 +845,8 @@ def test_entries_do_not_depend_on_mpmaths_coefficient_cache(monkeypatch, cached)
                 tabs.append(fraccalc._RatioTable(2.0 * alpha, beta))
                 tabs[-1].dd(int(90.0 / (2.0 * alpha)))
         monkeypatch.setattr(gammazeta, "gamma_taylor_coefficients", coefficients)
-        return [getattr(t, c).tobytes() for t in tabs for c in t.__slots__[2:]]
+        return [getattr(t, c).tobytes() for t in tabs
+                for c in ("ratio", "hi", "dhi", "dlo")]
 
     monkeypatch.setattr(gammazeta, "gamma_taylor_cache", {})
     fresh = build()
@@ -969,28 +981,31 @@ def test_float_only_readers_build_no_double_double_columns(monkeypatch):
                    env={**os.environ, "PYTHONPATH": src})
 
 
-class _SizeProbe(fraccalc._RatioTable):
-    """A table that records the index a build asks for, and builds nothing."""
-    __slots__ = ("asked",)
-
-    def extend(self, n):
-        self.asked = n
-
-
-@pytest.mark.parametrize("alpha", [1.2, 1.8, 2.8])
-@pytest.mark.parametrize("shift", [0.0, 0.5])
-def test_one_build_covers_the_terms_read(alpha, shift):
-    # the lgamma estimate asks for at least the term count the float loop
-    # reaches, and for at most two pads more
-    tab = fraccalc._RatioTable(alpha, 1.0 + shift * alpha)
-    tab.extend(700)
-    for zabs in (0.0, 0.5, 3.0, 30.0, 300.0):
-        for floor in (1e-12, 1e-6):
-            n, mass, _ = fraccalc._positive_series(tab, zabs, floor)
-            assert math.isfinite(mass)
-            probe = _SizeProbe(tab.alpha, tab.beta)
-            assert fraccalc._grow(probe, zabs, floor)
-            assert n <= probe.asked <= n + 2 * fraccalc._PAD
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 1.5, exclude_min=True), st.booleans(),
+       st.floats(-3.0, 3.5).map(lambda u: 10.0**u),
+       st.sampled_from([1e-12, 1e-6]), st.lists(st.floats(0.0, 1.0), max_size=3))
+@example(0.6, False, 0.0, 1e-12, [])
+@example(0.05, False, 0.5**0.1, 1e-12, [0.5])
+def test_growth_never_changes_a_series(alpha, sine, zabs, floor, earlier):
+    # the certified loop alone sizes the series: (N, mass, last), floats
+    # neither nan nor -0.0, so equal means bitwise equal, is the same on a
+    # fresh table, on one built well past N, and on one grown by sums at
+    # smaller |z|; a fresh table ends at most one step past N
+    key = 2.0 * alpha, 1.0 + alpha if sine else 1.0
+    fresh = fraccalc._RatioTable(*key)
+    result = fraccalc._positive_series(fresh, zabs, floor)
+    if not fresh.ratio:
+        reject()  # refused before building (test_term_cap_*)
+    n = result[0]
+    assert n <= len(fresh.ratio) - 1 <= n + fraccalc._GROW
+    warm = fraccalc._RatioTable(*key)
+    warm.extend(n + 5 * fraccalc._GROW)
+    grown = fraccalc._RatioTable(*key)
+    for f in sorted(earlier):
+        fraccalc._positive_series(grown, f * zabs, floor)
+    for tab in (warm, grown):
+        assert fraccalc._positive_series(tab, zabs, floor) == result
 
 
 def _record_terms(monkeypatch) -> dict:
@@ -1012,7 +1027,7 @@ def test_zero_scan_builds_only_what_its_sums_read(monkeypatch):
     read = _record_terms(monkeypatch)
     find_zeros("cos", 0.8, 6, 16.0)
     tab = fraccalc._TABLES[1.6, 1.0]
-    assert 0 <= len(tab.ratio) - 1 - read[1.6, 1.0] <= fraccalc._PAD
+    assert 0 <= len(tab.ratio) - 1 - read[1.6, 1.0] <= fraccalc._GROW
 
 
 def test_term_cap_rejects_before_building(monkeypatch):
