@@ -130,14 +130,15 @@ def _refine(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
 
 
 def _scan(alpha: float, kinds: tuple, count: int, x_max: float,
-          xtol: float = 1e-10, eval_tol: float = 1e-9) -> list:
+          xtol: float = 1e-10) -> list:
     """The lowest `count` (scaled root, kind) pairs on (0, x_max] of the kinds
     asked for ("cos", "sin" or both), sorted; fewer when the zero sets run out.
     Every kind is evaluated on the same chunks of certified signs (a float64
     pass, summed again in double-double only near zero); a kind's brackets are
-    refined to xtol at eval_tol, or at twice the bound the chunk reached when
-    that exceeds it, until it holds `count`.  The scan stops once the kinds
-    together hold `count`.  ValueError past the representable amplitude range.
+    refined to xtol at one tolerance, 1e-9, or at twice the bound the chunk
+    reached when that exceeds it, until it holds `count`.  The scan stops
+    once the kinds together hold `count`.  ValueError past the representable
+    amplitude range.
     For alpha <= 1/2 there is nothing to scan: with a = 2 alpha <= 1,
     E_{a,1}(-t) and E_{a,1+alpha}(-t) are completely monotone on t >= 0
     (Pollard, Bull. AMS 54, 1948; Schneider, Expo. Math. 14, 1996), so
@@ -155,15 +156,15 @@ def _scan(alpha: float, kinds: tuple, count: int, x_max: float,
         for kind, roots in found.items():
             f = frac_sin if kind == "sin" else frac_cos
             try:
-                vs, reached = _trig(alpha, HALF_PI * xs, eval_tol,
+                vs, reached = _trig(alpha, HALF_PI * xs, 1e-9,
                                     kind == "sin", signs=True)
             except PrecisionLoss:
                 raise ValueError(f"scan limit x={xs[-1]:g} (scaled) is beyond "
                                  "the representable amplitude range for "
                                  f"alpha={alpha:g}") from None
             # rounding amplitudes ~1e8 (alpha > 1) or the series bound at large
-            # x exceeds eval_tol but moves no certified sign; refine within it
-            tol = eval_tol if reached <= eval_tol else 2.0 * reached
+            # x exceeds 1e-9 but moves no certified sign; refine within it
+            tol = 1e-9 if reached <= 1e-9 else 2.0 * reached
             g = lambda x: float(f(alpha, HALF_PI * x, tol))
             vs = np.concatenate((head_v[kind], vs))
             for i in _brackets(vs)[:count - len(roots)]:
@@ -216,33 +217,28 @@ class WellState:
         return f(self.alpha, self.k0 * np.asarray(x, float) / self.a)
 
 
-def _interleaved_roots(alpha: float, count: int, eval_tol: float = 1e-9):
-    """The lowest `count` well roots as sorted (k0_unscaled, parity) pairs:
-    one `_scan` of cos (even) and sin (odd) to scaled x 2 count + 20, the
-    well's one scan limit.  Raises NoZeros when there are none."""
-    x_max = 2.0 * count + 20.0
-    pairs = _scan(alpha, ("cos", "sin"), count, x_max, eval_tol=eval_tol)
-    if not pairs:
-        raise NoZeros(f"no well state at alpha={alpha:g}: neither frac_cos nor "
-                      f"frac_sin has a zero on (0, {x_max:g}] (scaled axis)")
-    return [(r * HALF_PI, "even" if kind == "cos" else "odd")
-            for r, kind in pairs]
-
-
 def well_states_1d(alpha: float, count: int, a: float,
                    ctx: AlphaContext) -> list[WellState]:
     """Lowest `count` eigenstates of the infinite well on [-a, a].
 
     States alternate parity with increasing root location; the energy is
-    e_n = (1/2) mc^2 (hbar/(mc a))^(2 alpha) |k0_n|^(2 alpha).
-    Returns fewer states when the zero set is exhausted (finite for
-    1/2 < alpha < 1); raises NoZeros when there are none at all.
+    e_n = (1/2) mc^2 (hbar/(mc a))^(2 alpha) |k0_n|^(2 alpha).  One `_scan`
+    of cos (even) and sin (odd) roots to scaled x 2 count + 20, the well's
+    one scan limit, finds them: fewer when the zero set is exhausted (finite
+    for 1/2 < alpha < 1), NoZeros when there are none at all.
     """
     _check_int("well_states_1d", 1, count=count)
     _check_positive("well_states_1d", a=a)
-    return [WellState(alpha=alpha, n=n, parity=parity, k0=k0, a=a,
-                      energy=free_energy(alpha, k0 / a, ctx))
-            for n, (k0, parity) in enumerate(_interleaved_roots(alpha, count))]
+    x_max = 2.0 * count + 20.0
+    pairs = _scan(alpha, ("cos", "sin"), count, x_max)
+    if not pairs:
+        raise NoZeros(f"no well state at alpha={alpha:g}: neither frac_cos nor "
+                      f"frac_sin has a zero on (0, {x_max:g}] (scaled axis)")
+    return [WellState(alpha=alpha, n=n,
+                      parity="even" if kind == "cos" else "odd",
+                      k0=r * HALF_PI, a=a,
+                      energy=free_energy(alpha, r * HALF_PI / a, ctx))
+            for n, (r, kind) in enumerate(pairs)]
 
 
 def well_energy_nd(alpha: float, indices: list[int], half_widths: list[float],
@@ -353,11 +349,11 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     grid point lies in the well.  psi_n are normalised under the
     alpha-measure; energies use hbar = m = c = a = 1.
 
-    The states are the lowest n_states + 1 of `_interleaved_roots`, the last
-    one the first excluded.  The cutoff must satisfy exp(-E_last/T) < 1e-8;
+    The states are the lowest n_states + 1 of `well_states_1d`, the last one
+    the first excluded.  The cutoff must satisfy exp(-E_last/T) < 1e-8;
     CutoffTooSmall is raised when the estimated tail weight exceeds 1e-6.
     """
-    _check_alpha(alpha)
+    ctx = AlphaContext(alpha, hbar_c=1.0)  # hbar = m = c = 1; checks alpha
     _check_positive("equivalent_potential", T=T)
     _check_int("equivalent_potential", 1, n_states=n_states)
     grid = np.asarray(grid, float)
@@ -365,10 +361,9 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
             or np.abs(grid).max() > 1.0):
         raise ValueError(f"grid must be a finite, non-empty 1-D array inside "
                          f"the well [-1, 1]: shape {grid.shape}")
-    tagged = _interleaved_roots(alpha, n_states + 1, eval_tol=1e-6)
-    # free_energy at hbar = m = c = 1: E = k^(2 alpha)/2.  Weights relative to
-    # the ground state, e^(-(E_n - E_0)/T), so that none underflows at low T
-    e = [0.5 * k ** (2.0 * alpha) / T for k, _ in tagged]  # E_n / T
+    states = well_states_1d(alpha, n_states + 1, 1.0, ctx)
+    # weights relative to the ground state, e^(-(E_n - E_0)/T): none underflows
+    e = [st.energy / T for st in states]
     weights = [math.exp(e[0] - en) for en in e[:n_states]]
     # cutoff and tail in absolute weights, the tail a geometric continuation
     # from the first excluded state; none when the spectrum is exhausted
@@ -378,20 +373,23 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
         tail = math.exp(-e[-1]) / (1.0 - ratio) if ratio < 1.0 else math.inf
     cutoff = math.exp(-e[len(weights) - 1])
     if cutoff > 1e-8 or tail > 1e-6:
+        advice = ("raise n_states or lower T" if len(e) > n_states else
+                  f"only {len(e)} states lie below scaled x "
+                  f"{2 * (n_states + 1) + 20}, so only a lower T can help")
         raise CutoffTooSmall(
             f"cutoff weight {cutoff:.2e} (tail ~{tail:.2e}) exceeds the "
-            f"budget; raise n_states or lower T"
+            f"budget; {advice}"
         )
     u, wq = rl_nodes(alpha, 1.0, 128)
     points = np.concatenate((u, grid))  # one evaluation per state
     rho = np.zeros_like(grid)
     Z = 0.0
-    for (k, parity), wn in zip(tagged, weights):
+    for st, wn in zip(states, weights):
         if wn == 0.0:  # so is every later weight: those states add exactly 0
             break
-        f = frac_cos if parity == "even" else frac_sin
+        f = frac_cos if st.parity == "even" else frac_sin
         tol_n = max(1e-9, 1e-9 / max(wn, 1e-300))
-        psi = f(alpha, k * points, tol_n)
+        psi = f(alpha, st.k0 * points, tol_n)
         psi_q, psi_g = psi[:u.size], psi[u.size:]
         norm2 = 2.0 * float(np.dot(wq, psi_q * psi_q))
         rho += wn * (psi_g * psi_g) / norm2

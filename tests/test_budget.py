@@ -1,5 +1,5 @@
 """The budgets of ROADMAP.md's design rules, checked on every run: `src/`
-stays within the round's 2,688 lines, and the command line within its 37
+stays within the round's 2,686 lines, and the command line within its 37
 settable flags."""
 
 import argparse
@@ -7,7 +7,7 @@ from pathlib import Path
 
 from fracspec import cli
 
-SRC_BUDGET = 2688  # lines of src/fracspec/*.py (ROADMAP.md, "Quality of design")
+SRC_BUDGET = 2686  # lines of src/fracspec/*.py (ROADMAP.md, "Quality of design")
 FLAG_BUDGET = 37  # options of the fracspec subcommands, -h excluded
 
 

@@ -498,6 +498,8 @@ def test_potential_past_the_finite_spectrum_is_cut_off(tmp_path, capsys):
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)["error"]
     assert err.startswith("CutoffTooSmall: cutoff weight 5.10e-02")
+    # the spectrum ran out: more states cannot help, only a lower T
+    assert "only 7 states" in err and "raise n_states" not in err
 
 
 @pytest.mark.parametrize("args", [

@@ -403,11 +403,12 @@ def test_equivalent_potential_symmetric():
 def _strict_potential(alpha, T, n_states, grid):
     """V/T of equivalent_potential's states, each evaluated on its own at
     max(1e-11, min(1e-6, 1e-12 / w_n)) instead of 1e-9 / w_n."""
-    tagged = spectra._interleaved_roots(alpha, n_states + 1, eval_tol=1e-6)
+    ctx = AlphaContext(alpha, hbar_c=1.0)
     u, wq = rl_nodes(alpha, 1.0, 128)
     rho, Z = np.zeros_like(grid), 0.0
-    for k, parity in tagged[:n_states]:
-        f = frac_cos if parity == "even" else frac_sin
+    for state in well_states_1d(alpha, n_states + 1, 1.0, ctx)[:n_states]:
+        f = frac_cos if state.parity == "even" else frac_sin
+        k = state.k0
         wn = math.exp(-0.5 * k ** (2.0 * alpha) / T)
         tol = max(1e-11, min(1e-6, 1e-12 / wn))
         psi_q, psi_g = f(alpha, k * u, tol), f(alpha, k * grid, tol)
@@ -418,10 +419,13 @@ def _strict_potential(alpha, T, n_states, grid):
 
 
 @pytest.mark.parametrize("alpha, T, n_states", [(0.853, 2.85, 12),
-                                                (0.9, 3.0, 40)])
+                                                (0.9, 3.0, 40),
+                                                (0.86, 2.3, 10)])
 def test_equivalent_potential_matches_a_strict_evaluation(alpha, T, n_states):
     # the weakest states are evaluated at tol up to 3.9e9; a series sized
-    # to tol * 1e-3 there stops far above its scale (1.7e-10 off at 0.853)
+    # to tol * 1e-3 there stops far above its scale (1.7e-10 off at 0.853).
+    # The states are well_states_1d's: roots refined at 1e-6 moved state 9
+    # at alpha 0.86 by 8.4e-7
     grid = np.linspace(-0.95, 0.95, 161)
     v = np.array(equivalent_potential(alpha, T, n_states, grid))[:, 1]
     strict = _strict_potential(alpha, T, n_states, grid)
@@ -430,17 +434,23 @@ def test_equivalent_potential_matches_a_strict_evaluation(alpha, T, n_states):
 
 def test_equivalent_potential_evaluates_each_state_once(monkeypatch):
     # one array call per summed state over the nodes and the grid together,
-    # and no point left weak enough for a double-double pass over an array;
-    # the refinement's calls take scalars and are not counted
+    # and no point left weak enough for a double-double pass over an array
+    # within one; the refinement's calls take scalars and are not counted,
+    # and the root scan's passes belong to well_states_1d
     calls = {"states": 0, "dd_arrays": 0}
+    in_state = [False]
     trig, dd = fraccalc._trig, fraccalc.dd_horner
 
     def counted_trig(alpha, x, *args, **kwargs):
-        calls["states"] += isinstance(x, np.ndarray)
-        return trig(alpha, x, *args, **kwargs)
+        in_state[0] = isinstance(x, np.ndarray)
+        calls["states"] += in_state[0]
+        try:
+            return trig(alpha, x, *args, **kwargs)
+        finally:
+            in_state[0] = False
 
     def counted_dd(hi, lo, z):
-        calls["dd_arrays"] += isinstance(z, np.ndarray)
+        calls["dd_arrays"] += in_state[0] and isinstance(z, np.ndarray)
         return dd(hi, lo, z)
 
     monkeypatch.setattr(fraccalc, "_trig", counted_trig)
