@@ -133,14 +133,14 @@ def rgamma(x: float) -> float:
 # ----------------------------------------------------------------------------
 # Gamma tables: c_n = 1/Gamma(alpha n + beta) per (alpha, beta).  `extend`
 # builds the float columns `hi` and `ratio` = hi[n]/hi[n+1]; `dd` the
-# double-double columns `dhi` + `dlo`, in fixed point, only as far as a
-# double-double pass reads.  Each entry is built once, whatever the steps.
+# double-double ones `dhi` + `dlo` as far as a double-double pass reads, each
+# by one Horner pass in fixed point (`_centred`), once, whatever the steps.
 # ----------------------------------------------------------------------------
 
 _GAMMA_TOP = 171.0  # math.gamma overflows past 171.62; 1/Gamma(171) is normal
-_WP = 136  # fraction bits of `_rgamma_fixed`
-_TAYLOR_WP = 140  # fraction bits of `_taylor`, data/rgamma_taylor.json
-_TAYLOR_TOP = 100  # from x = 100 on mpmath's rgamma, faster: the one mpmath import
+_WP = 136  # bits of mpmath's rgamma, from _TAYLOR_TOP on
+_CWP = 148  # fraction bits of `_centred`: the file's 140 and 8 guard bits
+_TAYLOR_TOP = 200  # from x = 200 on mpmath's rgamma, faster: the one mpmath import
 
 
 def _rgamma_at(a: float, k: int, b: float) -> float:
@@ -211,40 +211,40 @@ class _RatioTable:
 
 
 @functools.cache
-def _taylor() -> tuple[int, ...]:
-    """mp.gamma's 43 Taylor coefficients of 1/Gamma(1 + y), highest first, as
-    gamma_taylor_coefficients(136) computes them on an empty mpmath cache."""
-    import json
-    text = (resources.files("fracspec.data") / "rgamma_taylor.json").read_text()
-    return tuple(json.loads(text))
+def _centred(m: int) -> tuple[int, ...]:
+    """Gamma(m)/Gamma(m + y)'s Taylor coefficients, highest first, in 2^-148
+    fixed point: data/rgamma_taylor.json's 43 for m <= 1, else m - 1's over
+    1 + y/(m - 1), floored, grown while a term reaches 2^-148 at |y| = 1/2."""
+    if m <= 1:
+        import json
+        text = (resources.files("fracspec.data") / "rgamma_taylor.json").read_text()
+        return tuple(c << _CWP - 140 for c in json.loads(text))  # from 2^-140
+    d, t = m - 1, 0
+    h = [t := c - t // d for c in reversed(_centred(m - 1))]
+    while abs(t := -(t // d)) >> len(h):
+        h.append(t)
+    return tuple(reversed(h))
 
 
 def _rgamma_fixed(a: float, b: float, ks):
-    """Integers (p, r, s), p/r 2^-s = 1/Gamma(x) within (43 + m) 2^-136
-    relative, for x = a k + b to 2^-136 and m = round(x): in 2^-136 fixed
-    point, truncating each step, 1/Gamma(1 + x - m) by Horner's rule over
-    `_taylor()`, over (x - 1) ... (x - m + 1), or times x if m = 0.  From x =
-    _TAYLOR_TOP on, mpmath's rgamma at 136 bits: r = 1, -s its exponent."""
-    coeffs = _taylor()
+    """(p, r, s), p/r 2^-s = 1/Gamma(x), x = a k + b: below _TAYLOR_TOP,
+    Horner's rule over `_centred(m)` at y = x - m, m = round(x), over (m - 1)!
+    or times x if m = 0, within 2^-135 relative; beyond, mpf_rgamma, r = 1."""
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     d = max(ad, bd)  # both are powers of two
-    an, bn, e, one = an * (d // ad), bn * (d // bd), d.bit_length() - 1, 1 << _WP
+    an, bn, e = an * (d // ad), bn * (d // bd), d.bit_length() - 1
     for k in ks:
         xn = an * k + bn  # x = xn / 2^e
-        x = xn << _WP >> e
-        if x >> _WP >= _TAYLOR_TOP:
+        if xn >> e >= _TAYLOR_TOP:
             from mpmath.libmp import from_man_exp, mpf_rgamma
             _, p, ex, _ = mpf_rgamma(from_man_exp(xn, -e), _WP)
             yield p, 1, -ex  # 1/Gamma(x) < 1.13, so ex <= 0
             continue
-        m, r, p = ((x >> (_WP - 1)) + 1) >> 1, one, 0  # m = round(x), halves up
-        for _ in range(m - 1):
-            x -= one
-            r = r * x >> _WP
-        y = x - one if m else x
-        for c in coeffs:
-            p = c + (y * p >> _WP)
-        yield (p, r << (_TAYLOR_WP - _WP), 0) if m else (xn * p, d << _TAYLOR_WP, 0)
+        m = (xn + (d >> 1)) >> e  # round(x), halves up
+        y, p = xn - (m << e), 0  # y / 2^e = x - m, exact
+        for c in _centred(m):
+            p = c + (y * p >> e)
+        yield (p, math.factorial(m - 1) << _CWP, 0) if m else (xn * p, d << _CWP, 0)
 
 
 def _quot(n: int, d: int, s: int) -> float:

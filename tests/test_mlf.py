@@ -1,6 +1,7 @@
 """Mittag-Leffler evaluation: classical limits, the independent
 partial-sum oracle, validity domains and precision-loss behaviour."""
 
+import json
 import math
 import os
 import subprocess
@@ -739,6 +740,11 @@ class _Column(list):
 @example(alpha=0.25, beta=0.25, x0=97.0, count=20)  # quarters to halves across 100
 @example(alpha=0.9, beta=0.5, x0=170.0, count=6)  # into the subnormals
 @example(alpha=3.0, beta=60.0, x0=600.0, count=2)  # 1/Gamma below them
+@example(alpha=2.0, beta=1.0, x0=0.0, count=6)  # e = 0: odd x, y = 0
+@example(alpha=0.1, beta=0.03, x0=99.5, count=6)  # m = 100 from 99.53, then 101
+@example(alpha=0.1, beta=0.03, x0=199.5, count=8)  # m = 200, then mpmath from 200.03
+@example(alpha=2.0, beta=1.0, x0=195.0, count=6)  # both sides of x = 200, e = 0
+@example(alpha=0.7, beta=1e-30, x0=5.0, count=6)  # beta = n/2^147: y past 2^-136
 def test_fixed_point_entries_equal_the_50_digit_build(alpha, beta, x0, count):
     # each entry of a build from index k0 on, its float columns included,
     # equals the 50-digit build's (one gamma per entry, then float()); where
@@ -799,27 +805,69 @@ def test_a_zero_sweep_builds_every_table_as_in_50_digits(monkeypatch):
 @pytest.mark.parametrize("y", [Fraction(-1, 2), Fraction(-1, 4), Fraction(0),
                                Fraction(1, 4), Fraction(1, 2)])
 def test_taylor_coefficients_reproduce_rgamma(monkeypatch, y):
-    # the stored coefficients are mpmath's 43, computed afresh on an empty
-    # cache; the build's 1/Gamma(1 + y) on |y| <= 1/2, by its own Horner rule
-    # over them, is within len(coeffs) 2^-136 relative of mp.rgamma
+    # the stored coefficients are mpmath's 43 at 2^-140, computed afresh on
+    # an empty cache, which _centred(1) holds at 2^-148; the build's
+    # 1/Gamma(1 + y) on |y| <= 1/2, by its own Horner rule over them, is
+    # within len(coeffs) 2^-136 relative of mp.rgamma
     from mpmath.libmp import gammazeta
 
     monkeypatch.setattr(gammazeta, "gamma_taylor_cache", {})
-    coeffs = fraccalc._taylor()
+    coeffs = fraccalc._centred(1)
     want, cwp = gammazeta.gamma_taylor_coefficients(fraccalc._WP)
-    assert (list(coeffs), fraccalc._TAYLOR_WP) == (want, cwp)
+    assert (coeffs, cwp) == (tuple(c << fraccalc._CWP - 140 for c in want), 140)
     yf, p = int(y * 2**fraccalc._WP), 0
     for c in coeffs:
         p = c + (yf * p >> fraccalc._WP)
     with mp.workdps(60):
         ref = mp.rgamma(1 + mp.mpf(y.numerator) / y.denominator)
         bound = len(coeffs) * mp.mpf(2) ** -fraccalc._WP * ref
-        assert abs(mp.mpf(p) / mp.mpf(2) ** fraccalc._TAYLOR_WP - ref) <= bound
+        assert abs(mp.mpf(p) / mp.mpf(2) ** fraccalc._CWP - ref) <= bound
         # and the build's values at x = 1 + y, from 1/2 to 3/2, integers and
         # halves included: all by the Taylor path (r > 1, s = 0)
         (p, r, s), = fraccalc._rgamma_fixed(1.0, float(1 + y), [0])
         assert r > 1 and s == 0
         assert abs(mp.mpf(p) / r - ref) <= bound
+
+
+def _centred_bound(m):
+    """The documented relative bound of Horner's rule over _centred(m), in
+    2^-148: 2^8 for the file's series (2^7.7 measured), and 2 sqrt(k) for
+    each level k's floors, of its recurrence or of the Horner pass."""
+    return 256 + 4 * sum(math.sqrt(k) for k in range(1, m + 1))
+
+
+_DYADIC_Y = st.integers(0, 160).flatmap(  # (e, yn), y = yn / 2^e in [-1/2, 1/2]
+    lambda e: st.tuples(st.just(e), st.integers(-(1 << e >> 1), 1 << e >> 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 200), ey=_DYADIC_Y)
+@example(m=1, ey=(11, 1023))  # near y = 1/2, where the file's series is worst
+@example(m=2, ey=(1, -1))  # y = -1/2 at m = 2, where 1/(1 + y) is 2
+@example(m=191, ey=(1, 1))  # the worst level measured
+@example(m=200, ey=(1, 1))
+@example(m=200, ey=(1, -1))
+@example(m=137, ey=(160, 3**100))  # y needs 159 bits
+def test_centred_series_within_its_bound(m, ey):
+    # Horner's rule over _centred(m), as the build runs it, is within the
+    # documented bound of Gamma(m)/Gamma(m + y), at most 2^-135 (m = 200);
+    # the series keep the file's 43 terms to m = 31 and grow to 50 by 200
+    e, yn = ey
+    coeffs, p = fraccalc._centred(m), 0
+    for c in coeffs:
+        p = c + (yn * p >> e)
+    with mp.workdps(60):
+        y = mp.mpf(yn) / mp.mpf(2) ** e
+        ref = mp.gamma(m) / mp.gamma(m + y)
+        err = abs(mp.mpf(p) / mp.mpf(2) ** fraccalc._CWP - ref)
+        assert err <= _centred_bound(m) * mp.mpf(2) ** -148 * ref
+    assert _centred_bound(200) < 2**13
+    assert len(fraccalc._centred(m - 1)) <= len(coeffs) <= 50
+    assert {k: len(fraccalc._centred(k)) for k in (1, 31, 32, 100, 200)} == {
+        1: 43, 31: 43, 32: 44, 100: 48, 200: 50}
+    with open(os.path.join(os.path.dirname(fraccalc.__file__), "data",
+                           "rgamma_taylor.json")) as fh:
+        assert fraccalc._centred(1) == tuple(c << 8 for c in json.load(fh))
 
 
 @pytest.mark.parametrize("cached", [170, 400])
@@ -837,7 +885,7 @@ def test_entries_do_not_depend_on_mpmaths_coefficient_cache(monkeypatch, cached)
         raise AssertionError(f"the build read mpmath's coefficients at {prec} bits")
 
     def build():
-        fraccalc._taylor.cache_clear()
+        fraccalc._centred.cache_clear()
         monkeypatch.setattr(gammazeta, "gamma_taylor_coefficients", refuse)
         tabs = []
         for alpha in np.linspace(0.55, 1.2, 27).tolist():
@@ -952,9 +1000,9 @@ def test_float_only_readers_build_no_double_double_columns(monkeypatch):
     # series coefficients, the Caputo map and the radial recurrence read the
     # float columns only; radial_ground at alpha 1.4 reads 2.8 * 66 + 1 >=
     # 171, where every column, the double-double one included, is built in
-    # fixed point.  Only entries at x >= 100 import mpmath: not the zeros,
-    # the equivalent potential or the radii, whose double-double entries stay
-    # below it, but radial_ground at alpha 1.4, which reads x up to 186
+    # fixed point.  Only entries at x >= 200 import mpmath: not the zeros,
+    # the equivalent potential, the radii or radial_ground at alpha 1.4 (x
+    # up to 186), but a (2.8, 1) table read to index 80 (x up to 225)
     monkeypatch.setattr(fraccalc, "_TABLES", {})
     caputo_derivative(FracSeries.cosine(0.8))
     radial_ground(3, 2.0 / 3.0)
@@ -973,8 +1021,10 @@ def test_float_only_readers_build_no_double_double_columns(monkeypatch):
             "equivalent_potential(0.9, 3.0, 40, np.linspace(-0.95, 0.95, 161))\n"
             "radius_box(2452.2, QuarkMasses(), 2.0 / 3.0)\n"
             "radius_sphere(2452.2, QuarkMasses(), 2.0 / 3.0)\n"
-            "assert 'mpmath' not in sys.modules\n"
             "radial_ground(3, 1.4)\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "from fracspec.fraccalc import _RatioTable\n"
+            "_RatioTable(2.8, 1.0).dd(80)\n"
             "assert 'mpmath' in sys.modules\n")
     src = os.path.dirname(os.path.dirname(fraccalc.__file__))
     subprocess.run([sys.executable, "-c", code], check=True,
