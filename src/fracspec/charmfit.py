@@ -23,10 +23,9 @@ That convention reproduces the published box value (0.32 fm).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -289,7 +288,7 @@ class FitResult:
     def payload(self) -> dict:
         """The fit as a JSON-ready dict, residuals keyed "jm"."""
         return {
-            "params": dataclasses.asdict(self.params),
+            "params": asdict(self.params),
             "residuals": {f"{j}{m}": v for (j, m), v in self.residuals.items()},
             "diagnostics": self.diagnostics,
         }
@@ -540,10 +539,11 @@ def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     """(r0, <r>) in fm for the composite in a spherical well.
 
     r0 comes from E0 = (1/2) m_c c^2 (hbar k_sph/(m_c c r0))^(2 alpha) with
-    k_sph the first zero of the radial ground state and hbar c = hbar_c
-    (MeV fm); <r> integrates the radial ground state g over [0, r0]^3 like
-    radius_box.  g depends on the coordinates only through
-    rho = sum |x_i|^(2 alpha), so L_z g = J^2 g = 0 holds by construction.
+    k_sph the first zero of the radial ground state g and hbar c = hbar_c
+    (MeV fm).  <r> integrates g over the cube [0, r0]^3 like radius_box,
+    corners past the wall (rho to 3 k_sph^(2 alpha)) included, where g's
+    series loses up to 7e7 to cancellation at alpha 0.55.  L_z g = J^2 g = 0
+    by construction: g depends on x only through rho = sum |x_i|^(2 alpha).
     """
     _check_radius_args(sigma_mass, hbar_c, n_nodes)
     ground = radial_ground(3, alpha)

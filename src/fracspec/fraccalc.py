@@ -703,14 +703,10 @@ def caputo_derivative(series: FracSeries) -> FracSeries:
     a = series.alpha
     k = series.k
     scale = math.copysign(abs(k) ** a, k)
-    src = series.coeffs
-    if len(src) <= 1:
-        out = (0.0,)
-    else:
-        tab = _table(a, 1.0)
-        tab.extend(len(src) - 2)
-        out = tuple(scale * c * r for c, r in zip(src[1:], tab.ratio))
-    return FracSeries(alpha=a, coeffs=out, k=k)
+    tab = _table(a, 1.0)
+    tab.extend(len(series.coeffs) - 2)  # builds nothing for a constant series
+    out = tuple(scale * c * r for c, r in zip(series.coeffs[1:], tab.ratio))
+    return FracSeries(alpha=a, coeffs=out or (0.0,), k=k)
 
 
 # ----------------------------------------------------------------------------

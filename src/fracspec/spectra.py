@@ -12,7 +12,7 @@ unscaled values k0 = (pi/2) x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .fraccalc import (
     AlphaContext,
     HALF_PI,
     PrecisionLoss,
+    _ROUND_UNIT,
+    _absmax,
     _check_alpha,
     _check_int,
     _check_positive,
@@ -47,7 +49,6 @@ __all__ = [
 ]
 
 SCAN_STEP = 0.01  # on the (pi/2)-scaled axis; root spacing there is >~ 0.5
-_EPS = 2.0**-52
 
 
 class NoZeros(ArithmeticError):
@@ -100,7 +101,7 @@ def _refine(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = max(0.5 * xtol, 2.0 * _EPS * abs(b))
+        tol = max(0.5 * xtol, 4.0 * _ROUND_UNIT * abs(b))
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -291,8 +292,16 @@ class RadialGround:
 
     def g_of_rho(self, rho):
         """g as a function of rho = sum_i |k x_i|^(2 alpha) (Cartesian form):
-        the positive coefficients summed at -rho."""
-        return _horner(self.coeffs, -np.asarray(rho, float))
+        the positive coefficients at -rho, summed to the first n >= 3 where
+        t_n = a_n max|rho|^n <= 1e-3 u and <= t_(n-1)/2, else all 65; as
+        a_n/a_(n-1) falls with n, the terms left out sum to less than t_n."""
+        rho = np.asarray(rho, float)
+        top, p, t = _absmax(rho), 1.0, 1.0
+        for n, a in enumerate(self.coeffs[1:], 1):
+            prev, t = t, a * (p := p * top)  # top ** n would raise past 1e308
+            if t <= 1e-3 * _ROUND_UNIT and t <= 0.5 * prev and n >= 3:
+                break
+        return _horner(self.coeffs[:n + 1], -rho)
 
     @property
     def first_zero_scaled(self) -> float:
@@ -311,9 +320,9 @@ def radial_ground(N: int, alpha: float) -> RadialGround:
     coeffs = [1.0]
     for j in range(1, 65):
         coeffs.append(coeffs[-1] / ((N - 1) * j * eta[0] + eta[j - 1]))
-    g = lambda z: _horner(coeffs, -np.asarray(z, float) ** (2.0 * alpha))
+    ground = RadialGround(N, alpha, tuple(coeffs), math.nan)
     xs = np.arange(SCAN_STEP, 20.0 + SCAN_STEP, SCAN_STEP) * HALF_PI
-    vs = g(xs)
+    vs = ground.g(xs)
     idx = _brackets(vs)
     if len(idx) == 0:
         raise NoZeros(
@@ -321,9 +330,9 @@ def radial_ground(N: int, alpha: float) -> RadialGround:
             "(0, 20] (scaled axis)"
         )
     i = idx[0]
-    root = _refine(lambda z: float(g(z)), float(xs[i]), float(xs[i + 1]),
+    root = _refine(lambda z: float(ground.g(z)), float(xs[i]), float(xs[i + 1]),
                    float(vs[i]), float(vs[i + 1]), 1e-12)
-    return RadialGround(N, alpha, tuple(coeffs), root)
+    return replace(ground, first_zero=root)
 
 
 def spherical_ground_energy(N: int, alpha: float, r0: float,

@@ -103,12 +103,6 @@ def _mul(p: dict, q: dict) -> dict:
     return out
 
 
-def _factor(A: np.ndarray, Bs: list[np.ndarray], C: np.ndarray) -> dict:
-    B1, B2, B3 = Bs
-    return {(1, 0, 0, 0): A, (0, 0, 0, 0): C,
-            (0, 1, 0, 0): B1, (0, 0, 1, 0): B2, (0, 0, 0, 1): B3}
-
-
 def build_factors() -> tuple[dict, dict, dict]:
     """The three first-order factors R, R', R'' as `_mul` polynomials.
 
@@ -117,9 +111,10 @@ def build_factors() -> tuple[dict, dict, dict]:
     """
     g0, gi = build_gamma()
     eye9 = np.eye(9)
-    A_fam = [(g0 - xk * eye9) / math.sqrt(3.0) for xk in PHASES]
-    C_fam = [PHASES[k] * np.kron(np.eye(3), np.diag(np.eye(3)[k])) for k in range(3)]
-    return tuple(_factor(A_fam[k], gi, C_fam[k]) for k in range(3))
+    return tuple({(1, 0, 0, 0): (g0 - xk * eye9) / math.sqrt(3.0),
+                  (0, 0, 0, 0): xk * np.kron(np.eye(3), np.diag(np.eye(3)[k])),
+                  (0, 1, 0, 0): gi[0], (0, 0, 1, 0): gi[1], (0, 0, 0, 1): gi[2]}
+                 for k, xk in enumerate(PHASES))
 
 
 def triple_product_check() -> dict:

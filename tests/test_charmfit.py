@@ -679,8 +679,10 @@ def _box_brute_force(a, alpha, n_nodes):
 @pytest.mark.parametrize("fn, alpha, n_nodes", [
     pytest.param(fn, alpha, n, id=("box-" if fn is radius_box else "")
                  + f"{alpha}-{n}-plain")
-    for fn in (radius_sphere, radius_box) for alpha in (2.0 / 3.0, 1.0)
-    for n in (7, 16)
+    for fn in (radius_sphere, radius_box)
+    # n = 64 at 2/3: the CLI's default, where the sphere sums 41 of 65 terms
+    for alpha, n in ((2.0 / 3.0, 7), (2.0 / 3.0, 16), (1.0, 7), (1.0, 16),
+                     (2.0 / 3.0, 64))
 ])
 def test_sphere_cubature_matches_brute_force(fn, alpha, n_nodes):
     size, r = fn(2452.2, QUARKS, alpha, n_nodes=n_nodes)

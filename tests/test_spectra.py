@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracspec import fraccalc, spectra
+from fracspec.charmfit import QuarkMasses, radius_sphere
 from fracspec.fraccalc import (HALF_PI, AlphaContext, frac_cos, frac_sin,
                                rl_nodes)
 from fracspec.spectra import (
@@ -349,6 +350,83 @@ def test_radial_coefficients_positive_alternating():
 def test_radial_no_zeros():
     with pytest.raises(NoZeros):
         radial_ground(3, 0.45)
+
+
+def _spy_horner(monkeypatch):
+    """(terms, points) of every `_horner` call the radial ground state makes."""
+    calls, horner = [], spectra._horner
+
+    def spy(coeffs, z):
+        calls.append((len(coeffs), np.size(z)))
+        return horner(coeffs, z)
+
+    monkeypatch.setattr(spectra, "_horner", spy)
+    return calls
+
+
+@settings(deadline=None, max_examples=60)
+@given(alpha=st.floats(0.55, 1.5), frac=st.floats(-1.0, 1.0),
+       scan=st.booleans())
+@example(alpha=2.0 / 3.0, frac=1.0, scan=False)
+@example(alpha=0.55, frac=1.0, scan=False)
+@example(alpha=0.55, frac=0.9, scan=True)
+@example(alpha=1.5, frac=1.0, scan=True)
+@example(alpha=2.0 / 3.0, frac=-1.0, scan=False)
+def test_sized_radial_sum_is_the_full_sum_within_its_tail(alpha, frac, scan):
+    # the range of the sphere cubature, rho <= 3 k_sph^(2 alpha), or of the
+    # zero scan, (10 pi)^(2 alpha), with a point of either sign at |rho| <=
+    # top: the sum sized at top drops terms below t_N = a_N top^N in all
+    # (the ratios fall), so it lies within 2 t_N and the float bounds of
+    # both sums, (2N + 3) u sum a_n |rho|^n each (Higham, 5.1), of the
+    # 65-term sum
+    rg = radial_ground(3, alpha)
+    top = ((10.0 * math.pi) ** (2.0 * alpha) if scan
+           else 3.0 * rg.first_zero ** (2.0 * alpha))
+    rho = np.array([frac * top, math.copysign(top, frac)])
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_horner(patch)
+        got = rg.g_of_rho(rho)
+    (terms, _), = calls
+    n = terms - 1
+    full = fraccalc._horner(rg.coeffs, -rho)
+    mass = fraccalc._horner(rg.coeffs, np.abs(rho))
+    bound = 2.0 * rg.coeffs[n] * top**n + 2.0 * 131 * fraccalc._ROUND_UNIT * mass
+    assert np.all(np.abs(got - full) <= bound)
+
+
+def test_sphere_range_sums_at_most_42_terms(monkeypatch):
+    calls = _spy_horner(monkeypatch)
+    radius_sphere(2452.2, QuarkMasses(), 2.0 / 3.0, n_nodes=64)
+    terms, points = max(calls, key=lambda c: c[1])  # the cubature's one pass
+    assert points == 64 * 65 * 66 // 6 and terms <= 42
+    rg = radial_ground(3, 2.0 / 3.0)
+    calls.clear()
+    rg.g_of_rho(3.0 * rg.first_zero ** (4.0 / 3.0))  # 30.8, the sphere's top
+    rg.g_of_rho(98.0)  # near the scan's top, (10 pi)^(4/3) = 99.1
+    assert calls[0][0] <= 42 and calls[1][0] == 65
+
+
+def _outcome(f, x):
+    """The value's bytes, or the class of what f raised (the suite turns
+    numpy's overflow warnings into errors)."""
+    try:
+        return np.asarray(f(x)).tobytes()
+    except Exception as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("x", [
+    np.empty(0), np.empty((0, 3)), 1e300, math.inf, math.nan,
+    np.array([1.0, 1e300]), np.array([math.nan, 2.0]), np.array([-math.inf]),
+], ids=repr)
+def test_sized_radial_sum_on_edge_inputs_is_the_65_term_sum(x):
+    rg = radial_ground(3, 2.0 / 3.0)
+    full_rho = lambda rho: fraccalc._horner(rg.coeffs, -np.asarray(rho, float))
+    full_z = lambda z: full_rho(np.asarray(z, float) ** (4.0 / 3.0))
+    for got, want in ((rg.g_of_rho, full_rho), (rg.g, full_z)):
+        assert _outcome(got, x) == _outcome(want, x)
+        with np.errstate(all="ignore"):
+            assert _outcome(got, x) == _outcome(want, x)
 
 
 def test_spherical_energy_classical():
