@@ -753,31 +753,31 @@ QUAD_TOL = 1e-8  # frac_integral's relative adaptive target
 
 
 def frac_integral(f, alpha: float, a: float):
-    """Riemann-Liouville integral (1/Gamma(a)) int_0^a (a-u)^(a-1) f(u) du.
+    """Riemann-Liouville integral (1/Gamma(alpha)) int_0^a (a-u)^(alpha-1) f(u) du.
 
     f(u) has u's shape (a float result) or (k, len(u)): k integrands on one
-    panel set (k results).  The substitution s = (a-u)^alpha removes the
-    kernel but leaves power-type singularities at both ends: u = a -
-    s^(1/alpha) at s = 0, and f's own at u = 0 (|u|^(2 alpha) of psi^2).
-    The cubic map s = a^alpha t^2 (3 - 2t), Jacobian 6 a^alpha t (1 - t),
-    turns an end behaviour x^g into t^(2g+1) at either end (Davis and
-    Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984, 2.9).
+    panel set (k results).  s = (a-u)^alpha removes the kernel but leaves
+    power-type singularities at both ends: u = a - s^(1/alpha) at s = 0,
+    and f's own at u = 0 (|u|^(2 alpha) of psi^2).  The cubic map
+    s = a^alpha t^2 (3 - 2t), Jacobian 6 a^alpha t (1 - t), turns an end
+    behaviour x^g into t^(2g+1) (Davis and Rabinowitz, 2nd ed., 1984, 2.9).
     Adaptive Gauss-Legendre bisection of t in [0, 1], one level (depth) at
-    a time: one call of f evaluates the 32- and 16-point rules on every open
-    panel.  A panel is accepted when in every row they differ by <= 0.5
-    QUAD_TOL max(scale, |v32|) or 1e-16 scale (scale: the row's |accepted| +
-    sum of |v32| over the open panels), else bisected; relative error
-    ~QUAD_TOL.  Raises ValueError unless a is finite and positive and f(u)
-    is so shaped, or at the first level where f(u) is not finite;
-    QuadratureFailure when a panel fails at depth 28 or a split would start
-    with MAX_PANELS panels evaluated.
+    a time, started from the depth-1 panels [0, 1/2] and [1/2, 1] (Shampine,
+    J. Comput. Appl. Math. 211, 2008): one call of f evaluates the 32- and
+    16-point rules on every open panel.  A panel is accepted when in every
+    row they differ by <= 0.5 QUAD_TOL max(scale, |v32|) or 1e-16 scale
+    (scale: the row's |accepted| + sum of |v32| over the open panels), else
+    bisected; relative error ~QUAD_TOL.  Raises ValueError unless a is
+    finite and positive and f(u) is so shaped, or at the first level where
+    f(u) is not finite; QuadratureFailure when a panel fails at depth 28 or
+    a split would start with MAX_PANELS panels evaluated.
     """
     _check_alpha(alpha)
     _check_positive("frac_integral", a=a)
     smax, inv_alpha = a**alpha, 1.0 / alpha
     jac = 6.0 * smax / gamma(alpha + 1.0)
-    lo, hi = np.zeros(1), np.ones(1)
-    acc, scale, n_panels, depth = 0.0, 1e-300, 1, 0
+    lo, hi = np.array([0.0, 0.5]), np.array([0.5, 1.0])
+    acc, scale, n_panels, depth = 0.0, 1e-300, 2, 1
     while True:
         h, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         t = (mid[:, None] + h[:, None] * _GL_NODES).ravel()

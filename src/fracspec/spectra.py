@@ -383,8 +383,8 @@ def equivalent_potential(alpha: float, T: float, n_states: int, grid):
     cutoff = math.exp(-e[len(weights) - 1])
     if cutoff > 1e-8 or tail > 1e-6:
         advice = ("raise n_states or lower T" if len(e) > n_states else
-                  f"only {len(e)} states lie below scaled x "
-                  f"{2 * (n_states + 1) + 20}, so only a lower T can help")
+                  f"only {len(e)} state{' lies' if len(e) == 1 else 's lie'} below"
+                  f" scaled x {2 * (n_states + 1) + 20}, so only a lower T can help")
         raise CutoffTooSmall(
             f"cutoff weight {cutoff:.2e} (tail ~{tail:.2e}) exceeds the "
             f"budget; {advice}"

@@ -502,6 +502,17 @@ def test_potential_past_the_finite_spectrum_is_cut_off(tmp_path, capsys):
     assert "only 7 states" in err and "raise n_states" not in err
 
 
+def test_potential_cut_off_at_one_state_is_singular(tmp_path, capsys):
+    # alpha 0.7 has a single state below the scan limit
+    out = tmp_path / "out"
+    rc = run(["potential", "--alpha", "0.7", "--temperature", "12",
+              "--n-states", "12", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "only 1 state lies below scaled x 46" in err
+
+
 @pytest.mark.parametrize("args", [
     # beyond the certified range: PrecisionLoss, raised before any artifact
     ["potential", "--alpha", "0.95", "--temperature", "300", "--n-states",

@@ -14,6 +14,7 @@ from fracspec.fraccalc import (
     AlphaContext,
     DegenerateNorm,
     FracSeries,
+    QUAD_TOL,
     QuadratureFailure,
     caputo_derivative,
     expectation,
@@ -282,11 +283,17 @@ def test_non_finite_integrand_is_rejected_at_once(integral):
 # --- level-wise refinement against the depth-first loop -----------------------
 
 
-def _depth_first(f, alpha, a, tol=1e-8, max_depth=28, max_panels=4096):
+ROOT, FIRST_LEVEL = ((0.0, 1.0),), ((0.0, 0.5), (0.5, 1.0))
+
+
+def _depth_first(f, alpha, a, panels, tol=1e-8, max_depth=28,
+                 max_panels=4096):
     """The depth-first adaptive loop that level-wise refinement replaced:
     two integrand calls per panel (32 and 16 Gauss-Legendre points), the
     same accept test and limits, in the same variable t of the graded map
-    s = a^alpha t^2 (3 - 2t).  Returns (value, levels evaluated)."""
+    s = a^alpha t^2 (3 - 2t), started at `panels`, the 2^d panels of one
+    level d of the bisection tree of [0, 1] (ROOT or FIRST_LEVEL).
+    Returns (value, levels evaluated)."""
     smax = a**alpha
     jac = 6.0 * smax / gamma(alpha + 1.0)
 
@@ -304,10 +311,10 @@ def _depth_first(f, alpha, a, tol=1e-8, max_depth=28, max_panels=4096):
         v16 = h * float(np.dot(ws2, g(mid + h * xs2)))
         return v32, abs(v32 - v16)
 
-    total, err = panel(0.0, 1.0)
-    scale = max(abs(total), 1e-300)
-    stack = [(0.0, 1.0, total, err, 0)]
-    acc, n_panels, deepest = 0.0, 1, 0
+    first = len(panels).bit_length() - 1
+    stack = [(lo, hi, *panel(lo, hi), first) for lo, hi in panels]
+    scale = max(sum(abs(p[2]) for p in stack), 1e-300)
+    acc, n_panels, deepest = 0.0, len(panels), first
     while stack:
         lo, hi, val, e, depth = stack.pop()
         deepest = max(deepest, depth)
@@ -323,7 +330,7 @@ def _depth_first(f, alpha, a, tol=1e-8, max_depth=28, max_panels=4096):
         stack.append((lo, mid, vl, el, depth + 1))
         stack.append((mid, hi, vr, er, depth + 1))
         scale = max(scale, abs(acc) + abs(val))
-    return acc, deepest + 1
+    return acc, deepest + 1 - first
 
 
 def _counted(f):
@@ -372,17 +379,23 @@ def test_level_wise_matches_depth_first(name, make, alpha, a, sym):
     f = make()
     ref_f, ref_seen = _counted(f)
     ref_g = (lambda u: ref_f(u) + ref_f(-u)) if sym else ref_f
-    want, levels = _depth_first(ref_g, alpha, a)
+    want, levels = _depth_first(ref_g, alpha, a, FIRST_LEVEL)
+    root_g = (lambda u: f(u) + f(-u)) if sym else f
+    want_root, levels_root = _depth_first(root_g, alpha, a, ROOT)
     got_f, seen = _counted(f)
     got = (sym_integral if sym else frac_integral)(got_f, alpha, a)
     # the same panels: the same points, one call of f per level
     assert seen[1] == ref_seen[1]
-    assert seen[0] == levels <= 28 + 1
+    assert seen[0] == levels <= 28
+    # the first-level start never takes more levels than the root start
+    assert seen[0] <= levels_root
     if want == 0.0:  # vanishing integral: absolute, against the scale of f
-        scale = _depth_first(lambda u: np.abs(f(u)), alpha, a)[0]
+        scale = _depth_first(lambda u: np.abs(f(u)), alpha, a, FIRST_LEVEL)[0]
         assert abs(got) <= 1e-16 * scale
+        assert abs(got - want_root) <= QUAD_TOL * scale
     else:
         assert got == pytest.approx(want, rel=1e-13)
+        assert abs(got - want_root) <= QUAD_TOL * abs(want_root)
 
 
 def test_level_wise_stall_evaluates_no_more_panels(monkeypatch):
@@ -390,13 +403,13 @@ def test_level_wise_stall_evaluates_no_more_panels(monkeypatch):
     f = lambda u: np.cos(5e7 * u)
     ref_f, ref_seen = _counted(f)
     with pytest.raises(QuadratureFailure):
-        _depth_first(ref_f, 0.7, 1.0, max_panels=512)
+        _depth_first(ref_f, 0.7, 1.0, FIRST_LEVEL, max_panels=512)
     got_f, seen = _counted(f)
     with pytest.raises(QuadratureFailure):
         frac_integral(got_f, 0.7, 1.0)
     assert seen[1] % 48 == 0  # 32 + 16 points per panel
     assert 0 < seen[1] <= ref_seen[1]
-    assert seen[0] <= 28 + 1
+    assert seen[0] <= 28
 
 
 # --- scalar product / expectation ---------------------------------------------
@@ -450,10 +463,11 @@ class _CountedState:
     """A well state whose psi counts its calls; st.psi == st.psi holds for
     its bound methods as for WellState's."""
 
-    def __init__(self, alpha, index):
+    def __init__(self, alpha, index, count=8):
         from fracspec.spectra import well_states_1d
 
-        self.state = well_states_1d(alpha, 8, 1.0, AlphaContext(alpha))[index]
+        self.state = well_states_1d(alpha, count, 1.0,
+                                    AlphaContext(alpha))[index]
         self.calls = 0
 
     def psi(self, u):
@@ -477,10 +491,11 @@ def _count_levels(monkeypatch):
     return levels
 
 
-# states that take at least two levels for the norm and the expectation
-@pytest.mark.parametrize("alpha,index", [(0.85, 4), (0.9, 3), (0.95, 6)])
+# states that still take two levels for the norm and the expectation when
+# the refinement starts at the first level of the bisection tree
+@pytest.mark.parametrize("alpha,index", [(0.85, 9), (0.9, 12), (0.95, 16)])
 def test_psi_called_once_per_level(monkeypatch, alpha, index):
-    state = _CountedState(alpha, index)
+    state = _CountedState(alpha, index, count=24)
     op = lambda u: np.abs(u) ** alpha
     for run in (lambda: scalar_product(state.psi, state.psi, alpha, 1.0),
                 lambda: expectation(op, state.psi, state.psi, alpha, 1.0)):
@@ -488,6 +503,21 @@ def test_psi_called_once_per_level(monkeypatch, alpha, index):
         state.calls = 0
         run()
         assert state.calls == levels[0] > 1
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.95])
+def test_low_states_take_one_level(monkeypatch, alpha):
+    # the norm and <|x|^alpha> of each of the first eight well states are
+    # accepted on the two first-level panels, in one integrand call
+    op = lambda u: np.abs(u) ** alpha
+    for index in range(8):
+        state = _CountedState(alpha, index)
+        for run in (lambda: scalar_product(state.psi, state.psi, alpha, 1.0),
+                    lambda: expectation(op, state.psi, state.psi, alpha,
+                                        1.0)):
+            levels = _count_levels(monkeypatch)
+            run()
+            assert levels[0] == 1, index
 
 
 def test_scalar_product_of_f_with_itself_is_bitwise_the_product():
