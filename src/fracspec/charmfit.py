@@ -31,8 +31,9 @@ from importlib import resources
 import numpy as np
 
 from .angular import C_MODELS, c_value, euler_eigenvalue
-from .fraccalc import (ALPHA_MAX, HBARC_MEV_FM, _check_alpha, _check_int,
-                       _check_positive, _gauss_legendre, frac_cos, gamma)
+from .fraccalc import (_BLOCKED_POINTS, _HORNER_BLOCK, ALPHA_MAX, HBARC_MEV_FM,
+                       _check_alpha, _check_int, _check_positive,
+                       _gauss_legendre, frac_cos, gamma)
 from .spectra import _refine, find_zeros, radial_ground, HALF_PI
 
 __all__ = [
@@ -457,14 +458,18 @@ def _check_radius_args(sigma_mass, hbar_c, n_nodes) -> None:
 def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
                    hbar_c: float, n_nodes: int, factor: float,
                    k0: float, node_density=None,
-                   rho_density=None) -> tuple[float, float]:
+                   ground=None) -> tuple[float, float]:
     """radius_box/radius_sphere for the ground state of first zero k0, energy
     E0 = factor m_c c^2 (hbar k0/(m_c c size))^(2 alpha) and density
-    p_i p_j p_k f, p = node_density(k0 u/size) at the nodes u, f =
-    rho_density((k0/size)^(2 alpha) G), G = R_i + R_j + R_k, R = |u|^(2 alpha)
+    p_i p_j p_k g^2, p = node_density(k0 u/size) at the nodes u, g = ground's
+    g at rho = (k0/size)^(2 alpha) G, G = R_i + R_j + R_k, R = |u|^(2 alpha)
     (1 when None), summed over the sorted triples i <= j <= k (about
-    n_nodes^3/6 points): all of it is symmetric in the node indices.  Raises
-    ValueError unless size, (k0/size)^(2 alpha) and max G are finite, > 0."""
+    n_nodes^3/6 points, symmetric in the node indices) in one buffer, block
+    by block: whole slabs of at least _HORNER_BLOCK points, the last one past
+    _BLOCKED_POINTS, so that g's Horner rule and terms are those of one
+    array.  Per block the weights W and W sqrt(G) are summed pairwise by numpy
+    (no BLAS, so no thread-count dependence); math.fsum adds the blocks.
+    Raises ValueError unless size, (k0/size)^(2 alpha), max G are finite, > 0."""
     constituents = 2.0 * quarks.m_d_c2 + quarks.m_c_c2
     e0 = sigma_mass - constituents
     if e0 < 0:
@@ -499,17 +504,24 @@ def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     j, i = np.tril_indices(n_nodes)
     pair_R, pair_w, diag = R[i] + R[j], w[i] * w[j], i == j
     below, top = pair_w * np.where(diag, 3.0, 6.0), pair_w * np.where(diag, 1.0, 3.0)
-    G, W = np.empty((2, n_nodes * (n_nodes + 1) * (n_nodes + 2) // 6))
-    for k in range(n_nodes):
+    rho_top = scale * (pair_R[-1] + R[-1])  # the nodes ascend: the last G is max G
+    sums, s, left = [], 0, n_nodes * (n_nodes + 1) * (n_nodes + 2) // 6
+    G, W = np.empty((2, min(left, _HORNER_BLOCK + len(pair_R) + _BLOCKED_POINTS)))
+    for k in range(n_nodes):  # s triples in the buffer, left not yet built
         d, m = k * (k + 1) // 2, (k + 1) * (k + 2) // 2  # pairs j < k, j <= k
-        s = k * m // 3  # triples in the slabs before k
         np.add(pair_R[:m], R[k], out=G[s:s + m])
         np.multiply(below[:d], w[k], out=W[s:s + d])
         np.multiply(top[d:m], w[k], out=W[s + d:s + m])
-    if rho_density is not None:
-        W *= rho_density(scale * G)
+        s, left = s + m, left - m
+        if s >= _HORNER_BLOCK and left > _BLOCKED_POINTS or not left:
+            gb, wb = G[:s], W[:s]
+            if ground is not None:
+                wb *= ground._g_below(scale * gb, rho_top) ** 2
+            sums.append((wb.sum(), np.multiply(wb, np.sqrt(gb, out=gb), out=gb).sum()))
+            s = 0
+    den, num = (math.fsum(col) for col in zip(*sums))
     prefactor = (hbar_c / mc2) ** (1.0 - alpha) / gamma(1.0 + alpha)
-    return size, prefactor * float(W @ np.sqrt(G, out=G)) / float(W.sum())
+    return size, prefactor * num / den
 
 
 def radius_box(sigma_mass: float, quarks: QuarkMasses, alpha: float,
@@ -548,8 +560,7 @@ def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     _check_radius_args(sigma_mass, hbar_c, n_nodes)
     ground = radial_ground(3, alpha)
     return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, 0.5,
-                          ground.first_zero,
-                          rho_density=lambda rho: ground.g_of_rho(rho) ** 2)
+                          ground.first_zero, ground=ground)
 
 
 # ----------------------------------------------------------------------------

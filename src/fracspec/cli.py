@@ -22,13 +22,8 @@ import traceback
 import numpy as np
 
 from . import angular, charmfit, spectra, su3fact
-from .fraccalc import (
-    PrecisionLoss,
-    frac_cos,
-    frac_exp,
-    frac_sin,
-    mittag_leffler,
-)
+from .fraccalc import (PrecisionLoss, frac_cos, frac_exp, frac_sin,
+                       mittag_leffler)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

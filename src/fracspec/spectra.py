@@ -291,12 +291,15 @@ class RadialGround:
         return self.g_of_rho(np.asarray(z, float) ** (2.0 * self.alpha))
 
     def g_of_rho(self, rho):
-        """g as a function of rho = sum_i |k x_i|^(2 alpha) (Cartesian form):
-        the positive coefficients at -rho, summed to the first n >= 3 where
-        t_n = a_n max|rho|^n <= 1e-3 u and <= t_(n-1)/2, else all 65; as
-        a_n/a_(n-1) falls with n, the terms left out sum to less than t_n."""
+        """g as a function of rho = sum_i |k x_i|^(2 alpha) (Cartesian form)."""
         rho = np.asarray(rho, float)
-        top, p, t = _absmax(rho), 1.0, 1.0
+        return self._g_below(rho, _absmax(rho))
+
+    def _g_below(self, rho, top: float):
+        """g at |rho| <= top: a_n at -rho to the first n >= 3 where t_n = a_n
+        top^n <= 1e-3 u and <= t_(n-1)/2, else all 65; as a_n/a_(n-1) falls
+        with n, the terms left out sum to less than t_n."""
+        p, t = 1.0, 1.0
         for n, a in enumerate(self.coeffs[1:], 1):
             prev, t = t, a * (p := p * top)  # top ** n would raise past 1e308
             if t <= 1e-3 * _ROUND_UNIT and t <= 0.5 * prev and n >= 3:

@@ -127,23 +127,17 @@ def triple_product_check() -> dict:
     """
     R, Rp, Rpp = build_factors()
     P = _mul(_mul(R, Rp), Rpp)
-    eye9 = np.eye(9)
-    expected = {
-        (2, 0, 0, 0): eye9,  # scalar a^2 c = -i hbar
-        (0, 3, 0, 0): eye9,  # scalar b^3 = -hbar^2/2m
-        (0, 0, 3, 0): eye9,
-        (0, 0, 0, 3): eye9,
-    }
+    # the identity at n_t = 2 (scalar a^2 c = -i hbar) and n_i = 3 (b^3 = -hbar^2/2m)
+    identity = {(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)}
     checks = []
     for key, mat in sorted(P.items()):
-        target = expected.get(key, None)
-        dev = float(np.max(np.abs(mat - (target if target is not None else 0.0))))
+        dev = float(np.max(np.abs(mat - (np.eye(9) if key in identity else 0.0))))
         # one scalar per factor: a per d_t, b per d_i, c per constant factor
         na, nb = key[0], sum(key[1:])
         checks.append({
             "monomial": {"n_t": key[0], "n_x": list(key[1:])},
             "scalar_powers": {"a": na, "b": nb, "c": 3 - na - nb},
-            "expected": "identity" if target is not None else "zero",
+            "expected": "identity" if key in identity else "zero",
             "max_abs_deviation": dev,
             "pass": dev <= TOL,
         })
@@ -199,11 +193,8 @@ def s2_structure() -> dict:
         space_dev = max(space_dev, float(np.max(np.abs(mat - target))))
 
     b2c = B_SCALAR**2 * C_SCALAR
-    remainder_keys = [k for k in P2 if k != (2, 0, 0, 0) and sum(k[1:]) != 2]
-    remainder_norm = max(
-        (float(np.max(np.abs(P2[k]))) for k in remainder_keys),
-        default=0.0,
-    )
+    remainder_norm = max((float(np.max(np.abs(mat))) for k, mat in P2.items()
+                          if k != (2, 0, 0, 0) and sum(k[1:]) != 2), default=0.0)
     return {
         "time_coefficient": {
             "max_abs_deviation": time_dev,

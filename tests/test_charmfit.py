@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -698,6 +699,66 @@ def test_cubatures_match_brute_force_everywhere(alpha, n_nodes, sigma):
                       (radius_sphere, _sphere_brute_force)):
         size, r = fn(sigma, QUARKS, alpha, n_nodes=n_nodes)
         assert r == pytest.approx(brute(size, alpha, n_nodes), rel=1e-13)
+
+
+def _octant_exact(fn, alpha, n_nodes, sigma=2452.2):
+    """(size, <r>) of radius_box or radius_sphere from the whole n^3/6-point
+    arrays W and W sqrt(G), built slab by slab with the cubature's roundings
+    and series sizing, each summed exactly by math.fsum."""
+    e0 = sigma - (2.0 * QUARKS.m_d_c2 + QUARKS.m_c_c2)
+    if fn is radius_box:
+        k0 = find_zeros("cos", alpha, 1, 8.0, xtol=1e-12)[0] * HALF_PI
+        factor = 1.5
+    else:
+        ground = radial_ground(3, alpha)
+        k0, factor = ground.first_zero, 0.5
+    X = (e0 / (factor * QUARKS.m_c_c2)) ** (1.0 / (2.0 * alpha))
+    size = charmfit.HBARC_MEV_FM * k0 / (QUARKS.m_c_c2 * X)
+    xs, ws = np.polynomial.legendre.leggauss(n_nodes)
+    u, w = 0.5 * size * (xs + 1.0), ws / ws.sum()
+    if fn is radius_box:
+        w = w * frac_cos(alpha, k0 * u / size) ** 2
+    R = np.abs(u) ** (2.0 * alpha)
+    j, i = np.tril_indices(n_nodes)
+    pair_R, pair_w, diag = R[i] + R[j], w[i] * w[j], i == j
+    G, W = [], []
+    for k in range(n_nodes):
+        d, m = k * (k + 1) // 2, (k + 1) * (k + 2) // 2
+        G.append(pair_R[:m] + R[k])
+        W.append(pair_w[:d] * np.where(diag[:d], 3.0, 6.0) * w[k])
+        W.append(pair_w[d:m] * np.where(diag[d:m], 1.0, 3.0) * w[k])
+    G, W = np.concatenate(G), np.concatenate(W)
+    if fn is radius_sphere:
+        W = W * ground.g_of_rho((k0 / size) ** (2.0 * alpha) * G) ** 2
+    prefactor = ((charmfit.HBARC_MEV_FM / QUARKS.m_c_c2) ** (1.0 - alpha)
+                 / charmfit.gamma(1.0 + alpha))
+    return size, prefactor * math.fsum(W * np.sqrt(G)) / math.fsum(W)
+
+
+# n = 28 and 29 straddle the Horner sum's 4,096-point rule change; at 74 a
+# block boundary would leave 2,775 points, at 75 it leaves 5,625; 96 and up
+# take three or more blocks
+@pytest.mark.parametrize("n_nodes", [1, 5, 28, 29, 64, 74, 75, 96, 128, 200])
+@pytest.mark.parametrize("alpha", [0.55, 2.0 / 3.0, 1.0, 1.5])
+def test_cubature_sums_within_3_ulps_of_the_exact_sums(alpha, n_nodes):
+    for fn in (radius_box, radius_sphere):
+        size, r = fn(2452.2, QUARKS, alpha, n_nodes=n_nodes)
+        exact_size, exact = _octant_exact(fn, alpha, n_nodes)
+        assert size == exact_size
+        assert abs(r - exact) <= 3 * math.ulp(exact), (fn.__name__, r, exact)
+
+
+@pytest.mark.parametrize("fn", [radius_box, radius_sphere])
+def test_cubature_memory_does_not_grow_with_the_point_count(fn):
+    # numpy reports its buffers to tracemalloc; one n^3/6-point array of
+    # doubles at n = 200 alone is 10 MiB
+    tracemalloc.start()
+    try:
+        fn(2452.2, QUARKS, 2.0 / 3.0, n_nodes=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("fn", [radius_box, radius_sphere])

@@ -468,20 +468,24 @@ def test_potential_grid_outside_the_well_is_bad_input(tmp_path, capsys):
 
 
 def test_artifacts_do_not_depend_on_the_thread_count(tmp_path):
-    # the series sums make no BLAS call, so one or two BLAS/OpenMP threads
-    # write the same bytes; JSON keeps every digit, where CSV keeps six
+    # the series and cubature sums make no BLAS call, so one or two
+    # BLAS/OpenMP threads write the same bytes; JSON keeps every digit, where
+    # CSV keeps six.  radius exits 1 on its known-red published values.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     written = {}
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
                "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        for name, args in (("zeros", ["zeros"]),
-                           ("potential", ["potential", "--alpha", "0.9",
-                                          "--temperature", "3",
-                                          "--n-states", "40"])):
+        for name, args, rc in (("zeros", ["zeros"], 0),
+                               ("potential", ["potential", "--alpha", "0.9",
+                                              "--temperature", "3",
+                                              "--n-states", "40"], 0),
+                               ("radius", ["radius"], 1)):
             out = tmp_path / f"{name}-{threads}.json"
-            subprocess.run([sys.executable, "-m", "fracspec.cli", *args,
-                            "--out", str(out)], check=True, env=env)
+            done = subprocess.run([sys.executable, "-m", "fracspec.cli", *args,
+                                   "--out", str(out)], env=env,
+                                  capture_output=True)
+            assert done.returncode == rc, (name, done.stderr)
             written.setdefault(name, []).append(out.read_bytes())
     for name, (one, two) in written.items():
         assert one and one == two, name

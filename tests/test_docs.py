@@ -114,7 +114,7 @@ README_ARTIFACTS = {
     "fracspec predict --out predict.json":
         (0, "23ad117e03f971968437f3525ce3140d832cebfa95cb84a60adf9faae7355bef"),
     "fracspec radius --out radius.json":
-        (1, "e76e8a75f1310c9baaaacd1dacd7555d1cc661080f20bb41a25144a97b6ab8c1"),
+        (1, "254fddd4f4a7a2e5f1edee31fd7a94182864193f9ebe99e9e6dc17d51cf5dcaf"),
     "fracspec potential --alpha 0.9 --temperature 12 --n-states 18 --out "
     "pot.csv":
         (0, "a95e212800e06b75c05bd03e1e84c4db50323d2bfa43a32405b8a198eac3d5b2"),
