@@ -27,15 +27,8 @@ import math
 
 from .fraccalc import _check_alpha, _check_int, gamma, rgamma
 
-__all__ = [
-    "C_MODELS",
-    "c_value",
-    "euler_eigenvalue",
-    "lz_eigenvalue",
-    "j2_eigenvalue",
-    "table1_report",
-    "TABLE1_PRINTED",
-]
+__all__ = ["C_MODELS", "c_value", "euler_eigenvalue", "lz_eigenvalue",
+           "j2_eigenvalue", "table1_report", "TABLE1_PRINTED"]
 
 C_MODELS = ("c0", "c1", "c2")  # the commutator-constant models above
 
@@ -53,9 +46,14 @@ def c_value(variant: str, alpha: float, j: int = 0) -> float:
     if variant == "c0":
         return 1.0
     if variant == "c1":
-        return 1.0 - rgamma(1.0 - alpha) / gamma(1.0 + alpha)
+        return _c1(alpha)
     _check_int("c_value", 1, j=j)
     return euler_eigenvalue(alpha, j + 1) - euler_eigenvalue(alpha, j)
+
+
+def _c1(alpha: float) -> float:
+    """c1 at a checked alpha, for c_value and `charmfit`'s checked batches."""
+    return 1.0 - rgamma(1.0 - alpha) / gamma(1.0 + alpha)
 
 
 def euler_eigenvalue(alpha: float, n: int) -> float:

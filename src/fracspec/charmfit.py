@@ -23,6 +23,7 @@ That convention reproduces the published box value (0.32 fm).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -30,37 +31,19 @@ from importlib import resources
 
 import numpy as np
 
-from .angular import C_MODELS, c_value, euler_eigenvalue
+from .angular import C_MODELS, _c1, euler_eigenvalue
 from .fraccalc import (_BLOCKED_POINTS, _HORNER_BLOCK, ALPHA_MAX, HBARC_MEV_FM,
                        _check_alpha, _check_int, _check_positive,
                        _gauss_legendre, frac_cos, gamma)
 from .spectra import _refine, find_zeros, radial_ground, HALF_PI
 
 __all__ = [
-    "ParseError",
-    "UnreadableFile",
-    "DuplicateState",
-    "MissingB",
-    "OutOfRange",
-    "RankDeficient",
-    "NegativeZeroPoint",
-    "CharmState",
-    "FitParams",
-    "QuarkMasses",
-    "FitResult",
-    "load_dataset",
-    "default_dataset",
-    "mass_model",
-    "alpha_from_multiplet",
-    "two_state_solve",
-    "fit",
-    "predict",
-    "radius_box",
-    "radius_sphere",
-    "table3_report",
-    "TABLE2_ROWS",
-    "TABLE3_PRINTED",
-]
+    "ParseError", "UnreadableFile", "DuplicateState", "MissingB", "OutOfRange",
+    "RankDeficient", "NegativeZeroPoint", "CharmState", "FitParams",
+    "QuarkMasses", "FitResult", "load_dataset", "default_dataset",
+    "mass_model", "alpha_from_multiplet", "two_state_solve", "fit", "predict",
+    "radius_box", "radius_sphere", "table3_report", "TABLE2_ROWS",
+    "TABLE3_PRINTED"]
 
 
 class ParseError(ValueError):
@@ -253,7 +236,8 @@ def _design_matrix(jm, alphas, c_model: str) -> np.ndarray:
     _PARAM_NAMES, each entry bitwise the scalar j2_eigenvalue/lz_eigenvalue:
     euler_eigenvalue's lgamma difference, lgamma(k alpha + 1) shared by n = k
     and k + 1, math.lgamma, math.exp (np.exp can differ in the last bit) and
-    c_value("c1", .) mapped over whole arrays, one range test for the batch."""
+    c_value's c1 formula mapped over whole arrays, one range test for the
+    batch; l(alpha, 0) = 0 and l(alpha, 1) = 1 are written, being exact."""
     if c_model not in C_MODELS:
         raise ValueError(f"c_model must be one of {C_MODELS}")
     alphas = np.asarray(alphas, float)
@@ -262,12 +246,13 @@ def _design_matrix(jm, alphas, c_model: str) -> np.ndarray:
         _check_alpha(alphas[np.argmin(ok)])  # raises, naming the first bad alpha
     each = lambda f, x: np.fromiter(map(f, x.ravel().tolist()), float).reshape(x.shape)
     j, m = np.array(jm, int).T
-    lg = each(math.lgamma, np.arange(np.max(jm) + 2) * alphas[:, None] + 1.0)
-    l = np.zeros(lg.shape)  # l(alpha, 0) = 0
-    l[:, 1:] = each(math.exp, (lg[:, 1:] - lg[:, :-1]) - lg[:, 1:2])
+    lg = each(math.lgamma, np.arange(1, np.max(jm) + 2) * alphas[:, None] + 1.0)
+    l = np.zeros((len(alphas), lg.shape[1] + 1))
+    l[:, 1] = 1.0  # exp((lgamma(alpha + 1) - lgamma(1)) - lgamma(alpha + 1))
+    l[:, 2:] = each(math.exp, (lg[:, 1:] - lg[:, :-1]) - lg[:, :1])
     lj, lz = l[:, j], l[:, m]
     if c_model == "c1":
-        c = each(lambda a: c_value("c1", a), alphas)[:, None]
+        c = each(_c1, alphas)[:, None]
     else:
         c = 1.0 if c_model == "c0" else l[:, j + 1] - lj
     one = np.ones_like(lj)
@@ -300,18 +285,22 @@ _OBJECTIVES = ("dm_m0_rms", "dm_m0_abs", "dm_all_rms", "dm_all_abs",
 _OBJECTIVE = "dm_published_abs"  # what the alpha scan minimises
 
 
-def _metrics(states, res) -> dict:
-    """The _OBJECTIVES along the alpha axis of res (n_alpha, n_states): rms
-    and mean |residual| over the m = 0 states, all states, published rows."""
-    m0_mask = np.array([s.m == 0 for s in states])
+def _metrics(states, res, names=_OBJECTIVES) -> dict:
+    """The named _OBJECTIVES, dm_<subset>_<rms|abs>, along the alpha axis of
+    res (n_alpha, n_states): rms or mean |residual| over the m = 0 states,
+    all states or the published rows; nan over an empty subset."""
     # the published "all" figure excludes the <33> prediction row
-    pub_mask = np.array([(s.j, s.m) != (3, 3) for s in states])
-    values = []
-    for mask in (m0_mask, np.ones(len(states), bool), pub_mask):
+    masks = {"m0": [s.m == 0 for s in states], "all": [True] * len(states),
+             "published": [(s.j, s.m) != (3, 3) for s in states]}
+    out = {}
+    for name in names:
+        _, subset, stat = name.split("_")
+        mask = np.array(masks[subset], bool)
         sel = res[:, mask]
-        values += ([np.sqrt(np.mean(sel**2, axis=1)), np.mean(np.abs(sel), axis=1)]
-                   if mask.any() else [np.full(len(res), math.nan)] * 2)
-    return dict(zip(_OBJECTIVES, values))
+        out[name] = (np.full(len(res), math.nan) if not mask.any() else
+                     np.sqrt(np.mean(sel**2, axis=1)) if stat == "rms" else
+                     np.mean(np.abs(sel), axis=1))
+    return out
 
 
 def _lsq(A: np.ndarray, y: np.ndarray):
@@ -380,14 +369,17 @@ def fit(dataset, alpha, c_model: str = "c0",
     convention of the published tables) is minimised on a grid over
     [0.60, 0.72] with step scan_step, then on a grid of step 1e-5 over the
     bracket [grid[i-1], grid[i+1]] of the coarse minimum, its points rounded
-    to 6 decimals; ties break toward smaller alpha.  Each grid is one batch
-    (one design tensor, one `_lsq` solve); the fit is the second grid's row
-    at its minimum, bitwise the lone-alpha fit, and no search assumes the
-    kinked objective unimodal.  RankDeficient is raised when the states
-    cannot fix all six parameters at some alpha solved: a parameter without
-    a supporting state, fewer than six states, or a design matrix at which
-    lstsq's rcond=None would drop a singular value.  A scan_step that is not
-    finite or below 1e-5 raises ValueError for either kind of alpha.
+    to 6 decimals; ties break toward smaller alpha.  That second grid holds
+    2 scan_step/1e-5 + 1 alphas (201 at the default, about 10,000 at 0.05),
+    so a coarse step costs more, not less.  Each grid is one batch (one
+    design tensor, one `_lsq` solve, the objective alone); the fit is the
+    second grid's row at its minimum, bitwise the lone-alpha fit, and no
+    search assumes the kinked objective unimodal.  RankDeficient is raised
+    when the states cannot fix all six parameters at some alpha solved: a
+    parameter without a supporting state, fewer than six states, or a design
+    matrix at which lstsq's rcond=None would drop a singular value.  A
+    scan_step that is not finite or below 1e-5 raises ValueError for either
+    kind of alpha.
     """
     if not 1e-5 <= scan_step < math.inf:  # nan fails; 1e-5 is the second grid's step
         raise ValueError(f"fit requires a finite scan_step >= 1e-5, got {scan_step:g}")
@@ -395,16 +387,16 @@ def fit(dataset, alpha, c_model: str = "c0",
     if not states:
         raise ValueError("empty dataset")
 
+    objective = lambda res: _metrics(states, res, [_OBJECTIVE])[_OBJECTIVE]
     if alpha == "scan":
         grid = np.arange(0.60, 0.72 + 0.5 * scan_step, scan_step)
-        obj = _metrics(states, _solve(states, grid, c_model)[1])[_OBJECTIVE]
-        i = int(np.argmin(obj))  # the first (smallest alpha) on ties
+        i = int(np.argmin(objective(_solve(states, grid, c_model)[1])))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
         alphas = np.round(np.arange(lo, hi + 0.5e-5, 1e-5), 6)  # the second grid
     else:
         alphas = [float(alpha)]
     p, res = _solve(states, alphas, c_model)
-    k = int(np.argmin(_metrics(states, res)[_OBJECTIVE]))  # first on ties
+    k = int(np.argmin(objective(res)))  # first on ties
     # row k's metrics from row k alone: numpy sums a batch's rows in other orders
     a, res = float(alphas[k]), res[k:k + 1]
     diag = {**{name: float(v[0]) for name, v in _metrics(states, res).items()},
@@ -453,6 +445,15 @@ def _check_radius_args(sigma_mass, hbar_c, n_nodes) -> None:
         raise ValueError(f"sigma mass must be finite: {sigma_mass:g}")
     _check_positive("radius", hbar_c=hbar_c)
     _check_int("radius", 1, n_nodes=n_nodes)
+
+
+@functools.lru_cache(maxsize=16)
+def _ground(well: str, alpha: float):
+    """A "box"'s first cos zero k0 (xtol 1e-12) or a "sphere"'s radial_ground
+    at a checked alpha, each searched once per alpha (16 values kept)."""
+    if well == "box":
+        return find_zeros("cos", alpha, 1, 8.0, xtol=1e-12)[0] * HALF_PI
+    return radial_ground(3, alpha)
 
 
 def _octant_radius(sigma_mass: float, quarks: QuarkMasses, alpha: float,
@@ -539,7 +540,7 @@ def radius_box(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     NegativeZeroPoint is raised.
     """
     _check_radius_args(sigma_mass, hbar_c, n_nodes)
-    k0 = find_zeros("cos", alpha, 1, 8.0, xtol=1e-12)[0] * HALF_PI
+    k0 = _ground("box", _check_alpha(alpha))
     # the density psi_i^2 psi_j^2 psi_k^2 is separable: psi^2 at the nodes
     return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, 1.5, k0,
                           lambda x: frac_cos(alpha, x) ** 2)
@@ -558,7 +559,7 @@ def radius_sphere(sigma_mass: float, quarks: QuarkMasses, alpha: float,
     by construction: g depends on x only through rho = sum |x_i|^(2 alpha).
     """
     _check_radius_args(sigma_mass, hbar_c, n_nodes)
-    ground = radial_ground(3, alpha)
+    ground = _ground("sphere", _check_alpha(alpha))
     return _octant_radius(sigma_mass, quarks, alpha, hbar_c, n_nodes, 0.5,
                           ground.first_zero, ground=ground)
 

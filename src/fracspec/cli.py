@@ -12,6 +12,7 @@ uncertifiable sum, a disk error) exits 1, with a JSON error on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -252,6 +253,7 @@ def _command(sub, name: str, func, help_text: str, default_out: str):
     return sp
 
 
+@functools.cache  # one parser per process, built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fracspec",
@@ -329,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # ValueError: DomainExceeded, PoleError, CutoffTooSmall, charmfit errors
     # (UnreadableFile too); FileNotFoundError: --out in a missing directory
     try:

@@ -543,6 +543,39 @@ def test_scan_optimum_does_not_depend_on_the_step(bundled_dataset, c_model):
     assert fit(bundled_dataset, alpha, c_model) == fits[0]
 
 
+def _scan_with_every_metric(dataset, c_model, step):
+    """fit's alpha scan with the full `_metrics` on every row of both grids,
+    and the length of its second grid."""
+    states = sorted(dataset, key=lambda s: (s.j, s.m))
+    objective = lambda res: charmfit._metrics(states, res)["dm_published_abs"]
+    grid = np.arange(0.60, 0.72 + 0.5 * step, step)
+    i = int(np.argmin(objective(charmfit._solve(states, grid, c_model)[1])))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    alphas = np.round(np.arange(lo, hi + 0.5e-5, 1e-5), 6)
+    p, res = charmfit._solve(states, alphas, c_model)
+    k = int(np.argmin(objective(res)))
+    a, res = float(alphas[k]), res[k:k + 1]
+    diag = {**{name: float(v[0]) for name, v in
+               charmfit._metrics(states, res).items()},
+            "alpha": a, "c_model": c_model, "objective": "dm_published_abs"}
+    return len(alphas), charmfit.FitResult(
+        FitParams(*p[k].tolist(), alpha=a, c_model=c_model),
+        {(s.j, s.m): float(r) for s, r in zip(states, res[0])}, diag)
+
+
+@pytest.mark.parametrize("step", [1e-3, 4.6e-4, 1e-4])
+@pytest.mark.parametrize("c_model", ["c0", "c1", "c2"])
+def test_scan_by_the_objective_alone_is_the_full_metric_scan(bundled_dataset,
+                                                             c_model, step):
+    # the grids are scored by dm_published_abs alone: params, residuals and
+    # diagnostics keep every bit, and the second grid holds the
+    # 2 scan_step/1e-5 + 1 alphas fit's docstring states
+    n, ref = _scan_with_every_metric(bundled_dataset, c_model, step)
+    assert repr(fit(bundled_dataset, "scan", c_model, scan_step=step)) \
+        == repr(ref)
+    assert n == round(2 * step / 1e-5) + 1
+
+
 # --- predictions ---------------------------------------------------------------------
 
 
@@ -790,6 +823,31 @@ def test_radius_rejects_bad_sigma_and_hbar_c(sigma, hbar_c, bad, monkeypatch):
     for fn in (radius_box, radius_sphere):
         with pytest.raises(ValueError, match=name):
             fn(sigma, QUARKS, 2.0 / 3.0, hbar_c, **bad)
+
+
+def test_radius_searches_each_first_zero_once_per_alpha(monkeypatch):
+    # the box's cos zero and the sphere's radial ground state are searched
+    # once per alpha, whatever the sigma mass and node count, and the kept
+    # values give the bits of a fresh search
+    calls = []
+    for name in ("find_zeros", "radial_ground"):
+        def spy(*args, search=getattr(charmfit, name), name=name, **kwargs):
+            calls.append(name)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(charmfit, name, spy)
+    runs = [(fn, sigma, n) for fn in (radius_box, radius_sphere)
+            for sigma in (2441.3, 2452.2, 2467.9) for n in (16, 40)]
+    charmfit._ground.cache_clear()
+    kept = [fn(sigma, QUARKS, 2.0 / 3.0, n_nodes=n) for fn, sigma, n in runs]
+    radius_box(2452.2, QUARKS, np.float64(2.0 / 3.0), n_nodes=16)
+    assert calls == ["find_zeros", "radial_ground"]
+    fresh = []
+    for fn, sigma, n in runs:
+        charmfit._ground.cache_clear()
+        fresh.append(fn(sigma, QUARKS, 2.0 / 3.0, n_nodes=n))
+    assert len(calls) == 2 + len(runs)
+    assert repr(kept) == repr(fresh)
 
 
 def test_radius_accepts_numpy_integer_nodes():

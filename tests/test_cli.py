@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, determinism, exit codes."""
 
+import argparse
 import errno
 import json
 import math
@@ -651,7 +652,8 @@ def test_importing_the_cli_does_no_work():
             "from fracspec import fraccalc\n"
             "assert 'mpmath' not in sys.modules\n"
             "assert not fraccalc._TABLES\n"
-            "assert fraccalc._far.cache_info().currsize == 0\n")
+            "assert fraccalc._far.cache_info().currsize == 0\n"
+            "assert fracspec.cli.build_parser.cache_info().currsize == 0\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
@@ -677,3 +679,40 @@ def test_hbar_c_flag(tmp_path):
     out = tmp_path / "radius.json"
     assert run(["radius", "--hbar-c", "189.9", "--out", str(out)]) == 1
     assert round(json.loads(out.read_text())["r0_fm"], 4) == 1.0800
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch,
+                                                capsys):
+    # the parser is built by a process's first main call and reused; a parse
+    # error leaves it as it was, so the next call writes a fresh process's
+    # artifact byte for byte, and the reused parser keeps its 37 flags
+    built, command = [], cli._command
+
+    def spy(sub, name, *args):
+        built.append(name)
+        return command(sub, name, *args)
+
+    monkeypatch.setattr(cli, "_command", spy)
+    cli.build_parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--c-model", "c9", "--out", str(tmp_path / "bad.json")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'c9'" in capsys.readouterr().err
+        assert run(["fit", "--out", str(tmp_path / "fit.json")]) == 0
+        parser = cli.build_parser()
+    finally:
+        cli.build_parser.cache_clear()
+    assert built == ["special", "zeros", "table1", "fit", "masses", "predict",
+                     "radius", "potential", "factorcheck"]
+    assert not (tmp_path / "bad.json").exists()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert sum(1 for sp in sub.choices.values() for a in sp._actions
+               if a.option_strings and "-h" not in a.option_strings) == 37
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    subprocess.run([sys.executable, "-m", "fracspec.cli", "fit", "--out",
+                    str(tmp_path / "fresh.json")], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    assert (tmp_path / "fit.json").read_bytes() \
+        == (tmp_path / "fresh.json").read_bytes()

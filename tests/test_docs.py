@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from fracspec.charmfit import QuarkMasses, radius_box, radius_sphere
+from fracspec.charmfit import (QuarkMasses, default_dataset, radius_box,
+                               radius_sphere, table3_report)
 from fracspec.cli import main
 from fracspec.fraccalc import HBARC_MEV_FM
 from fracspec.spectra import radial_ground
@@ -62,6 +63,15 @@ def test_ledger_mass_table_deviations(tmp_path, capsys):
     assert [_digits(err["worst_deviation_mev"], 2),
             _digits(err["worst_deviation_alpha_refined_mev"], 3)] \
         == _printed("7.85", "0.104")
+
+
+def test_ledger_mass_table_rows():
+    # criterion 3: the worst deviation of the alpha 2/3 row, and of the c1
+    # and c2 rows, at their printed alphas
+    rows = table3_report(default_dataset())
+    worst = [max(abs(r[f"set{i}_dev_printed"]) for r in rows) for i in range(4)]
+    assert [_digits(worst[0], 3), _digits(worst[2], 2), _digits(worst[3], 2)] \
+        == _printed("0.053", "3.90", "5.88")
 
 
 def test_ledger_radial_zero():
