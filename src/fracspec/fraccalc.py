@@ -189,9 +189,10 @@ class _RatioTable:
 
     def dd(self, n: int) -> tuple[array, array]:
         """The double-double columns up to index n, built on first read."""
-        self.extend(n)
         if n >= len(self.dhi):
-            self._build_fixed(n)
+            self.extend(n)  # past _GAMMA_TOP it builds these columns too
+            if n >= len(self.dhi):
+                self._build_fixed(n)
         return self.dhi[:n + 1], self.dlo[:n + 1]
 
     def _build_fixed(self, n: int) -> None:
@@ -302,24 +303,20 @@ def _positive_series(tab: _RatioTable, zabs: float,
     nan, or needs more than _MAX_TERMS terms.  The table holds coefficient
     N on return: `_grow` extends it each time the loop reaches its end.
     """
-    ratio, inf = tab.ratio, math.inf
-    if len(ratio) < 2 and not _grow(tab, zabs):
-        return _MAX_TERMS + 1, inf, inf
-    t = prev = s = tab.hi[0]
-    n, end = 0, len(ratio) - 1
-    while True:
-        if n == end:
-            if not _grow(tab, zabs):
-                return _MAX_TERMS + 1, inf, inf
-            end = len(ratio) - 1
-        t *= zabs / ratio[n]
-        s += t
-        n += 1
-        if not s < inf or n > _MAX_TERMS:
-            return n, inf, t
-        if t <= floor and t <= 0.5 * prev and n >= 3:
-            return n, s, t
-        prev = t
+    ratio, inf, n = tab.ratio, math.inf, 0
+    while len(ratio) > n + 1 or _grow(tab, zabs):
+        if not n:
+            t = prev = s = tab.hi[0]
+        for r in ratio[n:-1]:  # t_(n+1) is read only with hi[n+1] built
+            t *= zabs / r
+            s += t
+            n += 1
+            if not s < inf or n > _MAX_TERMS:
+                return n, inf, t
+            if t <= floor and t <= 0.5 * prev and n >= 3:
+                return n, s, t
+            prev = t
+    return _MAX_TERMS + 1, inf, inf
 
 
 def _grow(tab: _RatioTable, zabs: float) -> bool:
@@ -363,7 +360,7 @@ def _horner(coeffs, z):
     (Higham, 5.1).  Any other array: acc *= z; acc += c in place, over
     blocks of _HORNER_BLOCK points (the roundings of acc * z + c, bitwise
     the float rule)."""
-    if not (isinstance(z, np.ndarray) and z.ndim):
+    if type(z) is float or not (isinstance(z, np.ndarray) and z.ndim):
         acc = coeffs[-1]
         for c in coeffs[-2::-1]:
             acc = acc * z + c
@@ -443,28 +440,30 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
             f"at |z|={zmax:g}; bound reached {err:g}"
         )
     ferr = ((2 * n + 3) * _ROUND_UNIT + _COEFF_REL) * mass + 2.0 * last
-    val = None
+    val = av = None  # av: |val| of a scan chunk, for its mask and its bound
     if tab.hi[n] >= _MIN_NORMAL and (signs or ferr <= tol):
         val = _horner(tab.hi[:n + 1], z)
         if ferr <= tol:
             err = ferr
-        if not isinstance(val, np.ndarray):
+        if type(val) is float or not isinstance(val, np.ndarray):
             val = None if abs(val) <= ferr else val
         elif signs:
-            weak = np.abs(val) <= ferr  # a mask: z may have any shape
+            weak = (av := np.abs(val)) <= ferr  # a mask: z may have any shape
             # one double-double pass over 1-400 points costs as much as 26-55
             # over one float (BENCH_12.json): fewer than 40 go singly, bitwise
             if (nweak := np.count_nonzero(weak)) >= 40:
-                whi, wlo = dd_horner(*tab.dd(n), z[weak])
-                val[weak] = whi + wlo
+                val[weak] = np.add(*dd_horner(*tab.dd(n), z[weak]))
             elif nweak:
                 dhi, dlo = tab.dd(n)
                 val[weak] = [h + l for h, l in (dd_horner(dhi, dlo, x)
                                                 for x in z[weak].tolist())]
+            if nweak:
+                np.abs(val, out=av, where=weak)
     if val is None:
         dhi, dlo = dd_horner(*tab.dd(n), z)
         val = dhi + dlo
-    bound = err + _ROUND_UNIT * _absmax(val)
+    bound = err + _ROUND_UNIT * (_absmax(val) if av is None
+                                 else float(av.max(initial=0.0)))
     if not (bound <= tol or signs):
         raise PrecisionLoss(
             f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}) "
@@ -475,7 +474,8 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
 
 def _absmax(v) -> float:
     """max|v| of a float or an ndarray (0 for an empty array)."""
-    return float(np.abs(v).max(initial=0.0)) if isinstance(v, np.ndarray) else abs(v)
+    return (abs(v) if type(v) is float or not isinstance(v, np.ndarray)
+            else float(np.abs(v).max(initial=0.0)))
 
 
 def _coerce(x):
@@ -546,7 +546,10 @@ def _trig(alpha: float, x, tol: float, odd: bool, signs: bool = False):
         return _coerce(np.sign(x) * val if odd else val), bound
     beta = 1.0 + alpha if odd else 1.0
     val, bound = _ml_sum(2.0 * alpha, beta, -ax ** (2.0 * alpha), tol, signs)
-    return (_coerce(np.sign(x) * ax**alpha * val) if odd else val), bound
+    if odd:  # an int sign keeps a float's product a float, with no dispatch
+        sign = (x > 0) - (x < 0) if type(x) is float else np.sign(x)
+        val = sign * ax**alpha * val
+    return val, bound
 
 
 @functools.lru_cache(maxsize=1024)

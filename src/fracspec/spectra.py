@@ -17,19 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fraccalc import (
-    AlphaContext,
-    HALF_PI,
-    PrecisionLoss,
-    _ROUND_UNIT,
-    _absmax,
-    _check_alpha,
-    _check_int,
-    _check_positive,
-    _horner,
-    _table,
-    _trig,
-    frac_cos,
-    frac_sin,
+    AlphaContext, HALF_PI, PrecisionLoss, _ROUND_UNIT, _absmax, _check_alpha,
+    _check_int, _check_positive, _horner, _table, _trig, frac_cos, frac_sin,
     rl_nodes,
 )
 
@@ -135,11 +124,13 @@ def _scan(alpha: float, kinds: tuple, count: int, x_max: float,
     """The lowest `count` (scaled root, kind) pairs on (0, x_max] of the kinds
     asked for ("cos", "sin" or both), sorted; fewer when the zero sets run out.
     Every kind is evaluated on the same chunks of certified signs (a float64
-    pass, summed again in double-double only near zero); a kind's brackets are
-    refined to xtol at one tolerance, 1e-9, or at twice the bound the chunk
-    reached when that exceeds it, until it holds `count`.  The scan stops
-    once the kinds together hold `count`.  ValueError past the representable
-    amplitude range.
+    pass, summed again in double-double only near zero) before any bracket
+    is refined.  With `need` roots still missing, the brackets of all kinds
+    up to the need-th lowest left index (ties included) are refined to xtol
+    at one tolerance, 1e-9, or at twice the bound the chunk reached when
+    that exceeds it: a root lies in its bracket, so these hold the lowest
+    roots, and the scan stops at the first chunk that completes `count`.
+    ValueError past the representable amplitude range.
     For alpha <= 1/2 there is nothing to scan: with a = 2 alpha <= 1,
     E_{a,1}(-t) and E_{a,1+alpha}(-t) are completely monotone on t >= 0
     (Pollard, Bull. AMS 54, 1948; Schneider, Expo. Math. 14, 1996), so
@@ -149,16 +140,15 @@ def _scan(alpha: float, kinds: tuple, count: int, x_max: float,
         return []
     found = {kind: [] for kind in kinds}
     head_x, head_v = [], {kind: [] for kind in kinds}  # previous chunk's end
-    x0 = SCAN_STEP
-    while x0 <= x_max and sum(map(len, found.values())) < count:
-        xs = x0 + SCAN_STEP * np.arange(400)  # points per vector evaluation
-        xs = xs[xs <= x_max + 0.5 * SCAN_STEP]
-        xk = np.concatenate((head_x, xs))
+    x0, steps = SCAN_STEP, SCAN_STEP * np.arange(400)  # points per chunk
+    while x0 <= x_max and (need := count - sum(map(len, found.values()))) > 0:
+        xs = x0 + steps
+        if xs[-1] > x_max + 0.5 * SCAN_STEP:  # only the last chunk
+            xs = xs[xs <= x_max + 0.5 * SCAN_STEP]
+        xk, hx, chunk = np.concatenate((head_x, xs)), HALF_PI * xs, []
         for kind, roots in found.items():
-            f = frac_sin if kind == "sin" else frac_cos
             try:
-                vs, reached = _trig(alpha, HALF_PI * xs, 1e-9,
-                                    kind == "sin", signs=True)
+                vs, reached = _trig(alpha, hx, 1e-9, kind == "sin", signs=True)
             except PrecisionLoss:
                 raise ValueError(f"scan limit x={xs[-1]:g} (scaled) is beyond "
                                  "the representable amplitude range for "
@@ -166,12 +156,17 @@ def _scan(alpha: float, kinds: tuple, count: int, x_max: float,
             # rounding amplitudes ~1e8 (alpha > 1) or the series bound at large
             # x exceeds 1e-9 but moves no certified sign; refine within it
             tol = 1e-9 if reached <= 1e-9 else 2.0 * reached
-            g = lambda x: float(f(alpha, HALF_PI * x, tol))
             vs = np.concatenate((head_v[kind], vs))
-            for i in _brackets(vs)[:count - len(roots)]:
-                roots.append(_refine(g, float(xk[i]), float(xk[i + 1]),
-                                     float(vs[i]), float(vs[i + 1]), xtol))
             head_v[kind] = [float(vs[-1])]
+            chunk.append((roots, kind == "sin", tol, vs, _brackets(vs).tolist()))
+        # the need-th lowest left index over the kinds (the last, when fewer)
+        cut = max(sorted(i for *_, b in chunk for i in b)[:need], default=0)
+        for roots, odd, tol, vs, b in chunk:
+            g = lambda x: _trig(alpha, HALF_PI * x, tol, odd, False)[0]
+            for i in b:
+                if i <= cut:
+                    roots.append(_refine(g, float(xk[i]), float(xk[i + 1]),
+                                         float(vs[i]), float(vs[i + 1]), xtol))
         head_x = [float(xs[-1])]
         x0 = head_x[0] + SCAN_STEP
     return sorted((r, kind) for kind in kinds for r in found[kind])[:count]
@@ -255,7 +250,9 @@ def well_energy_nd(alpha: float, indices: list[int], half_widths: list[float],
                                          for i, a in enumerate(half_widths)})
     states = well_states_1d(alpha, max(indices) + 1, 1.0, ctx)
     if len(states) <= max(indices):
-        raise NoZeros(f"only {len(states)} well states exist at alpha={alpha:g}")
+        raise NoZeros(f"only {len(states)} well state"
+                      f"{' exists' if len(states) == 1 else 's exist'} "
+                      f"at alpha={alpha:g}")
     return sum(free_energy(alpha, states[n].k0 / a, ctx)
                for n, a in zip(indices, half_widths))
 

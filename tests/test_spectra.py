@@ -229,6 +229,16 @@ def test_nd_energy_of_the_last_state_of_a_finite_spectrum():
     assert well_energy_nd(0.85, [12], [1.0], CTX) == states[12].energy
 
 
+def test_nd_refusal_counts_the_states_that_exist():
+    # one state read "only 1 well states exist"
+    with pytest.raises(NoZeros, match=r"^only 1 well state exists at "
+                                      r"alpha=0\.6$"):
+        well_energy_nd(0.6, [1], [1.0], AlphaContext(0.6))
+    with pytest.raises(NoZeros, match=r"^only 13 well states exist at "
+                                      r"alpha=0\.85$"):
+        well_energy_nd(0.85, [13], [1.0], CTX)
+
+
 def _no_root_search(*args, **kwargs):
     raise AssertionError("root search ran before the arguments were checked")
 
@@ -713,3 +723,71 @@ def test_refine_hostile_bracket_falls_back_to_bisection(f, root):
     assert a <= got <= b
     assert abs(got - root) <= xtol
     assert len(seen) < 200
+
+
+# --- scan work ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [0.75, 0.8, 0.87, 0.9, 0.95, 1.0, 1.1])
+@pytest.mark.parametrize("count", [1, 2, 8, 9, 12, 20])
+def test_two_kind_scan_refines_only_brackets_that_can_make_the_count(
+        monkeypatch, alpha, count):
+    # the scan of both kinds is the single-kind scans merged, bit for bit,
+    # and it refines `count` brackets at most, plus those that share the
+    # cut-off left index with a bracket of the other kind; refining up to
+    # `count` per kind cost 97 refinements for 81 kept roots in a warm
+    # well_observables pass
+    x_max = 2.0 * count + 20.0
+    merged = sorted(pair for kind in ("cos", "sin")
+                    for pair in spectra._scan(alpha, (kind,), count, x_max))
+    lefts, refine = [], spectra._refine
+
+    def counted(f, a, b, fa, fb, xtol):
+        lefts.append(a)
+        return refine(f, a, b, fa, fb, xtol)
+
+    monkeypatch.setattr(spectra, "_refine", counted)
+    assert spectra._scan(alpha, ("cos", "sin"), count, x_max) == merged[:count]
+    extra = len(lefts) - count
+    assert extra <= 0 or lefts.count(max(lefts)) > extra
+
+
+def test_scan_work_per_root(monkeypatch):
+    # counting spies over find_zeros on a grid below the large-argument
+    # branch (scaled x 12 < t0 / (pi/2) ~ 13): each Brent step sizes its
+    # series once and sums again in double-double at most once, and Brent
+    # needs at most 3.5 evaluations per root (3.41 in a warm zero_sweep pass)
+    work = {"chunks": 0, "steps": 0, "sized": 0, "resums": 0, "most": 0}
+    step = [None]  # double-double sums of the Brent step under way, if any
+    trig, sized, dd = spectra._trig, fraccalc._positive_series, fraccalc.dd_horner
+
+    def counted_trig(alpha, x, *args, **kwargs):
+        in_step = not isinstance(x, np.ndarray)
+        work["steps" if in_step else "chunks"] += 1
+        step[0] = 0 if in_step else None
+        try:
+            return trig(alpha, x, *args, **kwargs)
+        finally:
+            if in_step:
+                work["resums"] += step[0]
+                work["most"] = max(work["most"], step[0])
+            step[0] = None
+
+    def counted_sized(*args):
+        work["sized"] += 1
+        return sized(*args)
+
+    def counted_dd(hi, lo, z):
+        if step[0] is not None:
+            step[0] += 1
+        return dd(hi, lo, z)
+
+    monkeypatch.setattr(spectra, "_trig", counted_trig)
+    monkeypatch.setattr(fraccalc, "_positive_series", counted_sized)
+    monkeypatch.setattr(fraccalc, "dd_horner", counted_dd)
+    roots = sum(len(find_zeros(kind, alpha, 6, 12.0))
+                for alpha in (0.75, 0.9, 1.0, 1.25) for kind in ("cos", "sin"))
+    assert work["sized"] == work["chunks"] + work["steps"]
+    assert work["most"] == 1 and work["resums"] > 0
+    assert roots == 38
+    assert work["steps"] <= 3.5 * roots  # 110 steps on this grid
