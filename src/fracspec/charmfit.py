@@ -88,10 +88,8 @@ class CharmState:
 
     def __post_init__(self):
         if self.j < 0 or not 0 <= self.m <= self.j:
-            raise ParseError(
-                f"state {self.name!r}: need j >= 0 and 0 <= m <= j "
-                f"(got j={self.j}, m={self.m})"
-            )
+            raise ParseError(f"state {self.name!r}: need j >= 0 and 0 <= m <= j "
+                             f"(got j={self.j}, m={self.m})")
         if not (0 < self.mass_exp < math.inf  # nan included
                 and 0 <= (self.mass_err or 0.0) < math.inf):
             raise ParseError(f"state {self.name!r}: mass must be finite and "
@@ -166,10 +164,8 @@ def load_dataset(path) -> list[CharmState]:
             raise ParseError(f"{path}: record {i}: {e}") from e
         key = (st.j, st.m)
         if key in seen:
-            raise DuplicateState(
-                f"{path}: record {i}: <{st.j}{st.m}> already defined by "
-                f"{seen[key].name!r}"
-            )
+            raise DuplicateState(f"{path}: record {i}: <{st.j}{st.m}> already "
+                                 f"defined by {seen[key].name!r}")
         seen[key] = st
     return list(seen.values())
 

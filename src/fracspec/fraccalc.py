@@ -437,8 +437,7 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     if not (err <= tol or signs and err < math.inf):
         raise PrecisionLoss(
             f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}) "
-            f"at |z|={zmax:g}; bound reached {err:g}"
-        )
+            f"at |z|={zmax:g}; bound reached {err:g}")
     ferr = ((2 * n + 3) * _ROUND_UNIT + _COEFF_REL) * mass + 2.0 * last
     val = av = None  # av: |val| of a scan chunk, for its mask and its bound
     if tab.hi[n] >= _MIN_NORMAL and (signs or ferr <= tol):
@@ -467,8 +466,7 @@ def _ml_sum(alpha: float, beta: float, z, tol: float, signs: bool = False):
     if not (bound <= tol or signs):
         raise PrecisionLoss(
             f"cannot certify abs error {tol:g} for E_({alpha:g},{beta:g}) "
-            f"at |z|={zmax:g}: rounding the value to double exceeds it"
-        )
+            f"at |z|={zmax:g}: rounding the value to double exceeds it")
     return val, bound
 
 
@@ -564,8 +562,12 @@ def _far(alpha: float, odd: bool, tol: float):
     l, d = (alpha, 0.5) if odd else (a, 1.0)
     m = 1.0 if math.cos(a * math.pi) >= 0.0 else abs(math.sin(a * math.pi))
     budget = math.log(0.25 * math.pi * m * min(tol, 1.0))
-    log_t0, K = min(((math.lgamma(l + a * k) - budget) / (l + a * k), k)
-                    for k in range(1, int((_GAMMA_TOP - l) / a) + 1))
+    log_t0, K = math.inf, 0  # (lgamma(u) - budget)/u falls, then rises in u
+    for k in range(1, int((_GAMMA_TOP - l) / a) + 1):
+        if (v := (math.lgamma(l + a * k) - budget) / (l + a * k)) < log_t0:
+            log_t0, K = v, k
+        elif v > log_t0 + 1e-9 * abs(log_t0):  # past the minimum, not rounding
+            break
     g = [math.gamma(l + a * k) / math.pi for k in range(K + 1)]
     c = [(-1) ** k * math.sin((k + d) * a * math.pi) * g[k] for k in range(K)]
     return (math.exp(log_t0), a, l, K, c, g[:K], g[K] / m * (1.0 + 1e-12),
@@ -590,6 +592,21 @@ def _far_sum(far, t, odd: bool):
              + (1e-12 + (4 * K + 8) * _ROUND_UNIT) * _horner(g, lo**-a) * lo**-l
              + _ROUND_UNIT * _absmax(val))
     return val, bound
+
+
+def _far_signed(alpha: float, odd: bool, t: float) -> bool:
+    """True when frac_sin (odd) or frac_cos has c_0's sign at every |x| >= t,
+    c_0 of `_far(alpha, odd, 1e-9)`, for 1/2 < alpha < 1.  With w = t^-a,
+    |t^l f - c_0| <= sum_{1<=k<K} g_k w^k + rem w^K + (2/a) t^l e^(t cos(pi/a))
+    at every t > 0 (R_K's bound too), each term falling from l/|cos(pi/a)|
+    on; g_0 joins both sides, and 1 + 1e-9 covers c_0's 1e-12 g_0 and the
+    roundings."""
+    if not 0.5 < alpha < 1.0:
+        return False
+    _, a, l, K, c, g, rem, cos_pa, _ = _far(alpha, odd, 1e-9)
+    w = t**-a
+    return -cos_pa * t >= l and abs(c[0]) + g[0] > (1.0 + 1e-9) * (
+        _horner(g, w) + rem * w**K + 2.0 / a * t**l * math.exp(t * cos_pa))
 
 
 def frac_exp(alpha: float, x, tol: float = 1e-9):
@@ -732,8 +749,7 @@ def rl_nodes(alpha: float, a: float, n: int):
     xs, ws = _gauss_legendre(n)
     smax = a**alpha
     s = 0.5 * smax * (xs + 1.0)
-    u = a - s ** (1.0 / alpha)
-    np.clip(u, 0.0, a, out=u)
+    u = np.clip(a - s ** (1.0 / alpha), 0.0, a)
     w = ws * (0.5 * smax) / gamma(alpha + 1.0)
     return u, w
 

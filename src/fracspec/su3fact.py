@@ -134,15 +134,11 @@ def triple_product_check() -> dict:
         dev = float(np.max(np.abs(mat - (np.eye(9) if key in identity else 0.0))))
         # one scalar per factor: a per d_t, b per d_i, c per constant factor
         na, nb = key[0], sum(key[1:])
-        checks.append({
-            "monomial": {"n_t": key[0], "n_x": list(key[1:])},
-            "scalar_powers": {"a": na, "b": nb, "c": 3 - na - nb},
-            "expected": "identity" if key in identity else "zero",
-            "max_abs_deviation": dev,
-            "pass": dev <= TOL,
-        })
-    exp_t = 2 * ALPHA_T
-    exp_i = 3 * ALPHA_I
+        checks.append({"monomial": {"n_t": key[0], "n_x": list(key[1:])},
+                       "scalar_powers": {"a": na, "b": nb, "c": 3 - na - nb},
+                       "expected": "identity" if key in identity else "zero",
+                       "max_abs_deviation": dev, "pass": dev <= TOL})
+    exp_t, exp_i = 2 * ALPHA_T, 3 * ALPHA_I
     return {
         "monomials": checks,
         "surviving_scalars": {"a2c": [A_SQUARED.real * C_SCALAR,
@@ -196,24 +192,11 @@ def s2_structure() -> dict:
     remainder_norm = max((float(np.max(np.abs(mat))) for k, mat in P2.items()
                           if k != (2, 0, 0, 0) and sum(k[1:]) != 2), default=0.0)
     return {
-        "time_coefficient": {
-            "max_abs_deviation": time_dev,
-            "pass": time_dev <= TOL,
-        },
-        "space_matrices": {
-            "max_abs_deviation": space_dev,
-            "pass": space_dev <= TOL,
-        },
-        "space_scalar": {
-            "derived_b2c": b2c,
-            "printed": S2_SPACE_PRINTED,
-            "deviation": b2c - S2_SPACE_PRINTED,
-            "matches_printed": abs(b2c - S2_SPACE_PRINTED) <= TOL,
-        },
-        "remainder": {
-            "max_abs_entry": remainder_norm,
-            "nonzero": remainder_norm > TOL,
-        },
-        "pass": time_dev <= TOL and space_dev <= TOL
-                and remainder_norm > TOL,
+        "time_coefficient": {"max_abs_deviation": time_dev, "pass": time_dev <= TOL},
+        "space_matrices": {"max_abs_deviation": space_dev, "pass": space_dev <= TOL},
+        "space_scalar": {"derived_b2c": b2c, "printed": S2_SPACE_PRINTED,
+                         "deviation": b2c - S2_SPACE_PRINTED,
+                         "matches_printed": abs(b2c - S2_SPACE_PRINTED) <= TOL},
+        "remainder": {"max_abs_entry": remainder_norm, "nonzero": remainder_norm > TOL},
+        "pass": time_dev <= TOL and space_dev <= TOL and remainder_norm > TOL,
     }

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from fracspec import fraccalc
+from fracspec import fraccalc, spectra
 from fracspec._dd import dd_horner
 from fracspec.fraccalc import (
     _COEFF_REL,
@@ -557,10 +557,10 @@ def test_non_finite_parameter_is_named(alpha, beta):
 # --- large-argument branch (1/2 < alpha <= 1) ------------------------------------
 
 
-def _trig_mp(alpha: float, odd: bool, x: float):
-    """frac_sin (odd) or frac_cos at x from the series in mpmath, 120 digits
+def _trig_mp(alpha: float, odd: bool, x: float, digits: int = 120):
+    """frac_sin (odd) or frac_cos at x from the series in mpmath, `digits`
     carried past the cancellation of its terms (the largest near e^|x|)."""
-    with mp.workdps(120 + int(abs(x) / 2.3)):
+    with mp.workdps(digits + int(abs(x) / 2.3)):
         a, t = mp.mpf(alpha), abs(mp.mpf(x))
         if odd:
             return mp.sign(x) * t**a * ml_series_mp(2 * a, 1 + a, -t ** (2 * a))
@@ -650,6 +650,86 @@ def test_large_argument_branch_refuses_past_its_rounding(fn, x):
     message = str(info.value)
     assert f"{fn.__name__}(1)" in message
     assert float(message.rsplit("bound ", 1)[1]) > 1e-9
+
+
+def test_far_stops_its_search_for_k_at_the_minimum():
+    # (lgamma(u) - budget)/u in u = l + a k falls, then rises (its
+    # derivative's numerator has derivative u psi'(u) > 0), so stopping past
+    # the minimum leaves t0 and K those of the full range's minimum
+    for i in range(1, 101):
+        alpha = 0.5 + 0.005 * i
+        for odd in (False, True):
+            a = 2.0 * alpha
+            l = alpha if odd else a
+            m = (1.0 if math.cos(a * math.pi) >= 0.0
+                 else abs(math.sin(a * math.pi)))
+            for tol in (1e-13, 1e-9, 1e-6, 1.0, 2.08):
+                budget = math.log(0.25 * math.pi * m * min(tol, 1.0))
+                log_t0, K = min(
+                    ((math.lgamma(l + a * k) - budget) / (l + a * k), k)
+                    for k in range(1, int((fraccalc._GAMMA_TOP - l) / a) + 1))
+                far = fraccalc._far(alpha, odd, tol)
+                assert (far[0], far[3]) == (math.exp(log_t0), K), (alpha, tol)
+
+
+def _exhaustion_point(alpha: float, odd: bool) -> float:
+    """The first scaled x on the scan step's grid where `_far_signed` holds,
+    inf when none does below 200 (X grows like 1/(alpha - 1/2) for cos)."""
+    for k in range(1, 20001):
+        if fraccalc._far_signed(alpha, odd, HALF_PI * SCAN_STEP * k):
+            return SCAN_STEP * k
+    return math.inf
+
+
+def _sign_c0(alpha: float, odd: bool) -> float:
+    return math.copysign(1.0, fraccalc._far(alpha, odd, 1e-9)[4][0])
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.6, 0.7, 0.75, 0.8, 0.85])
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_far_signed_holds_only_past_the_last_root(monkeypatch, alpha, kind):
+    # X, the point from which the far-field bound proves the sign of c_0,
+    # lies past the last root of a scan that does not stop there (X 6.06
+    # against 1.397 for cos at 0.6, 16.72 against 16.70 at 0.85), and the
+    # series in mpmath keeps that sign on [X, 2.5 X]
+    odd = kind == "sin"
+    X = _exhaustion_point(alpha, odd)
+    monkeypatch.setattr(spectra, "_far_signed", lambda *args: False)
+    try:
+        last = find_zeros(kind, alpha, 200, 80.0).roots[-1]
+    except NoZeros:
+        last = 0.0
+    assert last < X
+    sign = _sign_c0(alpha, odd)
+    for x in np.linspace(X, 2.5 * X, 40):
+        assert mp.sign(_trig_mp(alpha, odd, HALF_PI * x, 60)) == sign, x
+
+
+@settings(deadline=None, max_examples=20)
+@given(alpha=st.floats(0.5, 0.97, exclude_min=True), odd=st.booleans(),
+       u=st.floats(0.0, 0.5))
+@example(alpha=0.85, odd=False, u=0.0)  # X = 16.72, the last root 16.70
+@example(alpha=0.97, odd=False, u=0.0)  # X = 181.44
+def test_far_signed_proves_the_sign_of_c0(alpha, odd, u):
+    x = _exhaustion_point(alpha, odd) * (1.0 + u)
+    if x == math.inf:
+        reject()
+    assert fraccalc._far_signed(alpha, odd, HALF_PI * x)
+    assert mp.sign(_trig_mp(alpha, odd, HALF_PI * x, 60)) == _sign_c0(alpha, odd)
+
+
+def test_far_signed_proves_nothing_without_a_far_field_bound(monkeypatch):
+    # no stop for alpha <= 1/2 (no scan either), for alpha >= 1 (no finite
+    # zero set), where c_0 = 0, or where the pair does not decay
+    for alpha in (0.3, 0.5, 1.0, 1.2):
+        for odd in (False, True):
+            assert not fraccalc._far_signed(alpha, odd, 1e4)
+    far = fraccalc._far(0.7, False, 1e-9)
+    assert fraccalc._far_signed(0.7, False, 1e4)
+    for i, v in ((4, [0.0] + far[4][1:]), (7, 0.0), (7, 0.5)):
+        changed = far[:i] + (v,) + far[i + 1:]
+        monkeypatch.setattr(fraccalc, "_far", lambda *args: changed)
+        assert not fraccalc._far_signed(0.7, False, 1e4), i
 
 
 # --- coefficient tables ----------------------------------------------------------

@@ -791,3 +791,66 @@ def test_scan_work_per_root(monkeypatch):
     assert work["most"] == 1 and work["resums"] > 0
     assert roots == 38
     assert work["steps"] <= 3.5 * roots  # 110 steps on this grid
+
+
+def _chunk_spy(monkeypatch, chunks: list):
+    """Record the scaled points of every chunk `_scan` evaluates."""
+    trig = spectra._trig
+
+    def counted(alpha, x, *args, **kwargs):
+        if isinstance(x, np.ndarray):
+            chunks.append(x)
+        return trig(alpha, x, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_trig", counted)
+
+
+def _scan_outcome(alpha, kinds, count, x_max):
+    try:
+        return spectra._scan(alpha, kinds, count, x_max)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_scan_stop_changes_no_result(monkeypatch):
+    # the scan stops a kind where `_far_signed` proves it has no zero from the
+    # previous chunk's last point on; the chunks it skips hold no bracket, so
+    # every scan returns what the scan of every chunk returns, bit for bit
+    chunks, asked, far_signed = [], [], spectra._far_signed
+
+    def spied(alpha, odd, t):
+        asked.append((t, chunks[-1][-1]))
+        return far_signed(alpha, odd, t)
+
+    _chunk_spy(monkeypatch, chunks)
+    for alpha in [round(0.51 + 0.02 * k, 2) for k in range(25)]:
+        for count in (1, 3, 6, 12, 40):
+            for x_max in (8.0, 16.0, 28.0, 60.0):
+                for kinds in (("cos",), ("sin",), ("cos", "sin")):
+                    monkeypatch.setattr(spectra, "_far_signed", lambda *a: False)
+                    want = _scan_outcome(alpha, kinds, count, x_max)
+                    monkeypatch.setattr(spectra, "_far_signed", spied)
+                    assert _scan_outcome(alpha, kinds, count, x_max) == want
+    firsts = {float(c[0]) for c in chunks}
+    assert asked and all(t == last and t not in firsts for t, last in asked)
+
+
+def test_scan_work_stops_at_the_exhaustion_point(monkeypatch):
+    # chunk evaluations with the far-field stop; every chunk, the earlier
+    # rule, is 969 on the grid, 4 for sin at 0.6 and 30 for the well at 0.8
+    chunks = []
+    _chunk_spy(monkeypatch, chunks)
+    for alpha in [0.55 + 0.005 * k for k in range(131)]:
+        for kind in ("cos", "sin"):
+            try:
+                find_zeros(kind, alpha, 6, 16.0)
+            except NoZeros:
+                pass
+    assert len(chunks) == 751
+    chunks.clear()
+    with pytest.raises(NoZeros):
+        find_zeros("sin", 0.6, 6, 16.0)
+    assert len(chunks) == 2
+    chunks.clear()
+    well_states_1d(0.8, 20, 1.0, AlphaContext(0.8))
+    assert len(chunks) == 5
